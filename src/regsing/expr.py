@@ -7,16 +7,30 @@ sqrt, sinh, cosh, tanh.  ``^`` binds tightest, then unary minus, then
 a constant (variable-free) subexpression.
 
 Expression trees are immutable.  ``differentiate`` is exact and performs
-only trivial constant folding; ``taylor`` evaluates in Taylor mode through
-the series recurrences rather than by repeated symbolic differentiation.
+only trivial constant folding.
+
+Evaluation goes through one compiler with three modes: real (``math``),
+complex (``cmath``, principal branches) and Taylor (the ``series``
+recurrences, never repeated symbolic differentiation).  It turns a list of
+trees into one generated Python function that returns every entry in a
+single call.  :class:`ExprArray` holds a matrix or vector of trees and
+compiles each mode on its first use, so a coefficient matrix is compiled
+once, lazily, and then evaluated whole; ``eval_real``, ``eval_complex``
+and ``taylor`` compile a single tree the same way.  Values and domain
+errors are those of a node-by-node evaluation in the same order.
 """
 
 from __future__ import annotations
 
-import math
+import builtins
 import cmath
+import functools
+import math
 import re
+import types
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import series as _series
 from .errors import ParseError, EvalDomainError, ExprError
@@ -25,7 +39,7 @@ from .series import Series
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "parse", "render", "differentiate", "eval_real", "eval_complex",
-    "taylor", "FUNCTIONS",
+    "taylor", "ExprArray", "FUNCTIONS",
 ]
 
 
@@ -414,129 +428,309 @@ def differentiate(e: Expr) -> Expr:
     raise ExprError(f"unknown node {type(e).__name__}")
 
 
-# -- evaluation ------------------------------------------------------------
+# -- compilation -----------------------------------------------------------
+#
+# One compiler serves the three evaluation modes: real (``math``), complex
+# (``cmath``, principal branches) and Taylor (``series`` recurrences).  A
+# list of trees becomes the source of one Python function that evaluates
+# every tree in a single call.  Each interior node is one assignment to a
+# local, emitted in the order the nodes are evaluated: operands left to
+# right, and for a division the denominator and its zero check before the
+# numerator.  Operand types and operations are the same as a node-by-node
+# evaluation would use, so values are bit-identical and a failing
+# evaluation raises the same error, whatever else shares the function.
+#
+# Exponents are constant.  Each one is evaluated in real mode at t = 0 at
+# compile time and the branch it selects is fixed; an exponent whose
+# evaluation fails (``t^(1/0)``) is left to run on every call instead, so
+# it fails at the call that evaluates it.  Constants are passed as default
+# arguments, which keeps their exact type and value and makes the source
+# depend only on the shape of the trees, so one-tree sources can be
+# cached (see ``_code_of_tree``).
 
-_REAL_FN = {name: getattr(math, name) for name in FUNCTIONS}
-_COMPLEX_FN = {name: getattr(cmath, name) for name in FUNCTIONS}
+_GLOBALS = {
+    "__builtins__": builtins, "_E": EvalDomainError, "_ExprError": ExprError,
+    "_series": _series, "_array": np.array, "_float": np.float64,
+    "_complex": np.complex128, "_pow": math.pow, "_cexp": cmath.exp,
+    "_clog": cmath.log,
+    **{f"_r_{name}": getattr(math, name) for name in FUNCTIONS},
+    **{f"_c_{name}": getattr(cmath, name) for name in FUNCTIONS},
+}
+
+# The function each mode compiles to; _compile fills in <cells> (one
+# parameter per constant), <body> and <results>.
+_TEMPLATES = {
+    "real": """def f(t, <cells>):
+    try:
+        t = float(t)
+        <body>
+        return _array((<results>), _float)
+    except OverflowError as exc:
+        raise _E(f"overflow during evaluation: {exc}") from None
+""",
+    "complex": """def f(t, <cells>):
+    try:
+        t = complex(t)
+        <body>
+        return _array((<results>), _complex)
+    except (OverflowError, ValueError) as exc:
+        raise _E(f"evaluation failed: {exc}") from None
+""",
+    "taylor": """def f(t0, order, <cells>):
+    if order < 0:
+        raise _ExprError("order must be nonnegative")
+    try:
+        t0 = float(t0)
+        order = int(order)
+        <body>
+        return (<results>)
+    except OverflowError as exc:
+        raise _E(f"overflow during expansion: {exc}") from None
+""",
+}
+_TEMPLATE_PARTS = {mode: re.split("<cells>|<body>|<results>", text)
+                   for mode, text in _TEMPLATES.items()}
+
+_BINOPS = {Add: "+", Sub: "-", Mul: "*"}
+_NODE_TYPES = {kind: kind for kind in (Num, Var, Neg, Add, Sub, Mul, Div, Pow,
+                                        Call)}
 
 
-def _eval_real(e: Expr, t: float):
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return t
-    if isinstance(e, Neg):
-        return -_eval_real(e.arg, t)
-    if isinstance(e, Add):
-        return _eval_real(e.left, t) + _eval_real(e.right, t)
-    if isinstance(e, Sub):
-        return _eval_real(e.left, t) - _eval_real(e.right, t)
-    if isinstance(e, Mul):
-        return _eval_real(e.left, t) * _eval_real(e.right, t)
-    if isinstance(e, Div):
-        den = _eval_real(e.right, t)
-        if den == 0:
-            raise EvalDomainError("division by zero")
-        return _eval_real(e.left, t) / den
-    if isinstance(e, Pow):
-        base = _eval_real(e.base, t)
-        c = _eval_real(e.exponent, t)
-        if base == 0 and c < 0:
-            raise EvalDomainError("zero raised to a negative power")
-        if float(c).is_integer():
-            return base ** int(c)
-        if base < 0:
-            raise EvalDomainError(
-                f"negative base {base} with non-integer exponent {c}")
-        return math.pow(base, c)
-    if isinstance(e, Call):
-        x = _eval_real(e.arg, t)
-        if e.name == "log" and x <= 0:
-            raise EvalDomainError(f"log of nonpositive real {x}")
-        if e.name == "sqrt" and x < 0:
-            raise EvalDomainError(f"sqrt of negative real {x}")
-        return _REAL_FN[e.name](x)
+def _node_type(e) -> type:
+    """The node type ``e`` is an instance of (subclasses included)."""
+    for kind in _NODE_TYPES:
+        if isinstance(e, kind):
+            return kind
     raise ExprError(f"unknown node {type(e).__name__}")
 
+
+class _Emitter:
+    """Straight-line code for a list of trees.
+
+    ``node`` appends the statements computing a tree, one per interior
+    node in evaluation order, and returns the name (or literal) holding
+    its value; constants are collected in ``consts``.
+    """
+
+    __slots__ = ("consts", "lines", "identity")
+
+    def __init__(self):
+        self.consts = []
+        self.lines = []
+        self.identity = None    # Taylor mode: the local holding t's series
+
+    def const(self, value) -> str:
+        self.consts.append(value)
+        return f"k{len(self.consts) - 1}"
+
+    def node(self, e: Expr, mode: str, var: str) -> str:
+        kind = _NODE_TYPES.get(type(e)) or _node_type(e)
+        if kind is Num:
+            value = e.value
+            if mode == "real":
+                return self.const(value)
+            if mode == "complex":
+                try:
+                    return self.const(complex(value))
+                except (TypeError, ValueError, OverflowError):
+                    # fails again inside the call, where errors are reported
+                    rhs = f"complex({self.const(value)})"
+            else:
+                rhs = f"_series.constant({self.const(value)}, order, t0)"
+                if type(value) is float:
+                    return rhs  # cannot fail, so it is built where it is used
+        elif kind in _BINOPS:
+            rhs = (f"{self.node(e.left, mode, var)} {_BINOPS[kind]} "
+                   f"{self.node(e.right, mode, var)}")
+        elif kind is Var:
+            if mode != "taylor":
+                return var
+            if self.identity is None:
+                self.identity = f"v{len(self.lines)}"
+                self.lines.append(
+                    f"{self.identity} = _series.identity(order, t0)")
+            return self.identity
+        elif kind is Neg:
+            rhs = "-" + self.node(e.arg, mode, var)
+        elif kind is Pow:
+            rhs = self.power(e, mode, var)
+        elif kind is Call:
+            rhs = self.call(e, mode, var)
+        elif mode == "taylor":
+            rhs = (f"{self.node(e.left, mode, var)} * _series.reciprocal("
+                   f"{self.node(e.right, mode, var)})")
+        else:
+            den = self.node(e.right, mode, var)
+            self.lines.append(f'if {den} == 0: raise _E("division by zero")')
+            rhs = f"{self.node(e.left, mode, var)} / {den}"
+        v = f"v{len(self.lines)}"
+        self.lines.append(f"{v} = {rhs}")
+        return v
+
+    def call(self, e: Call, mode: str, var: str) -> str:
+        """Checks for ``name(x)`` go to ``lines``; the value is returned."""
+        name = e.name
+        if name not in FUNCTIONS:
+            raise ExprError(f"unknown function {name!r}")
+        x = self.node(e.arg, mode, var)
+        if mode == "taylor":
+            return f"_series.{name}({x})"
+        if mode == "complex":
+            if name == "log":
+                self.lines.append(f'if {x} == 0: raise _E("log of zero")')
+            return f"_c_{name}({x})"
+        if name == "log":
+            self.lines.append(f'if {x} <= 0: raise _E('
+                              f'f"log of nonpositive real {{{x}}}")')
+        elif name == "sqrt":
+            self.lines.append(f'if {x} < 0: raise _E('
+                              f'f"sqrt of negative real {{{x}}}")')
+        return f"_r_{name}({x})"
+
+    def power(self, e: Pow, mode: str, var: str) -> str:
+        """Checks for ``base ^ c`` go to ``lines``; the value is returned."""
+        base = self.node(e.base, mode, var)
+        lines = self.lines
+        # The complex and Taylor modes read the exponent at t = 0.  An
+        # exponent that depends on t in real mode (hand-built trees only),
+        # or whose evaluation fails, is evaluated on every call instead, so
+        # any error arises there, in evaluation order.
+        exp_var = var if mode == "real" else "0.0"
+        folded = exp_var != "t" or not _contains_var(e.exponent)
+        if folded:
+            try:
+                c = _fold(e.exponent)
+                integral = float(c).is_integer()
+                negative = c < 0
+            except Exception:
+                folded = False
+        if not folded:
+            c = self.node(e.exponent, "real", exp_var)
+            if mode != "taylor":
+                lines.append(f"if {base} == 0 and {c} < 0: "
+                             f'raise _E("zero raised to a negative power")')
+            if mode == "real":
+                lines.append(f"if not float({c}).is_integer() and {base} < 0:"
+                             f' raise _E(f"negative base {{{base}}} with '
+                             f'non-integer exponent {{{c}}}")')
+            integral, other = {
+                "real": (f"{base} ** int({c})", f"_pow({base}, {c})"),
+                "complex": (f"{base} ** int({c})",
+                            f"_cexp({c} * _clog({base}))"),
+                "taylor": (f"_series.powi({base}, int({c}))",
+                           f"_series.exp(_series.log({base}) * {c})"),
+            }[mode]
+            return f"{integral} if float({c}).is_integer() else {other}"
+        k = self.const(int(c) if integral else c)
+        if negative and mode != "taylor":
+            lines.append(f'if {base} == 0: '
+                         f'raise _E("zero raised to a negative power")')
+        if integral:
+            if mode == "taylor":
+                return f"_series.powi({base}, {k})"
+            return f"{base} ** {k}"
+        if mode == "taylor":
+            return f"_series.exp(_series.log({base}) * {k})"
+        if mode == "complex":
+            return f"_cexp({k} * _clog({base}))"
+        lines.append(f'if {base} < 0: raise _E(f"negative base {{{base}}} '
+                     f'with non-integer exponent {{{k}}}")')
+        return f"_pow({base}, {k})"
+
+
+def _fold(e: Expr):
+    """Value of a constant exponent, as real evaluation at 0 gives it."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Neg) and isinstance(e.arg, Num):
+        return -e.arg.value
+    return float(_compile([e], "real")(0.0)[0])
+
+
+def _code(source: str) -> types.CodeType:
+    """Code object of the one function ``source`` defines."""
+    module = compile(source, "<regsing.expr>", "exec")
+    return next(c for c in module.co_consts if isinstance(c, types.CodeType))
+
+
+# The construction-time expansions (the LinearRSSystem analyticity probe,
+# MetricFamily.pack) compile one tree per entry, where nothing amortises a
+# compile.  Entries share a few shapes, so one-tree code is kept by source
+# (over 99% of one-tree compiles hit on the bench workloads).  A matrix is
+# compiled once by the ExprArray holding it and is not kept here.
+_code_of_tree = functools.lru_cache(maxsize=256)(_code)
+
+
+def _compile(exprs, mode: str):
+    """One function evaluating every tree of ``exprs`` in ``mode``.
+
+    ``real`` and ``complex`` functions take ``t`` and return a float64 or
+    complex128 array; ``taylor`` functions take ``(t0, order)`` and return
+    a tuple of Series.
+    """
+    gen = _Emitter()
+    results = [gen.node(e, mode, "t") for e in exprs]
+    before_cells, before_body, before_results, rest = _TEMPLATE_PARTS[mode]
+    source = "".join((
+        before_cells, ", ".join([f"k{i}" for i in range(len(gen.consts))]),
+        before_body, "\n        ".join(gen.lines),
+        before_results, "".join(f"{r}, " for r in results), rest))
+    code = _code_of_tree(source) if len(exprs) == 1 else _code(source)
+    return types.FunctionType(code, _GLOBALS, "f", tuple(gen.consts))
+
+
+class ExprArray:
+    """An array of expressions evaluated as a whole.
+
+    Each mode is compiled into one function on its first use and kept, so
+    building an ExprArray is cheap and an array that is never evaluated
+    in some mode never pays for compiling it.
+    """
+
+    __slots__ = ("exprs", "shape", "_fns")
+
+    def __init__(self, exprs):
+        exprs = np.asarray(exprs, dtype=object)
+        self.shape = exprs.shape
+        self.exprs = tuple(exprs.ravel())
+        self._fns = {}
+
+    def __reduce__(self):
+        # generated functions cannot be pickled; they are compiled again
+        return ExprArray, (np.array(self.exprs, dtype=object).reshape(
+            self.shape),)
+
+    def _fn(self, mode: str):
+        fn = self._fns.get(mode)
+        if fn is None:
+            fn = self._fns[mode] = _compile(self.exprs, mode)
+        return fn
+
+    def eval_real(self, t) -> np.ndarray:
+        """float64 array of every entry at the real point ``t``."""
+        return self._fn("real")(t).reshape(self.shape)
+
+    def eval_complex(self, z) -> np.ndarray:
+        """complex128 array of every entry at ``z`` (principal branches)."""
+        return self._fn("complex")(z).reshape(self.shape)
+
+    def taylor(self, t0, order: int) -> np.ndarray:
+        """Object array of the entries' Series around ``t0``."""
+        out = np.empty(len(self.exprs), dtype=object)
+        out[:] = self._fn("taylor")(t0, order)
+        return out.reshape(self.shape)
+
+
+# -- evaluation ------------------------------------------------------------
 
 def eval_real(e: Expr, t) -> float:
     """Evaluate at a real point.  Domain violations raise EvalDomainError."""
-    try:
-        return float(_eval_real(e, float(t)))
-    except OverflowError as exc:
-        raise EvalDomainError(f"overflow during evaluation: {exc}") from None
-
-
-def _eval_complex(e: Expr, z: complex):
-    if isinstance(e, Num):
-        return complex(e.value)
-    if isinstance(e, Var):
-        return z
-    if isinstance(e, Neg):
-        return -_eval_complex(e.arg, z)
-    if isinstance(e, Add):
-        return _eval_complex(e.left, z) + _eval_complex(e.right, z)
-    if isinstance(e, Sub):
-        return _eval_complex(e.left, z) - _eval_complex(e.right, z)
-    if isinstance(e, Mul):
-        return _eval_complex(e.left, z) * _eval_complex(e.right, z)
-    if isinstance(e, Div):
-        den = _eval_complex(e.right, z)
-        if den == 0:
-            raise EvalDomainError("division by zero")
-        return _eval_complex(e.left, z) / den
-    if isinstance(e, Pow):
-        base = _eval_complex(e.base, z)
-        c = _eval_real(e.exponent, 0.0)
-        if base == 0 and c < 0:
-            raise EvalDomainError("zero raised to a negative power")
-        if float(c).is_integer():
-            return base ** int(c)
-        # principal branch
-        return cmath.exp(c * cmath.log(base))
-    if isinstance(e, Call):
-        x = _eval_complex(e.arg, z)
-        if e.name == "log" and x == 0:
-            raise EvalDomainError("log of zero")
-        return _COMPLEX_FN[e.name](x)
-    raise ExprError(f"unknown node {type(e).__name__}")
+    return float(_compile([e], "real")(t)[0])
 
 
 def eval_complex(e: Expr, z) -> complex:
     """Evaluate at a complex point using principal branches."""
-    try:
-        return complex(_eval_complex(e, complex(z)))
-    except (OverflowError, ValueError) as exc:
-        raise EvalDomainError(f"evaluation failed: {exc}") from None
-
-
-# -- Taylor mode -----------------------------------------------------------
-
-def _taylor(e: Expr, t0: float, order: int):
-    if isinstance(e, Num):
-        return _series.constant(e.value, order, t0)
-    if isinstance(e, Var):
-        return _series.identity(order, t0)
-    if isinstance(e, Neg):
-        return -_taylor(e.arg, t0, order)
-    if isinstance(e, Add):
-        return _taylor(e.left, t0, order) + _taylor(e.right, t0, order)
-    if isinstance(e, Sub):
-        return _taylor(e.left, t0, order) - _taylor(e.right, t0, order)
-    if isinstance(e, Mul):
-        return _taylor(e.left, t0, order) * _taylor(e.right, t0, order)
-    if isinstance(e, Div):
-        return _taylor(e.left, t0, order) * _series.reciprocal(
-            _taylor(e.right, t0, order))
-    if isinstance(e, Pow):
-        base = _taylor(e.base, t0, order)
-        c = _eval_real(e.exponent, 0.0)
-        if float(c).is_integer():
-            return _series.powi(base, int(c))
-        return _series.exp(_series.log(base) * c)
-    if isinstance(e, Call):
-        return getattr(_series, e.name)(_taylor(e.arg, t0, order))
-    raise ExprError(f"unknown node {type(e).__name__}")
+    return complex(_compile([e], "complex")(z)[0])
 
 
 def taylor(e: Expr, t0: float, order: int) -> Series:
@@ -545,9 +739,4 @@ def taylor(e: Expr, t0: float, order: int) -> Series:
     Computed by propagating series through the tree (one pass, exact
     recurrences), never by repeated symbolic differentiation.
     """
-    if order < 0:
-        raise ExprError("order must be nonnegative")
-    try:
-        return _taylor(e, float(t0), int(order))
-    except OverflowError as exc:
-        raise EvalDomainError(f"overflow during expansion: {exc}") from None
+    return _compile([e], "taylor")(t0, order)[0]

@@ -127,8 +127,13 @@ class MetricFamily:
         self._dentries = np.array(
             [[_expr.differentiate(entries[i, j]) for j in range(n)]
              for i in range(n)], dtype=object)
-        self._ddentries = None
         self._dalpha = None if alpha is None else _expr.differentiate(alpha)
+        # each compiled on its first pointwise call
+        self._P = _expr.ExprArray(entries)
+        self._Pdot = _expr.ExprArray(self._dentries)
+        self._Pddot = None      # differentiated on its first call
+        self._alpha_dot = (None if alpha is None
+                           else _expr.ExprArray([self._dalpha]))
         self._packs: dict = {}
         self.diagonal = all(
             i == j or _is_zero_expr(entries[i, j])
@@ -161,26 +166,22 @@ class MetricFamily:
     # -- pointwise evaluation -----------------------------------------------
 
     def P_at(self, t: float) -> np.ndarray:
-        return np.array([[_expr.eval_real(self.entries[i, j], t)
-                          for j in range(self.n)] for i in range(self.n)])
+        return self._P.eval_real(t)
 
     def Pdot_at(self, t: float) -> np.ndarray:
-        return np.array([[_expr.eval_real(self._dentries[i, j], t)
-                          for j in range(self.n)] for i in range(self.n)])
+        return self._Pdot.eval_real(t)
 
     def Pddot_at(self, t: float) -> np.ndarray:
-        if self._ddentries is None:
-            self._ddentries = np.array(
+        if self._Pddot is None:
+            self._Pddot = _expr.ExprArray(
                 [[_expr.differentiate(self._dentries[i, j])
-                  for j in range(self.n)] for i in range(self.n)],
-                dtype=object)
-        return np.array([[_expr.eval_real(self._ddentries[i, j], t)
-                          for j in range(self.n)] for i in range(self.n)])
+                  for j in range(self.n)] for i in range(self.n)])
+        return self._Pddot.eval_real(t)
 
     def alpha_dot_at(self, t: float) -> float:
-        if self._dalpha is None:
+        if self._alpha_dot is None:
             return 0.0
-        return _expr.eval_real(self._dalpha, t)
+        return float(self._alpha_dot.eval_real(t)[0])
 
     # -- series data ---------------------------------------------------------
 

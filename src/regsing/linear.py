@@ -80,10 +80,16 @@ class LinearRSSystem:
                 raise ValidationError(
                     f"h must have shape ({n},), got {hv.shape}")
             self.h = np.array([_parse_entry(e) for e in hv], dtype=object)
+        # compiled on the first pointwise call, not here
+        self._A = _expr.ExprArray(self.A)
+        self._h = None if self.h is None else _expr.ExprArray(self.h)
         if not (isinstance(self.rho, (int, float)) and self.rho > 0):
             raise ValidationError(f"rho must be positive, got {self.rho!r}")
         self.rho = float(self.rho)
-        # analyticity probe at the origin; rejects hidden poles like 1/t
+        # analyticity probe at the origin; rejects hidden poles like 1/t.
+        # Entry by entry: one-tree code is shared by entries of the same
+        # shape, while compiling the whole matrix here would cost more
+        # than the probe itself.
         for i in range(n):
             for j in range(n):
                 try:
@@ -95,17 +101,12 @@ class LinearRSSystem:
     # -- pointwise evaluation ------------------------------------------------
 
     def A_at(self, s: complex) -> np.ndarray:
-        out = np.empty((self.n, self.n), dtype=complex)
-        for i in range(self.n):
-            for j in range(self.n):
-                out[i, j] = _expr.eval_complex(self.A[i, j], s)
-        return out
+        return self._A.eval_complex(s)
 
     def h_at(self, s: complex) -> np.ndarray:
-        if self.h is None:
+        if self._h is None:
             return np.zeros(self.n, dtype=complex)
-        return np.array([_expr.eval_complex(e, s) for e in self.h],
-                        dtype=complex)
+        return self._h.eval_complex(s)
 
 
 @dataclass
@@ -153,12 +154,32 @@ def monodromy_generator(A0) -> np.ndarray:
     return matrix_exponential(-2j * math.pi * A0)
 
 
+def _hessenberg(M: np.ndarray) -> np.ndarray:
+    """Upper Hessenberg matrix similar to ``M``, by Householder reflections."""
+    H = np.array(M, dtype=complex)
+    n = H.shape[0]
+    for k in range(n - 2):
+        x = H[k + 1:, k]
+        alpha = np.linalg.norm(x)
+        if alpha == 0.0:
+            continue
+        v = x.copy()
+        v[0] += (x[0] / abs(x[0]) if x[0] != 0 else 1.0) * alpha
+        v /= np.linalg.norm(v)
+        H[k + 1:, :] -= 2.0 * np.outer(v, v.conj() @ H[k + 1:, :])
+        H[:, k + 1:] -= 2.0 * np.outer(H[:, k + 1:] @ v, v.conj())
+    return H
+
+
 def conjugacy_invariants(M) -> np.ndarray:
     """Characteristic polynomial coefficients ``[1, c1, ..., cn]``.
 
-    ``det(x I - M) = x^n + c1 x^(n-1) + ... + cn``, computed by the
-    Faddeev-LeVerrier recursion (no eigendecomposition, similarity blind
-    by construction).
+    ``det(x I - M) = x^n + c1 x^(n-1) + ... + cn``.  ``M`` is reduced to
+    upper Hessenberg form by Householder similarities, and La Budde's
+    recurrence then builds the characteristic polynomials of the leading
+    principal submatrices (Rehman & Ipsen, "La Budde's method for
+    computing characteristic polynomials", 2011).  No eigendecomposition
+    is involved, so the result is similarity blind by construction.
     """
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -166,16 +187,19 @@ def conjugacy_invariants(M) -> np.ndarray:
     n = M.shape[0]
     if n > MAX_DIM:
         raise ValidationError(f"dimension {n} exceeds cap {MAX_DIM}")
-    coeffs = np.empty(n + 1, dtype=complex)
-    coeffs[0] = 1.0
-    Mk = M.copy()
-    eye = np.eye(n)
-    for k in range(1, n + 1):
-        c = -np.trace(Mk) / k
-        coeffs[k] = c
-        if k < n:
-            Mk = M @ (Mk + c * eye)
-    return coeffs
+    H = _hessenberg(M)
+    # polys[i]: coefficients of det(x I - H[:i, :i]), highest power first
+    polys = [np.ones(1, dtype=complex)]
+    for i in range(1, n + 1):
+        p = np.zeros(i + 1, dtype=complex)
+        p[:i] = polys[i - 1]
+        p[1:] -= H[i - 1, i - 1] * polys[i - 1]
+        beta = 1.0
+        for m in range(1, i):
+            beta = beta * H[i - m, i - m - 1]
+            p[m + 1:] -= H[i - m - 1, i - 1] * beta * polys[i - m - 1]
+        polys.append(p)
+    return polys[n]
 
 
 def _check_halfplane(sys: LinearRSSystem, *zs):

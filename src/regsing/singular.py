@@ -474,7 +474,6 @@ class AffineSingularMaps:
 
     def __init__(self, C, c=None, S=None, g=None):
         from . import expr as _expr
-        self._expr = _expr
         self.C = np.asarray(C, dtype=float)
         if self.C.ndim != 2 or self.C.shape[0] != self.C.shape[1]:
             raise ValidationError("C must be a square matrix")
@@ -493,12 +492,14 @@ class AffineSingularMaps:
                 raise ValidationError(f"S must have shape ({k},{k})")
             self.S = np.array([[parse_one(S[i, j]) for j in range(k)]
                                for i in range(k)], dtype=object)
+            self._S = _expr.ExprArray(self.S)
         self.g = None
         if g is not None:
             g = np.asarray(g, dtype=object).reshape(-1)
             if g.shape != (k,):
                 raise ValidationError(f"g must have shape ({k},)")
             self.g = np.array([parse_one(e) for e in g], dtype=object)
+            self._g = _expr.ExprArray(self.g)
 
     def m_sing(self, y):
         y = np.asarray(y)
@@ -511,24 +512,18 @@ class AffineSingularMaps:
             order = t.order
             Sv = 0.0
             if self.S is not None:
-                Sm = np.array([[self._expr.taylor(self.S[i, j], 0.0, order)
-                                for j in range(self.k)]
-                               for i in range(self.k)], dtype=object)
-                Sv = Sm @ y
+                Sv = self._S.taylor(0.0, order) @ y
             gv = 0.0
             if self.g is not None:
-                gv = np.array([self._expr.taylor(e, 0.0, order)
-                               for e in self.g], dtype=object)
+                gv = self._g.taylor(0.0, order)
             out = Sv + gv if self.S is not None or self.g is not None \
                 else _const_jets(np.zeros(self.k), order)
             return out
         out = np.zeros(self.k)
         if self.S is not None:
-            Sm = np.array([[self._expr.eval_real(self.S[i, j], t)
-                            for j in range(self.k)] for i in range(self.k)])
-            out = out + Sm @ y
+            out = out + self._S.eval_real(t) @ y
         if self.g is not None:
-            out = out + np.array([self._expr.eval_real(e, t) for e in self.g])
+            out = out + self._g.eval_real(t)
         return out
 
     def problem(self, y0, t_end: float, meta=None) -> SingularIVP:

@@ -1,12 +1,19 @@
 """Expression layer: parsing, differentiation, evaluation, Taylor data."""
 
+import cmath
+import json
 import math
+import pickle
+import random
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from regsing import expr
-from regsing.errors import EvalDomainError, ParseError
+from regsing import expr, geometry, linear, series, singular
+from regsing.errors import EvalDomainError, ParseError, ValidationError
+from regsing.series import Series
 
 
 def test_parse_eval_basics():
@@ -160,3 +167,396 @@ def test_eval_complex():
     for t in (-1.2, 0.3, 2.0):
         assert expr.eval_complex(e2, complex(t)) == pytest.approx(
             expr.eval_real(e2, t))
+
+
+# -- compiled evaluation against a reference walker --------------------------
+#
+# The three evaluation modes used to be recursive tree walks.  The walks
+# are kept here, unchanged, as the oracle the compiled functions must
+# match bit for bit: same values, same exception type and message.
+
+def _ref_real(e, t):
+    if isinstance(e, expr.Num):
+        return e.value
+    if isinstance(e, expr.Var):
+        return t
+    if isinstance(e, expr.Neg):
+        return -_ref_real(e.arg, t)
+    if isinstance(e, expr.Add):
+        return _ref_real(e.left, t) + _ref_real(e.right, t)
+    if isinstance(e, expr.Sub):
+        return _ref_real(e.left, t) - _ref_real(e.right, t)
+    if isinstance(e, expr.Mul):
+        return _ref_real(e.left, t) * _ref_real(e.right, t)
+    if isinstance(e, expr.Div):
+        den = _ref_real(e.right, t)
+        if den == 0:
+            raise EvalDomainError("division by zero")
+        return _ref_real(e.left, t) / den
+    if isinstance(e, expr.Pow):
+        base = _ref_real(e.base, t)
+        c = _ref_real(e.exponent, t)
+        if base == 0 and c < 0:
+            raise EvalDomainError("zero raised to a negative power")
+        if float(c).is_integer():
+            return base ** int(c)
+        if base < 0:
+            raise EvalDomainError(
+                f"negative base {base} with non-integer exponent {c}")
+        return math.pow(base, c)
+    x = _ref_real(e.arg, t)
+    if e.name == "log" and x <= 0:
+        raise EvalDomainError(f"log of nonpositive real {x}")
+    if e.name == "sqrt" and x < 0:
+        raise EvalDomainError(f"sqrt of negative real {x}")
+    return getattr(math, e.name)(x)
+
+
+def _ref_complex(e, z):
+    if isinstance(e, expr.Num):
+        return complex(e.value)
+    if isinstance(e, expr.Var):
+        return z
+    if isinstance(e, expr.Neg):
+        return -_ref_complex(e.arg, z)
+    if isinstance(e, expr.Add):
+        return _ref_complex(e.left, z) + _ref_complex(e.right, z)
+    if isinstance(e, expr.Sub):
+        return _ref_complex(e.left, z) - _ref_complex(e.right, z)
+    if isinstance(e, expr.Mul):
+        return _ref_complex(e.left, z) * _ref_complex(e.right, z)
+    if isinstance(e, expr.Div):
+        den = _ref_complex(e.right, z)
+        if den == 0:
+            raise EvalDomainError("division by zero")
+        return _ref_complex(e.left, z) / den
+    if isinstance(e, expr.Pow):
+        base = _ref_complex(e.base, z)
+        c = _ref_real(e.exponent, 0.0)
+        if base == 0 and c < 0:
+            raise EvalDomainError("zero raised to a negative power")
+        if float(c).is_integer():
+            return base ** int(c)
+        return cmath.exp(c * cmath.log(base))
+    x = _ref_complex(e.arg, z)
+    if e.name == "log" and x == 0:
+        raise EvalDomainError("log of zero")
+    return getattr(cmath, e.name)(x)
+
+
+def _ref_taylor(e, t0, order):
+    if isinstance(e, expr.Num):
+        return series.constant(e.value, order, t0)
+    if isinstance(e, expr.Var):
+        return series.identity(order, t0)
+    if isinstance(e, expr.Neg):
+        return -_ref_taylor(e.arg, t0, order)
+    if isinstance(e, expr.Add):
+        return _ref_taylor(e.left, t0, order) + _ref_taylor(e.right, t0, order)
+    if isinstance(e, expr.Sub):
+        return _ref_taylor(e.left, t0, order) - _ref_taylor(e.right, t0, order)
+    if isinstance(e, expr.Mul):
+        return _ref_taylor(e.left, t0, order) * _ref_taylor(e.right, t0, order)
+    if isinstance(e, expr.Div):
+        return _ref_taylor(e.left, t0, order) * series.reciprocal(
+            _ref_taylor(e.right, t0, order))
+    if isinstance(e, expr.Pow):
+        base = _ref_taylor(e.base, t0, order)
+        c = _ref_real(e.exponent, 0.0)
+        if float(c).is_integer():
+            return series.powi(base, int(c))
+        return series.exp(series.log(base) * c)
+    return getattr(series, e.name)(_ref_taylor(e.arg, t0, order))
+
+
+def ref_eval_real(e, t):
+    try:
+        return float(_ref_real(e, float(t)))
+    except OverflowError as exc:
+        raise EvalDomainError(f"overflow during evaluation: {exc}") from None
+
+
+def ref_eval_complex(e, z):
+    try:
+        return complex(_ref_complex(e, complex(z)))
+    except (OverflowError, ValueError) as exc:
+        raise EvalDomainError(f"evaluation failed: {exc}") from None
+
+
+def ref_taylor(e, t0, order):
+    try:
+        return _ref_taylor(e, float(t0), int(order))
+    except OverflowError as exc:
+        raise EvalDomainError(f"overflow during expansion: {exc}") from None
+
+
+def _bits(x):
+    """Exact representation of a result, NaN payloads included."""
+    if isinstance(x, Series):
+        return ("series", x.coeffs.dtype.str, x.coeffs.tobytes(),
+                struct.pack("<d", x.t0))
+    if isinstance(x, np.ndarray) and x.dtype == object:
+        return tuple(_bits(v) for v in x.ravel())
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.tobytes())
+    if isinstance(x, complex):
+        return ("complex", struct.pack("<dd", x.real, x.imag))
+    return (type(x).__name__, struct.pack("<d", x))
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return ("value", _bits(fn(*args, **kwargs)))
+    except Exception as exc:
+        return ("error", type(exc), str(exc))
+
+
+def _ref_array(ref, exprs, shape, *args, dtype):
+    """What one compiled call over ``exprs`` must give: every entry from
+    the reference, or the first entry's error in row-major order."""
+    values = [ref(e, *args) for e in exprs]
+    if dtype is object:
+        out = np.empty(len(values), dtype=object)
+        out[:] = values
+        return out.reshape(shape)
+    return np.array(values, dtype=dtype).reshape(shape)
+
+
+# Constant exponents: integral, negative, fractional, and one that fails
+# (1/0) on every evaluation.
+_EXPONENTS = (
+    lambda: expr.Num(2.0), lambda: expr.Num(3.0), lambda: expr.Num(0.0),
+    lambda: expr.Neg(expr.Num(1.0)), lambda: expr.Neg(expr.Num(2.0)),
+    lambda: expr.Num(0.5), lambda: expr.Neg(expr.Num(0.5)),
+    lambda: expr.Div(expr.Num(3.0), expr.Num(2.0)),
+    lambda: expr.Div(expr.Num(1.0), expr.Num(0.0)),
+)
+_LEAVES = (lambda rng: expr.Var(), lambda rng: expr.Var(),
+           lambda rng: expr.Num(round(rng.uniform(-3, 3), 3)),
+           lambda rng: expr.Num(0.0), lambda rng: expr.Num(-0.0),
+           lambda rng: expr.Num(1.0))
+
+
+def random_tree(rng, depth, seen):
+    """Seeded random tree over the whole grammar; ``seen`` collects the
+    node kinds, function names and exponent shapes it used."""
+    if depth == 0 or rng.random() < 0.2:
+        leaf = rng.choice(_LEAVES)(rng)
+        seen.add(type(leaf).__name__)
+        return leaf
+    kind = rng.choice(("Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
+                       "Call"))
+    seen.add(kind)
+    if kind == "Neg":
+        return expr.Neg(random_tree(rng, depth - 1, seen))
+    if kind == "Pow":
+        i = rng.randrange(len(_EXPONENTS))
+        seen.add(f"exponent{i}")
+        return expr.Pow(random_tree(rng, depth - 1, seen), _EXPONENTS[i]())
+    if kind == "Call":
+        name = rng.choice(expr.FUNCTIONS)
+        seen.add(name)
+        return expr.Call(name, random_tree(rng, depth - 1, seen))
+    node = {"Add": expr.Add, "Sub": expr.Sub, "Mul": expr.Mul,
+            "Div": expr.Div}[kind]
+    return node(random_tree(rng, depth - 1, seen),
+                random_tree(rng, depth - 1, seen))
+
+
+REAL_POINTS = (-2.0, -0.5, 0.0, 0.3, 1.0, 2.5, 10.0, 800.0)
+COMPLEX_POINTS = (0j, 0.3 + 0.4j, -1.2 + 0.1j, -2.0 + 0j, 1.0 + 0j, 400j)
+TAYLOR_POINTS = ((0.0, 4), (0.7, 3), (-1.3, 5))
+
+
+def test_compiled_modes_match_reference_walker_bit_for_bit():
+    rng = random.Random(20260117)
+    seen = set()
+    trees = [random_tree(rng, 4, seen) for _ in range(300)]
+    # the generator covered the whole grammar
+    assert seen >= {"Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
+                    "Call", *expr.FUNCTIONS,
+                    *(f"exponent{i}" for i in range(len(_EXPONENTS)))}
+    values = errors = 0
+    with np.errstate(all="ignore"):
+        for e in trees:
+            for t in REAL_POINTS:
+                got = _outcome(expr.eval_real, e, t)
+                assert got == _outcome(ref_eval_real, e, t), \
+                    (expr.render(e), t)
+                values += got[0] == "value"
+                errors += got[0] == "error"
+            for z in COMPLEX_POINTS:
+                assert _outcome(expr.eval_complex, e, z) == \
+                    _outcome(ref_eval_complex, e, z), (expr.render(e), z)
+            for t0, order in TAYLOR_POINTS:
+                assert _outcome(expr.taylor, e, t0, order) == \
+                    _outcome(ref_taylor, e, t0, order), (expr.render(e), t0)
+    # both outcomes were exercised in earnest
+    assert values > 500 and errors > 500
+
+
+def test_compiled_arrays_match_reference_walker_bit_for_bit():
+    rng = random.Random(7)
+    seen = set()
+    with np.errstate(all="ignore"):
+        for _ in range(40):
+            trees = [random_tree(rng, 3, seen) for _ in range(6)]
+            arr = expr.ExprArray(np.array(trees, dtype=object).reshape(2, 3))
+            for t in REAL_POINTS:
+                assert _outcome(arr.eval_real, t) == _outcome(
+                    _ref_array, ref_eval_real, trees, (2, 3), t,
+                    dtype=float)
+            for z in COMPLEX_POINTS:
+                assert _outcome(arr.eval_complex, z) == _outcome(
+                    _ref_array, ref_eval_complex, trees, (2, 3), z,
+                    dtype=complex)
+            for t0, order in TAYLOR_POINTS:
+                assert _outcome(arr.taylor, t0, order) == _outcome(
+                    _ref_array, ref_taylor, trees, (2, 3), t0, order,
+                    dtype=object)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+
+
+def _config(name):
+    return json.loads((CONFIGS / f"{name}.json").read_text())
+
+
+def test_matrix_paths_byte_identical_on_demo_configs():
+    for name in ("sphere_identity", "flat_sweep", "biharmonic_flat"):
+        fam = geometry.build_metric_family(_config(name)["metric"])
+        n = fam.n
+        d1 = [[expr.differentiate(fam.entries[i, j]) for j in range(n)]
+              for i in range(n)]
+        d2 = [[expr.differentiate(d1[i][j]) for j in range(n)]
+              for i in range(n)]
+        for t in (0.0, 0.01, 0.4, 1.5, 2.0):
+            for got, trees in ((fam.P_at(t), fam.entries),
+                               (fam.Pdot_at(t), d1), (fam.Pddot_at(t), d2)):
+                want = np.array([[ref_eval_real(trees[i][j], t)
+                                  for j in range(n)] for i in range(n)])
+                assert got.tobytes() == want.tobytes() and \
+                    got.shape == want.shape, (name, t)
+
+    cfg = _config("nilpotent_monodromy")
+    system = linear.LinearRSSystem(cfg["A"], rho=cfg["rho"])
+    for s in (0.0, 0.5, 0.3 + 0.4j, 0.9 * cmath.exp(2.1j)):
+        want = np.array([[ref_eval_complex(system.A[i, j], s)
+                          for j in range(2)] for i in range(2)])
+        assert system.A_at(s).tobytes() == want.tobytes()
+
+    cfg = _config("affine_singular")
+    maps = singular.AffineSingularMaps(cfg["C"], S=cfg["S"], g=cfg["g"])
+    y = np.array([0.7, -1.1])
+    for t in (0.05, 0.5, 1.0):
+        Sm = np.array([[ref_eval_real(maps.S[i, j], t) for j in range(2)]
+                       for i in range(2)])
+        want = np.zeros(2) + Sm @ y + np.array(
+            [ref_eval_real(e, t) for e in maps.g])
+        assert maps.m_reg(t, y).tobytes() == want.tobytes()
+
+
+def test_compiled_owners_pickle():
+    system = linear.LinearRSSystem([["1 + t", "sin(t)"], ["0", "t^2"]])
+    fam = geometry.MetricFamily.from_diagonal(["sin(t)^2"] * 2, dim_p=2)
+    A, P = system.A_at(0.3j), fam.P_at(0.4)     # both now compiled
+    system2, fam2 = pickle.loads(pickle.dumps((system, fam)))
+    assert system2.A_at(0.3j).tobytes() == A.tobytes()
+    assert fam2.P_at(0.4).tobytes() == P.tobytes()
+
+
+def test_empty_arrays_evaluate_to_empty_results():
+    for shape in ((0,), (0, 0)):
+        arr = expr.ExprArray(np.empty(shape, dtype=object))
+        assert arr.eval_real(0.5).shape == shape
+        assert arr.eval_complex(0.5j).shape == shape
+        assert arr.taylor(0.0, 3).shape == shape
+    maps = singular.AffineSingularMaps(
+        np.zeros((0, 0)), S=np.empty((0, 0), dtype=object),
+        g=np.empty(0, dtype=object))
+    out = maps.m_reg(0.5, np.zeros(0))
+    assert out.shape == (0,) and out.dtype == np.float64
+
+
+# -- domain errors through the matrix paths -----------------------------------
+
+REAL_DOMAIN_CASES = [
+    ("log(t)", -1.0, "log of nonpositive real"),
+    ("log(t)", 0.0, "log of nonpositive real"),
+    ("sqrt(t)", -4.0, "sqrt of negative real"),
+    ("1/t", 0.0, "division by zero"),
+    ("t^-1", 0.0, "zero raised to a negative power"),
+    ("t^0.5", -1.0, "negative base -1.0 with non-integer exponent 0.5"),
+    ("exp(exp(t))", 10.0, "overflow during evaluation"),
+]
+
+
+@pytest.mark.parametrize("text,t,message", REAL_DOMAIN_CASES)
+def test_P_at_domain_errors(text, t, message):
+    fam = geometry.MetricFamily.from_diagonal(["1 + t^2", text], dim_p=1)
+    with pytest.raises(EvalDomainError, match=message):
+        fam.P_at(t)
+
+
+@pytest.mark.parametrize("text,t,message", REAL_DOMAIN_CASES)
+def test_m_reg_domain_errors(text, t, message):
+    for kw in ({"S": [["1", "0"], ["0", text]]}, {"g": ["t", text]}):
+        maps = singular.AffineSingularMaps(np.eye(2), **kw)
+        with pytest.raises(EvalDomainError, match=message):
+            maps.m_reg(t, np.ones(2))
+
+
+@pytest.mark.parametrize("text,s,message", [
+    ("log(1 - t)", 1.0, "log of zero"),
+    ("1/(1 - t)", 1.0, "division by zero"),
+    ("(1 - t)^-2", 1.0, "zero raised to a negative power"),
+    ("exp(exp(t))", 10.0, "evaluation failed"),
+])
+def test_A_at_domain_errors(text, s, message):
+    system = linear.LinearRSSystem([["1", text], ["0", "t"]], rho=100.0)
+    with pytest.raises(EvalDomainError, match=message):
+        system.A_at(s)
+
+
+def test_A_at_takes_principal_branches_where_real_mode_fails():
+    # sqrt and fractional powers of negative reals are errors in real
+    # mode only; the complex path continues them analytically
+    system = linear.LinearRSSystem([["sqrt(1 - t)", "(1 - t)^0.5"]] * 2,
+                                   rho=100.0)
+    A = system.A_at(5.0)
+    assert A[0, 0] == pytest.approx(2j) and A[0, 1] == pytest.approx(2j)
+
+
+def test_m_reg_jet_branch_domain_errors():
+    y = np.array([series.constant(1.0, 4)], dtype=object)
+    for text, message in (("log(t)", "log of series with zero constant"),
+                          ("sqrt(t - 1)", "sqrt of series with negative")):
+        maps = singular.AffineSingularMaps([[-1.0]], S=[[text]])
+        with pytest.raises(EvalDomainError, match=message):
+            maps.m_reg(series.identity(4), y)
+
+
+def test_erroring_constant_exponent_fails_at_each_call():
+    fam = geometry.MetricFamily.from_diagonal(["log(t)", "t^(1/0)"],
+                                              dim_p=1)
+    # the earlier entry's error still comes first
+    with pytest.raises(EvalDomainError, match="log of nonpositive real"):
+        fam.P_at(-1.0)
+    for t in (1.0, 2.0):
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            fam.P_at(t)
+    maps = singular.AffineSingularMaps([[-1.0]], S=[["t^(1/0)"]])
+    for t in (0.5, 1.5):
+        with pytest.raises(EvalDomainError, match="division by zero"):
+            maps.m_reg(t, np.ones(1))
+    with pytest.raises(ValidationError):
+        linear.LinearRSSystem([["t^(1/0)"]])
+
+
+def test_real_mode_value_error_passes_through():
+    fam = geometry.MetricFamily.from_diagonal(["sin(t)"], dim_p=1)
+    with pytest.raises(ValueError):
+        fam.P_at(math.inf)
+    with pytest.raises(ValueError):
+        expr.eval_real(expr.parse("sin(t)"), math.inf)

@@ -61,6 +61,39 @@ def test_charpoly_faddeev_leverrier():
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10)
 
 
+def _faddeev_leverrier(M):
+    """The recursion conjugacy_invariants used before La Budde's method."""
+    n = M.shape[0]
+    coeffs = np.empty(n + 1, dtype=complex)
+    coeffs[0] = 1.0
+    Mk = M.copy()
+    for k in range(1, n + 1):
+        coeffs[k] = -np.trace(Mk) / k
+        if k < n:
+            Mk = M @ (Mk + coeffs[k] * np.eye(n))
+    return coeffs
+
+
+def test_charpoly_of_spread_spectrum_at_n8():
+    # monodromy-like matrices Q diag(exp(-2 pi i lam)) Q^-1 whose
+    # eigenvalue moduli exp(2 pi Im lam) span e^-2pi .. e^2pi
+    rng = np.random.default_rng(8128)
+    n = 8
+    for _ in range(4):
+        lam = rng.uniform(-1, 1, n) + 1j * np.linspace(-1, 1, n)
+        Q = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        eig = np.exp(-2j * math.pi * lam)
+        M = Q @ np.diag(eig) @ np.linalg.inv(Q)
+        want = np.poly(eig)
+
+        def rel_err(c):
+            return np.abs(c - want).max() / np.abs(want).max()
+
+        assert rel_err(linear.conjugacy_invariants(M)) <= 1e-9
+        # planted fault: the former recursion misses the same bound
+        assert rel_err(_faddeev_leverrier(M)) > 1e-9
+
+
 def test_monodromy_at_zero_equals_generator():
     sys = nilpotent_family(0.25)
     res = sys_mono(sys, 0.0)
