@@ -43,7 +43,7 @@ from . import series as _series
 from .series import Series
 from .errors import (ConfigError, NumericalError, StructureError,
                      ValidationError)
-from .singular import SingularIVP, solve as _solve_singular
+from .singular import SingularIVP, _time_jet_order, solve as _solve_singular
 
 __all__ = [
     "MetricFamily", "MetricReport", "build_metric_family", "validate_metric",
@@ -63,23 +63,15 @@ _FLOAT_SERIES_ORDER = 12
 def _sderiv(s: Series) -> Series:
     """Coefficientwise derivative, one order lower."""
     if s.order == 0:
-        return Series([0.0 * s.coeffs[0]], s.t0)
+        return Series._new(np.array([0.0 * s.coeffs[0]]), s.t0)
     k = np.arange(1, s.order + 1)
-    return Series(s.coeffs[1:] * k, s.t0)
+    return Series._new(s.coeffs[1:] * k, s.t0)
 
 
 def _as_series(x, order: int) -> Series:
     if isinstance(x, Series):
         return x.pad(order)
     return _series.constant(float(x), order)
-
-
-def _time_jet_order(t: Series) -> int:
-    c = t.coeffs
-    if t.t0 != 0.0 or c[0] != 0.0 or (t.order >= 1 and c[1] != 1.0):
-        raise ValidationError(
-            "time jets must expand the identity at 0 (coefficients [0, 1])")
-    return t.order
 
 
 class MetricFamily:
@@ -135,6 +127,8 @@ class MetricFamily:
         self._alpha_dot = (None if alpha is None
                            else _expr.ExprArray([self._dalpha]))
         self._packs: dict = {}
+        # with_z flags whose _check_structure probe passed (never failures)
+        self._structure_ok: set = set()
         self.diagonal = all(
             i == j or _is_zero_expr(entries[i, j])
             for i in range(n) for j in range(n))
@@ -209,7 +203,7 @@ class MetricFamily:
                         raise ValidationError(
                             f"entry ({i},{j}) must vanish to order {shift} "
                             f"at 0; found coefficient {c[k]:.3e} at t^{k}")
-                R[i, j] = Series(c[shift:], 0.0)   # order + 1
+                R[i, j] = Series._new(c[shift:], 0.0)   # order + 1
         R0 = np.array([[float(R[i, j].coeffs[0]) for j in range(n)]
                        for i in range(n)])
         try:
@@ -273,7 +267,8 @@ def _trace_solve(A: np.ndarray, B: np.ndarray, order: int) -> Series:
         for j in range(1, k + 1):
             rhs -= Ac[j] @ X[k - j]
         X[k] = np.linalg.solve(Ac[0], rhs)
-    return Series([np.trace(X[k]) for k in range(order + 1)], 0.0)
+    return Series._new(np.array([np.trace(X[k]) for k in range(order + 1)]),
+                       0.0)
 
 
 # -- reduced series of the trace quantities ----------------------------------
@@ -285,7 +280,7 @@ def _tdrift_series(fam: MetricFamily, order: int) -> Series:
     c = np.zeros(order + 1)
     c[0] = fam.dim_p
     c[1:] = d.coeffs[: order]
-    return Series(c, 0.0)
+    return Series._new(c, 0.0)
 
 
 def _tpot_series(fam: MetricFamily, a_s: Series, order: int) -> Series:
@@ -372,10 +367,17 @@ def _peel2(w: Series, order: int, where: str) -> Series:
             f"{where}: nonzero residue at the pole "
             f"(c0={w.coeffs[0]:.3e}, c1={w.coeffs[1]:.3e}); odd low-order "
             "metric data does not cancel, no analytic reduction exists")
-    return Series(w.coeffs[2:], 0.0)
+    return Series._new(w.coeffs[2:], 0.0)
 
 
 def _check_structure(fam: MetricFamily, with_z: bool):
+    """Probe the pole cancellations once per family and ``with_z``.
+
+    Only a passing probe is remembered, so a family that fails raises on
+    every call.
+    """
+    if with_z in fam._structure_ok:
+        return
     for a0, u0 in ((0.83, 0.41), (-0.37, 0.9)):
         a_s = _series.constant(a0, 8)
         u_s = _series.constant(u0, 8)
@@ -387,6 +389,7 @@ def _check_structure(fam: MetricFamily, with_z: bool):
             wf = (z - float(fam.dim_p)) * a_s - \
                 (td - float(fam.dim_p)) * (a_s + t_s * u_s)
             _peel2(wf, 8, "tension linearization")
+    fam._structure_ok.add(with_z)
 
 
 def check_structure(fam: MetricFamily):

@@ -12,6 +12,13 @@ terms of these primitives can be evaluated in Taylor mode by passing Series
 arguments instead of floats.  All recurrences propagate from the constant
 term, i.e. the expansion is around the argument's own base value, not
 around zero.
+
+``Series(...)`` validates and copies its coefficients.  Results computed
+inside this package (ring operations, ``truncate``/``pad``, ``constant``,
+``identity``, ``compose`` and the elementary-function recurrences) come
+from :meth:`Series._new`, a trusted constructor that only marks its fresh
+float64 or complex128 array read-only.  Both give the same coefficients
+bit for bit; the trusted one skips the dtype checks and the copy.
 """
 
 from __future__ import annotations
@@ -25,10 +32,14 @@ import numpy as np
 from .errors import SeriesError, EvalDomainError
 
 __all__ = [
-    "Series", "constant", "identity", "add", "mul", "reciprocal", "compose",
+    "Series", "constant", "identity", "reciprocal", "compose",
     "eval_truncated", "exp", "log", "sqrt", "sin", "cos", "tan",
     "sinh", "cosh", "tanh", "powi",
 ]
+
+
+# the coefficient dtypes every Series holds
+_TRUSTED_TYPES = (np.float64, np.complex128)
 
 
 def _as_coeff_array(coeffs):
@@ -65,8 +76,26 @@ class Series:
         object.__setattr__(self, "t0", float(t0))
         self.coeffs.setflags(write=False)
 
+    @classmethod
+    def _new(cls, coeffs: np.ndarray, t0: float) -> "Series":
+        """Trusted constructor for results computed in this package.
+
+        ``coeffs`` must be a 1-d, non-empty float64 or complex128 array that
+        nothing else writes to (fresh, or a view of a read-only array), and
+        ``t0`` a float.  The array is marked read-only and kept, not copied.
+        """
+        coeffs.setflags(write=False)
+        s = object.__new__(cls)
+        object.__setattr__(s, "coeffs", coeffs)
+        object.__setattr__(s, "t0", t0)
+        return s
+
     def __setattr__(self, name, value):
         raise AttributeError("Series is immutable")
+
+    def __reduce__(self):
+        # the default protocol would restore the slots through __setattr__
+        return Series, (self.coeffs, self.t0)
 
     @property
     def order(self) -> int:
@@ -79,7 +108,9 @@ class Series:
         """Drop coefficients above ``order`` (never extends)."""
         if order >= self.order:
             return self
-        return Series(self.coeffs[: order + 1], self.t0)
+        if order < 0:
+            raise SeriesError(f"order must be nonnegative, got {order}")
+        return Series._new(self.coeffs[: order + 1], self.t0)
 
     def pad(self, order: int) -> "Series":
         """Zero-extend up to ``order``.  Changes the claimed accuracy."""
@@ -87,7 +118,7 @@ class Series:
             return self.truncate(order)
         c = np.zeros(order + 1, dtype=self.coeffs.dtype)
         c[: len(self.coeffs)] = self.coeffs
-        return Series(c, self.t0)
+        return Series._new(c, self.t0)
 
     # -- helpers ----------------------------------------------------------
 
@@ -98,8 +129,23 @@ class Series:
                     f"expansion points differ: {self.t0} vs {other.t0}")
             return other
         if isinstance(other, numbers.Number):
-            return Series([other], self.t0).pad(self.order)
+            # the coefficients of Series([other]).pad(self.order), with the
+            # same validation (bool, Fraction, ... raise SeriesError)
+            value = _as_coeff_array((other,))
+            c = np.zeros(len(self.coeffs), dtype=value.dtype)
+            c[0] = value[0]
+            return Series._new(c, self.t0)
         return None
+
+    def _scaled(self, coeffs: np.ndarray) -> "Series":
+        """Wrap ``coeffs * scalar`` or ``coeffs / scalar``.
+
+        A scalar of another numeric type (Fraction, longdouble, ...) leaves
+        another dtype, which goes through the validating constructor.
+        """
+        if coeffs.dtype.type in _TRUSTED_TYPES:
+            return Series._new(coeffs, self.t0)
+        return Series(coeffs, self.t0)
 
     # -- ring operations ---------------------------------------------------
 
@@ -107,40 +153,40 @@ class Series:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        k = min(self.order, o.order)
-        return Series(self.coeffs[: k + 1] + o.coeffs[: k + 1], self.t0)
+        n = min(len(self.coeffs), len(o.coeffs))
+        return Series._new(self.coeffs[:n] + o.coeffs[:n], self.t0)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(-self.coeffs, self.t0)
+        return Series._new(-self.coeffs, self.t0)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        k = min(self.order, o.order)
-        return Series(self.coeffs[: k + 1] - o.coeffs[: k + 1], self.t0)
+        n = min(len(self.coeffs), len(o.coeffs))
+        return Series._new(self.coeffs[:n] - o.coeffs[:n], self.t0)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
         if isinstance(other, numbers.Number):
-            return Series(self.coeffs * other, self.t0)
+            return self._scaled(self.coeffs * other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        k = min(self.order, o.order)
-        a, b = self.coeffs[: k + 1], o.coeffs[: k + 1]
-        # exact Cauchy product, truncated to order k
-        return Series(np.convolve(a, b)[: k + 1], self.t0)
+        n = min(len(self.coeffs), len(o.coeffs))
+        # exact Cauchy product, truncated to order n - 1
+        return Series._new(np.convolve(self.coeffs[:n], o.coeffs[:n])[:n],
+                           self.t0)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, numbers.Number):
-            return Series(self.coeffs / other, self.t0)
+            return self._scaled(self.coeffs / other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -166,7 +212,7 @@ def constant(value, order: int, t0: float = 0.0) -> Series:
     c = np.zeros(order + 1, dtype=np.complex128 if isinstance(
         value, complex) else np.float64)
     c[0] = value
-    return Series(c, t0)
+    return Series._new(c, float(t0))
 
 
 def identity(order: int, t0: float = 0.0) -> Series:
@@ -175,15 +221,7 @@ def identity(order: int, t0: float = 0.0) -> Series:
     c[0] = t0
     if order >= 1:
         c[1] = 1.0
-    return Series(c, t0)
-
-
-def add(a: Series, b: Series) -> Series:
-    return a + b
-
-
-def mul(a: Series, b: Series) -> Series:
-    return a * b
+    return Series._new(c, float(t0))
 
 
 def reciprocal(a: Series) -> Series:
@@ -198,7 +236,7 @@ def reciprocal(a: Series) -> Series:
         # c0*out[n] + sum_{j=1..n} a[j]*out[n-j] = 0
         acc = np.dot(a.coeffs[1: n + 1], out[n - 1:: -1][: n])
         out[n] = -acc / c0
-    return Series(out, a.t0)
+    return Series._new(out, a.t0)
 
 
 def compose(outer: Series, inner: Series) -> Series:
@@ -213,13 +251,21 @@ def compose(outer: Series, inner: Series) -> Series:
             "composition mismatch: inner constant term "
             f"{inner.coeffs[0]} != outer expansion point {outer.t0}")
     k = min(outer.order, inner.order)
-    u = inner.truncate(k) - inner.coeffs[0]  # zero constant term
-    acc = constant(outer.coeffs[k], k, inner.t0)
-    if np.issubdtype(outer.coeffs.dtype, np.complexfloating):
-        acc = Series(acc.coeffs.astype(np.complex128), inner.t0)
+    oc = outer.coeffs
+    # Horner's scheme on raw arrays, with the operations Series arithmetic
+    # would do: u = inner - c0, then acc = acc * u + oc[j], each scalar
+    # zero-padded and added as a whole array (``acc[0] += oc[j]`` would
+    # keep a -0.0 in a higher coefficient that adding +0.0 clears).
+    shift = np.zeros(k + 1, dtype=inner.coeffs.dtype)
+    shift[0] = inner.coeffs[0]
+    u = inner.coeffs[: k + 1] - shift
+    acc = np.zeros(k + 1, dtype=oc.dtype)
+    acc[0] = oc[k]
+    term = np.zeros(k + 1, dtype=oc.dtype)
     for j in range(k - 1, -1, -1):
-        acc = acc * u + outer.coeffs[j]
-    return acc
+        term[0] = oc[j]
+        acc = np.convolve(acc, u)[: k + 1] + term
+    return Series._new(acc, inner.t0)
 
 
 class SeriesValue:
@@ -283,7 +329,7 @@ def exp(x):
     out[0] = e0
     for n in range(1, k + 1):
         out[n] = _dmul_sum(g, out, n) / n
-    return Series(out, x.t0)
+    return Series._new(out, x.t0)
 
 
 def log(x):
@@ -308,7 +354,7 @@ def log(x):
         # n*l[n]*g[0] = n*g[n] - sum_{j=1..n-1} j*l[j]*g[n-j]
         # (_dmul_sum's j=n term vanishes because out[n] is still zero)
         out[n] = (n * g[n] - _dmul_sum(out, g, n)) / (n * g[0])
-    return Series(out, x.t0)
+    return Series._new(out, x.t0)
 
 
 def sqrt(x):
@@ -330,7 +376,7 @@ def sqrt(x):
     for n in range(1, k + 1):
         acc = np.dot(out[1: n], out[n - 1: 0: -1]) if n >= 2 else 0.0
         out[n] = (g[n] - acc) / (2 * q0)
-    return Series(out, x.t0)
+    return Series._new(out, x.t0)
 
 
 def _sin_cos(x: Series):
@@ -347,7 +393,7 @@ def _sin_cos(x: Series):
     for n in range(1, k + 1):
         s[n] = _dmul_sum(g, c, n) / n
         c[n] = -_dmul_sum(g, s, n) / n
-    return Series(s, x.t0), Series(c, x.t0)
+    return Series._new(s, x.t0), Series._new(c, x.t0)
 
 
 def sin(x):
@@ -385,7 +431,7 @@ def _sinh_cosh(x: Series):
     for n in range(1, k + 1):
         s[n] = _dmul_sum(g, c, n) / n
         c[n] = _dmul_sum(g, s, n) / n
-    return Series(s, x.t0), Series(c, x.t0)
+    return Series._new(s, x.t0), Series._new(c, x.t0)
 
 
 def sinh(x):

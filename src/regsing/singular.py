@@ -39,7 +39,8 @@ import numpy as np
 
 from . import series as _series
 from .series import Series
-from .errors import (AdmissibilityError, NumericalError, ValidationError)
+from .errors import (AdmissibilityError, NumericalError, RegsingError,
+                     ValidationError)
 from . import rk as _rk
 
 __all__ = [
@@ -83,6 +84,15 @@ def _jet_coeffs(vec, j: int) -> np.ndarray:
     return np.array([_jet_coeff(x, j) for x in vec])
 
 
+def _time_jet_order(tj: Series) -> int:
+    """Order of a time jet, which must expand the identity at 0."""
+    c = tj.coeffs
+    if tj.t0 != 0.0 or c[0] != 0.0 or (tj.order >= 1 and c[1] != 1.0):
+        raise ValidationError(
+            "time jets must expand the identity at 0 (coefficients [0, 1])")
+    return tj.order
+
+
 def _poly_jets(coeffs: np.ndarray, order: int) -> np.ndarray:
     """Vector jet whose i-th entry is sum_h coeffs[h, i] t^h, zero padded."""
     kdim = coeffs.shape[1]
@@ -91,11 +101,18 @@ def _poly_jets(coeffs: np.ndarray, order: int) -> np.ndarray:
         c = np.zeros(order + 1)
         m = min(order + 1, coeffs.shape[0])
         c[:m] = coeffs[:m, i]
-        out[i] = Series(c, 0.0)
+        out[i] = Series._new(c, 0.0)
     return out
 
 
-def _probe_jet_capable(m_sing, m_reg, y0) -> bool:
+# What a map that cannot take Series arguments is expected to raise; any
+# other exception is a fault in the map and propagates.
+_PROBE_ERRORS = (TypeError, ValueError, ArithmeticError, AttributeError,
+                 RegsingError)
+
+
+def _probe_jet_capable(m_sing, m_reg, y0) -> str | None:
+    """None if both maps run on Series jets, else the repr of the error."""
     try:
         yj = _const_jets(y0, 2)
         out = np.asarray(m_sing(yj), dtype=object).reshape(-1)
@@ -103,9 +120,9 @@ def _probe_jet_capable(m_sing, m_reg, y0) -> bool:
         tj = _series.identity(2)
         out2 = np.asarray(m_reg(tj, yj), dtype=object).reshape(-1)
         _jet_coeffs(out2, 1)
-        return True
-    except Exception:
-        return False
+    except _PROBE_ERRORS as exc:
+        return repr(exc)
+    return None
 
 
 # -- problem container -----------------------------------------------------
@@ -115,8 +132,9 @@ class SingularIVP:
     """``dy/dt = m_sing(y)/t + m_reg(t, y)``, ``y(0) = y0`` on (0, t_end].
 
     ``jet_capable=None`` probes the maps with Series arguments once and
-    caches the answer.  ``meta`` is free-form (the geometry layer stores
-    its reduction data there).
+    caches the answer; when the probe fails, ``jet_probe_error`` keeps the
+    repr of the error that made it fail.  ``meta`` is free-form (the
+    geometry layer stores its reduction data there).
     """
 
     m_sing: Callable
@@ -126,6 +144,7 @@ class SingularIVP:
     jet_capable: bool | None = None
     meta: dict = field(default_factory=dict)
     k: int = field(init=False)
+    jet_probe_error: str | None = field(default=None, init=False)
 
     def __post_init__(self):
         self.y0 = np.asarray(self.y0, dtype=float).reshape(-1)
@@ -136,8 +155,9 @@ class SingularIVP:
         if not self.t_end > 0:
             raise ValidationError(f"t_end must be positive, got {self.t_end}")
         if self.jet_capable is None:
-            self.jet_capable = _probe_jet_capable(
+            self.jet_probe_error = _probe_jet_capable(
                 self.m_sing, self.m_reg, self.y0)
+            self.jet_capable = self.jet_probe_error is None
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
         sing = np.asarray(self.m_sing(y), dtype=float).reshape(-1)
@@ -458,6 +478,7 @@ def solve(p: SingularIVP, *, tol: float = 1e-10, order: int = DEFAULT_ORDER,
     full.diagnostics["admissibility"] = report
     full.diagnostics["handoff"] = t0
     full.diagnostics["series_order"] = order
+    full.diagnostics["jet_probe_error"] = p.jet_probe_error
     return full
 
 
@@ -500,6 +521,28 @@ class AffineSingularMaps:
                 raise ValidationError(f"g must have shape ({k},)")
             self.g = np.array([parse_one(e) for e in g], dtype=object)
             self._g = _expr.ExprArray(self.g)
+        self._expansion = None      # (order, S jets, g jets); see _jets
+
+    def _jets(self, order: int):
+        """``S`` and ``g`` (None where absent) in Taylor mode at 0.
+
+        Both are expanded once, at ``max(order, MAX_ORDER)``, and lower
+        orders are truncated from that expansion.  Taylor-mode coefficient
+        ``h`` depends only on coefficients up to ``h`` and comes from the
+        same operations at any order, so the truncation has the bytes of a
+        direct expansion.
+        """
+        if self._expansion is None or self._expansion[0] < order:
+            top = max(order, MAX_ORDER)
+            self._expansion = (
+                top,
+                None if self.S is None else self._S.taylor(0.0, top),
+                None if self.g is None else self._g.taylor(0.0, top))
+        top, S, g = self._expansion
+        if top == order:
+            return S, g
+        return (None if S is None else _truncate_jets(S, order),
+                None if g is None else _truncate_jets(g, order))
 
     def m_sing(self, y):
         y = np.asarray(y)
@@ -510,12 +553,9 @@ class AffineSingularMaps:
         y = np.asarray(y)
         if isinstance(t, Series):
             order = t.order
-            Sv = 0.0
-            if self.S is not None:
-                Sv = self._S.taylor(0.0, order) @ y
-            gv = 0.0
-            if self.g is not None:
-                gv = self._g.taylor(0.0, order)
+            S, g = self._jets(order)
+            Sv = 0.0 if S is None else S @ y
+            gv = 0.0 if g is None else g
             out = Sv + gv if self.S is not None or self.g is not None \
                 else _const_jets(np.zeros(self.k), order)
             return out
@@ -529,6 +569,12 @@ class AffineSingularMaps:
     def problem(self, y0, t_end: float, meta=None) -> SingularIVP:
         return SingularIVP(self.m_sing, self.m_reg, y0, t_end,
                            jet_capable=True, meta=meta or {})
+
+
+def _truncate_jets(jets: np.ndarray, order: int) -> np.ndarray:
+    out = np.empty(jets.size, dtype=object)
+    out[:] = [s.truncate(order) for s in jets.flat]
+    return out.reshape(jets.shape)
 
 
 def _min_order(jets) -> int:
@@ -556,25 +602,23 @@ def continuation_limit_check(f: Callable, Y0) -> LimitCheck:
     return LimitCheck(r < EPS_ADMISSIBLE, r)
 
 
-def _probe_f_jets(f, Y0) -> bool:
+def _probe_f_jets(f, Y0) -> str | None:
+    """None if ``f`` runs on Series jets, else the repr of the error."""
     try:
-        k = len(Y0)
         xj = _series.identity(1)
         yj = _const_jets(Y0, 1)
         out = np.asarray(f(xj, yj), dtype=object).reshape(-1)
         _jet_coeffs(out, 1)
-        return True
-    except Exception:
-        return False
+    except _PROBE_ERRORS as exc:
+        return repr(exc)
+    return None
 
 
-def _linearize(f, Y0, jet_capable=None):
-    """a0 = df/dxi and A0 = df/dY at (0, Y0)."""
+def _linearize(f, Y0):
+    """a0 = df/dxi and A0 = df/dY at (0, Y0), plus the jet probe's error."""
     Y0 = np.asarray(Y0, dtype=float).reshape(-1)
-    k = Y0.size
-    if jet_capable is None:
-        jet_capable = _probe_f_jets(f, Y0)
-    if jet_capable:
+    probe_error = _probe_f_jets(f, Y0)
+    if probe_error is None:
         xj = _series.identity(1)
         out = np.asarray(f(xj, _const_jets(Y0, 1)), dtype=object).reshape(-1)
         a0 = _jet_coeffs(out, 1)
@@ -585,7 +629,7 @@ def _linearize(f, Y0, jet_capable=None):
         fm = np.asarray(f(-h, Y0), dtype=float).reshape(-1)
         a0 = (fp - fm) / (2 * h)
         A0 = _fd_jacobian(lambda y: f(0.0, y), Y0)
-    return a0, A0, jet_capable
+    return a0, A0, probe_error
 
 
 def initial_derivative(f: Callable, Y0) -> np.ndarray:
@@ -666,14 +710,14 @@ def reduce_hat(f: Callable, Y0, t_end: float = 1.0) -> SingularIVP:
     if not chk.passed:
         raise ValidationError(
             f"f(0, Y0) = 0 violated (residual {chk.residual:.3e})")
-    a0, A0, jet_capable = _linearize(f, Y0)
+    a0, A0, probe_error = _linearize(f, Y0)
+    jet_capable = probe_error is None
     B = np.eye(k) + A0
     y_hat0 = np.linalg.solve(B, -a0)
 
     def fhat_jet(xi_jet: Series, w):
         # psi(s) = f(s, Y0 + s w(s)) as a series in s; fhat = w + psi/s
-        order = xi_jet.order
-        _assert_time_jet(xi_jet)
+        order = _time_jet_order(xi_jet)
         w = np.asarray(w, dtype=object).reshape(-1)
         sj = _series.identity(order + 1)
         warg = np.empty(k, dtype=object)
@@ -716,8 +760,7 @@ def reduce_hat(f: Callable, Y0, t_end: float = 1.0) -> SingularIVP:
             # Expand one order above the request: the shift below eats one
             # order, and the padded top y-coefficient cancels against the
             # affine part exactly because B = I + A0.
-            n = t.order
-            _assert_time_jet(t)
+            n = _time_jet_order(t)
             y = np.asarray(y, dtype=object).reshape(-1)
             w_pad = np.empty(k, dtype=object)
             for i in range(k):
@@ -757,15 +800,10 @@ def reduce_hat(f: Callable, Y0, t_end: float = 1.0) -> SingularIVP:
         return -acc
 
     meta = {"kind": "hat_reduction", "a0": a0, "A0": A0, "Y0": Y0}
-    return SingularIVP(m_sing, m_reg, y_hat0, t_end,
+    prob = SingularIVP(m_sing, m_reg, y_hat0, t_end,
                        jet_capable=jet_capable, meta=meta)
-
-
-def _assert_time_jet(tj: Series):
-    c = tj.coeffs
-    if tj.t0 != 0.0 or c[0] != 0.0 or (tj.order >= 1 and c[1] != 1.0):
-        raise ValidationError(
-            "time jets must expand the identity at 0 (coefficients [0, 1])")
+    prob.jet_probe_error = probe_error
+    return prob
 
 
 # -- weak nonlinearity -------------------------------------------------------
@@ -799,9 +837,11 @@ def check_weakly_nonlinear(f: Callable, dim: int,
     """
     if order < 2:
         raise ValidationError("order must be at least 2")
-    if not _probe_f_jets(f, np.zeros(dim)):
+    probe_error = _probe_f_jets(f, np.zeros(dim))
+    if probe_error is not None:
         raise ValidationError(
-            "weak nonlinearity test needs a Taylor-capable map")
+            "weak nonlinearity test needs a Taylor-capable map; the jet "
+            f"probe raised {probe_error}")
     rng = np.random.default_rng(271828)
     dirs = [np.eye(dim)[i] for i in range(dim)]
     dirs += [rng.uniform(-1.0, 1.0, size=dim) for _ in range(8)]

@@ -7,6 +7,7 @@ import pytest
 
 from regsing import geometry, singular
 from regsing.errors import ConfigError, StructureError, ValidationError
+from regsing.series import Series
 
 
 def flat3():
@@ -123,6 +124,30 @@ def test_structure_residue_detection():
                                              alpha="t^2")
     geometry.check_structure(ok)
     geometry.check_structure(sphere())
+
+
+def test_structure_failure_raises_on_every_assembly():
+    # the probe result is kept only when it passes
+    bad = geometry.MetricFamily.from_diagonal(["t^2", "1"], dim_p=1,
+                                              alpha="t")
+    for _ in range(3):
+        with pytest.raises(StructureError):
+            geometry.assemble_harmonic(bad, 1.0, 1.0)
+    ok = flat3()
+    geometry.assemble_harmonic(ok, 1.0, 1.0)
+    geometry.assemble_biharmonic(ok, 1.0, 0.5, 1.0)
+    assert ok._structure_ok == {False, True}
+    assert not bad._structure_ok
+
+
+def test_time_jets_must_expand_the_identity():
+    p = geometry.assemble_harmonic(flat3(), 1.0, 1.0)
+    y = np.array([Series([1.0, 0.0]), Series([0.0, 0.0])], dtype=object)
+    p.m_reg(Series([0.0, 1.0]), y)
+    for bad in (Series([0.1, 1.0]), Series([0.0, 2.0]),
+                Series([0.0, 1.0], 0.5)):
+        with pytest.raises(ValidationError, match="time jets"):
+            p.m_reg(bad, y)
 
 
 def test_harmonic_flat_family_is_exact():

@@ -180,3 +180,168 @@ def test_numpy_object_array_interop():
 def test_call_evaluates():
     s = series.exp(series.identity(12))
     assert s(0.2) == pytest.approx(math.exp(0.2), rel=1e-12)
+
+
+# -- the lean path against the Series-object code it replaced ----------------
+#
+# Ring operations, compose and scalar coercion now work on raw arrays and
+# wrap results with the trusted constructor.  The references below are the
+# code they replaced, spelled with the validating constructor only, so the
+# results must agree byte for byte.
+
+def ref_coerce(s, other):
+    """A scalar operand as ``Series([other], t0).pad(order)`` gave it."""
+    base = Series([other], s.t0)
+    if s.order == 0:
+        return base
+    c = np.zeros(s.order + 1, dtype=base.coeffs.dtype)
+    c[:1] = base.coeffs
+    return Series(c, s.t0)
+
+
+def ref_add(a, b):
+    k = min(a.order, b.order)
+    return Series(a.coeffs[: k + 1] + b.coeffs[: k + 1], a.t0)
+
+
+def ref_sub(a, b):
+    k = min(a.order, b.order)
+    return Series(a.coeffs[: k + 1] - b.coeffs[: k + 1], a.t0)
+
+
+def ref_mul(a, b):
+    k = min(a.order, b.order)
+    return Series(np.convolve(a.coeffs[: k + 1], b.coeffs[: k + 1])[: k + 1],
+                  a.t0)
+
+
+def ref_compose(outer, inner):
+    """Horner's scheme on Series objects, as compose computed it."""
+    if inner.coeffs[0] != outer.t0:
+        raise SeriesError("composition mismatch")
+    k = min(outer.order, inner.order)
+    trunc = inner if k >= inner.order else Series(inner.coeffs[: k + 1],
+                                                  inner.t0)
+    u = ref_sub(trunc, ref_coerce(trunc, inner.coeffs[0]))
+    value = outer.coeffs[k]
+    c = np.zeros(k + 1, dtype=np.complex128 if isinstance(value, complex)
+                 else np.float64)
+    c[0] = value
+    acc = Series(c, inner.t0)
+    if np.issubdtype(outer.coeffs.dtype, np.complexfloating):
+        acc = Series(acc.coeffs.astype(np.complex128), inner.t0)
+    for j in range(k - 1, -1, -1):
+        prod = ref_mul(acc, u)
+        acc = ref_add(prod, ref_coerce(prod, outer.coeffs[j]))
+    return acc
+
+
+def same_bytes(got, want):
+    return (got.coeffs.dtype == want.coeffs.dtype
+            and got.coeffs.tobytes() == want.coeffs.tobytes()
+            and got.t0 == want.t0)
+
+
+def random_coeffs(rng, n, complex_):
+    """Seeded coefficients with exact zeros of both signs mixed in."""
+    c = rng.normal(size=n)
+    if complex_:
+        c = c + 1j * rng.normal(size=n)
+    pick = rng.random(n)
+    c[pick < 0.15] = -0.0
+    c[(pick >= 0.15) & (pick < 0.25)] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("outer_complex,inner_complex",
+                         [(False, False), (True, True), (False, True),
+                          (True, False)])
+def test_compose_matches_series_object_reference(outer_complex,
+                                                 inner_complex):
+    rng = np.random.default_rng(20261 + 2 * outer_complex + inner_complex)
+    for k in range(31):
+        for extra in (0, 3):
+            t0 = float(rng.choice([0.0, -0.0, 0.3]))
+            ci = random_coeffs(rng, k + 1 + (extra if k % 2 else 0),
+                               inner_complex)
+            ci[0] = t0
+            outer = Series(random_coeffs(rng, k + 1 + (0 if k % 2 else extra),
+                                         outer_complex), t0)
+            inner = Series(ci, -0.25)
+            assert same_bytes(series.compose(outer, inner),
+                              ref_compose(outer, inner))
+
+
+SCALARS = [1.5, -0.0, 0.0, 3, -7, 2.5 - 1j, np.float64(-0.0),
+           np.float32(0.1), np.int64(4), np.complex64(1 + 2j),
+           np.longdouble(0.2)]
+
+
+def test_scalar_operands_match_reference():
+    rng = np.random.default_rng(7001)
+    for k in (0, 1, 5, 30):
+        for complex_ in (False, True):
+            s = Series(random_coeffs(rng, k + 1, complex_), 0.5)
+            for x in SCALARS:
+                assert same_bytes(s._coerce(x), ref_coerce(s, x))
+                assert same_bytes(s + x, ref_add(s, ref_coerce(s, x)))
+                assert same_bytes(x + s, ref_add(s, ref_coerce(s, x)))
+                assert same_bytes(s - x, ref_sub(s, ref_coerce(s, x)))
+                neg = Series(-s.coeffs, s.t0)
+                assert same_bytes(x - s, ref_add(neg, ref_coerce(neg, x)))
+                assert same_bytes(s * x, Series(s.coeffs * x, s.t0))
+                if x != 0:
+                    assert same_bytes(s / x, Series(s.coeffs / x, s.t0))
+
+
+def test_series_operands_match_reference():
+    rng = np.random.default_rng(7002)
+    for k in range(31):
+        for ca, cb in ((False, False), (True, False), (False, True)):
+            a = Series(random_coeffs(rng, k + 1, ca), 0.1)
+            b = Series(random_coeffs(rng, k + 1 + k % 3, cb), 0.1)
+            assert same_bytes(a + b, ref_add(a, b))
+            assert same_bytes(a - b, ref_sub(a, b))
+            assert same_bytes(a * b, ref_mul(a, b))
+
+
+def test_non_numeric_scalars_still_raise():
+    from fractions import Fraction
+    s = Series([1.0, 2.0])
+    with pytest.raises(SeriesError):
+        s + Fraction(1, 3)
+    with pytest.raises(SeriesError):
+        s * Fraction(1, 3)
+    with pytest.raises(SeriesError):
+        Fraction(1, 3) * s
+    with pytest.raises(SeriesError):
+        s + True
+    with pytest.raises(SeriesError):
+        s.truncate(-1)
+
+
+def test_internal_results_are_readonly_float_arrays():
+    t = series.identity(6, 0.0)
+    a = 1.5 + t
+    z = series.exp(1j * t)
+    results = [
+        a + t, a - 2, 3 - a, -a, a * t, a * 2, a / 3, a / a, a ** 3,
+        a ** -2, a ** 0.5, a.truncate(2), a.pad(9), series.constant(2.0, 4),
+        series.constant(1j, 4), t, series.reciprocal(a),
+        series.compose(series.exp(t), series.sin(t)), series.exp(a),
+        series.log(a), series.sqrt(a), series.sin(a), series.cos(a),
+        series.tan(a), series.sinh(a), series.cosh(a), series.tanh(a),
+        series.powi(a, 4), z, z * a, series.log(z),
+    ]
+    for s in results:
+        assert s.coeffs.ndim == 1
+        assert s.coeffs.dtype in (np.float64, np.complex128)
+        assert not s.coeffs.flags.writeable
+        assert type(s.t0) is float
+
+
+def test_series_pickles():
+    import pickle
+    s = series.exp(series.identity(5, 0.25))
+    back = pickle.loads(pickle.dumps(s))
+    assert same_bytes(back, s)

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from regsing import singular
+from regsing import series, singular
 from regsing.errors import (AdmissibilityError, NumericalError,
                             ValidationError)
 from regsing.series import Series
@@ -21,6 +21,7 @@ def linear_forced(forcing, y0=0.0, t_end=2.0):
 def test_jet_capability_probe():
     p = linear_forced(lambda t, y: y * 0.0 + 1.0)
     assert p.jet_capable
+    assert p.jet_probe_error is None
 
     def blackbox(t, y):
         return np.array([float(t) + float(y[0])])
@@ -28,6 +29,31 @@ def test_jet_capability_probe():
     q = singular.SingularIVP(lambda y: -2.0 * y, blackbox,
                              np.array([0.0]), 1.0)
     assert not q.jet_capable
+    assert q.jet_probe_error.startswith("TypeError(")
+
+    # an error a Series argument cannot explain is a fault in the map
+    def faulty(t, y):
+        raise LookupError("no such parameter")
+
+    with pytest.raises(LookupError):
+        singular.SingularIVP(lambda y: -2.0 * y, faulty, np.array([0.0]), 1.0)
+
+
+def test_failed_jet_probe_is_reported_by_solve():
+    # math.sin rejects a Series: the bootstrap falls back to differences
+    p = linear_forced(lambda t, y: np.array([math.sin(t)]))
+    assert not p.jet_capable
+    assert p.jet_probe_error.startswith("TypeError(")
+    with pytest.warns(RuntimeWarning, match="capped"):
+        traj = singular.solve(p, tol=1e-10)
+    assert traj.diagnostics["jet_probe_error"] == p.jet_probe_error
+    assert traj.diagnostics["series_order"] == singular.BLACKBOX_MAX_ORDER
+    # t^2 y = integral of s^2 sin s from 0 to t
+    t = 0.8
+    exact = (2 * t * math.sin(t) + (2 - t * t) * math.cos(t) - 2) / t ** 2
+    assert traj.value(t)[0] == pytest.approx(exact, abs=1e-7)
+    jet = singular.solve(linear_forced(lambda t, y: y * 0.0 + 1.0))
+    assert jet.diagnostics["jet_probe_error"] is None
 
 
 def test_validation_of_problem_data():
@@ -221,6 +247,34 @@ def test_affine_maps_shapes_and_endpoint():
         singular.AffineSingularMaps(C=[[0.0]], S=[["t", "1"]])
 
 
+def test_affine_jets_are_truncations_of_one_expansion():
+    aff = singular.AffineSingularMaps(
+        C=[[-1.0, 0.5], [0.0, -2.0]],
+        S=[["0.7*sin(1.3*t)", "t^2"], ["exp(-0.4*t) - 1", "1/(2 + t)"]],
+        g=["cos(t) - 1", "sqrt(1 + t)*log(1 + t^2)"])
+    y = np.array([Series([0.3, -1.2, 0.5]), Series([1.1, 0.0, -0.0])],
+                 dtype=object)
+
+    def check(order):
+        S, g = aff._jets(order)
+        for got, want in ((S, aff._S.taylor(0.0, order)),
+                          (g, aff._g.taylor(0.0, order))):
+            assert got.shape == want.shape
+            for a, b in zip(got.flat, want.flat):
+                assert a.coeffs.dtype == b.coeffs.dtype
+                assert a.coeffs.tobytes() == b.coeffs.tobytes()
+        out = aff.m_reg(series.identity(order), y)
+        want = aff._S.taylor(0.0, order) @ y + aff._g.taylor(0.0, order)
+        for a, b in zip(out, want):
+            assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
+    for order in range(singular.MAX_ORDER + 1):
+        check(order)
+    check(singular.MAX_ORDER + 5)      # expands again, higher
+    for order in (0, 1, 7, singular.MAX_ORDER, singular.MAX_ORDER + 5):
+        check(order)
+
+
 def test_continuation_limit_check():
     good = singular.continuation_limit_check(
         lambda xi, y: y ** 2 + xi * 0.0, [0.0])
@@ -273,6 +327,7 @@ def test_reduce_hat_riccati_blackbox():
 
     p = singular.reduce_hat(opaque, [0.0], t_end=0.5)
     assert not p.jet_capable
+    assert p.jet_probe_error.startswith("TypeError(")
     assert p.y0[0] == pytest.approx(-1.0, abs=1e-8)
     coeffs = singular.bootstrap_series(p, order=4)
     want = [-1.0, -0.5, -1.0 / 3.0, -11.0 / 48.0, -19.0 / 120.0]
@@ -335,5 +390,5 @@ def test_weakly_nonlinear_guards():
     def opaque(xi, y):
         return np.array([float(y[0])])
 
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="probe raised TypeError"):
         singular.check_weakly_nonlinear(opaque, 1)
