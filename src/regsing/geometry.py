@@ -43,12 +43,13 @@ from . import series as _series
 from .series import Series
 from .errors import (ConfigError, NumericalError, StructureError,
                      ValidationError)
-from .singular import SingularIVP, _time_jet_order, solve as _solve_singular
+from .singular import (SingularIVP, _as_jet, _time_jet_order,
+                       solve as _solve_singular)
 
 __all__ = [
     "MetricFamily", "MetricReport", "build_metric_family", "validate_metric",
     "trace_drift", "trace_potential", "trace_potential2",
-    "assemble_harmonic", "assemble_biharmonic", "recover_r",
+    "assemble_harmonic", "assemble_biharmonic",
     "tension_residual", "biharmonic_residual",
     "HarmonicSolution", "BiharmonicSolution",
     "solve_harmonic", "solve_biharmonic",
@@ -66,12 +67,6 @@ def _sderiv(s: Series) -> Series:
         return Series._new(np.array([0.0 * s.coeffs[0]]), s.t0)
     k = np.arange(1, s.order + 1)
     return Series._new(s.coeffs[1:] * k, s.t0)
-
-
-def _as_series(x, order: int) -> Series:
-    if isinstance(x, Series):
-        return x.pad(order)
-    return _series.constant(float(x), order)
 
 
 class MetricFamily:
@@ -321,10 +316,6 @@ def _tpot_series(fam: MetricFamily, a_s: Series, order: int) -> Series:
 
 def _zpot_series(fam: MetricFamily, a_s: Series, order: int) -> Series:
     """``t^2 * V2(t, t a(t))`` for diagonal families; constant ``dim_p``."""
-    if not fam.diagonal:
-        raise ValidationError(
-            "second radial derivative reduction supports diagonal "
-            "families only")
     # one extra order so the second derivative is exact through `order`
     pack = fam.pack(order + 1)
     a_s = a_s.truncate(order)
@@ -348,18 +339,8 @@ def _zpot_series(fam: MetricFamily, a_s: Series, order: int) -> Series:
     return 0.5 * acc
 
 
-def _w_series(fam: MetricFamily, a_s: Series, u_s: Series,
-              order: int) -> Series:
-    """``t^2 (u' + (p+2) u / t)`` for the harmonic reduction."""
-    p = fam.dim_p
-    t_s = _series.identity(order)
-    tpot = _tpot_series(fam, a_s, order)
-    tdrift = _tdrift_series(fam, order)
-    return (tpot - float(p) * a_s) - (tdrift - float(p)) * (a_s + t_s * u_s)
-
-
-def _peel2(w: Series, order: int, where: str) -> Series:
-    """Drop two leading coefficients after checking they are residual."""
+def _peel2(w: Series, where: str) -> Series:
+    """Divide by ``t^2`` after checking the two dropped coefficients vanish."""
     scale = 1.0 + float(np.abs(w.coeffs).max())
     if abs(w.coeffs[0]) > _STRUCT_TOL * scale or \
             abs(w.coeffs[1]) > _STRUCT_TOL * scale:
@@ -368,6 +349,30 @@ def _peel2(w: Series, order: int, where: str) -> Series:
             f"(c0={w.coeffs[0]:.3e}, c1={w.coeffs[1]:.3e}); odd low-order "
             "metric data does not cancel, no analytic reduction exists")
     return Series._new(w.coeffs[2:], 0.0)
+
+
+def _w_series(fam: MetricFamily, a_s: Series, u_s: Series,
+              order: int) -> Series:
+    """``u' + (p+2) u / t`` of the harmonic reduction, to ``order - 2``."""
+    p = fam.dim_p
+    t_s = _series.identity(order)
+    tpot = _tpot_series(fam, a_s, order)
+    tdrift = _tdrift_series(fam, order)
+    return _peel2((tpot - float(p) * a_s)
+                  - (tdrift - float(p)) * (a_s + t_s * u_s),
+                  "harmonic reduction")
+
+
+def _wf_series(fam: MetricFamily, a_s: Series, b_s: Series, ub_s: Series,
+               order: int) -> Series:
+    """``u_b' + (p+2) u_b / t`` of the tension linearization along ``a``;
+    diagonal families only."""
+    p = fam.dim_p
+    t_s = _series.identity(order)
+    z = _zpot_series(fam, a_s, order)
+    td = _tdrift_series(fam, order)
+    return _peel2((z - float(p)) * b_s - (td - float(p)) * (b_s + t_s * ub_s),
+                  "tension linearization")
 
 
 def _check_structure(fam: MetricFamily, with_z: bool):
@@ -381,14 +386,9 @@ def _check_structure(fam: MetricFamily, with_z: bool):
     for a0, u0 in ((0.83, 0.41), (-0.37, 0.9)):
         a_s = _series.constant(a0, 8)
         u_s = _series.constant(u0, 8)
-        _peel2(_w_series(fam, a_s, u_s, 8), 8, "harmonic reduction")
+        _w_series(fam, a_s, u_s, 8)
         if with_z:
-            z = _zpot_series(fam, a_s, 8)
-            td = _tdrift_series(fam, 8)
-            t_s = _series.identity(8)
-            wf = (z - float(fam.dim_p)) * a_s - \
-                (td - float(fam.dim_p)) * (a_s + t_s * u_s)
-            _peel2(wf, 8, "tension linearization")
+            _wf_series(fam, a_s, a_s, u_s, 8)
     fam._structure_ok.add(with_z)
 
 
@@ -404,12 +404,25 @@ def check_structure(fam: MetricFamily):
 
 # -- pointwise trace quantities ----------------------------------------------
 
-def _resolve_path(fam: MetricFamily, t: float, force_path):
+def _trace_path(fam: MetricFamily, t: float, force_path,
+                diagonal_only: bool = False) -> str:
+    """Check ``t > 0`` (then diagonality, if asked) and pick the branch:
+    ``force_path``, else direct from ``t_switch`` on and series below."""
+    if t <= 0:
+        raise ValidationError("trace quantities need t > 0")
+    if diagonal_only and not fam.diagonal:
+        raise ValidationError(
+            "second radial derivative reduction supports diagonal "
+            "families only")
     if force_path not in (None, "direct", "series"):
         raise ValidationError(f"unknown path {force_path!r}")
     if force_path is not None:
         return force_path
     return "direct" if t >= fam.t_switch else "series"
+
+
+def _half_trace(P: np.ndarray, X: np.ndarray) -> float:
+    return 0.5 * float(np.trace(np.linalg.solve(P, X)))
 
 
 def trace_drift(fam: MetricFamily, t: float,
@@ -419,13 +432,9 @@ def trace_drift(fam: MetricFamily, t: float,
     Uses direct linear solves at moderate ``t`` and the pole-peeled series
     below ``t_switch``; ``force_path`` pins one branch for cross-checks.
     """
-    if t <= 0:
-        raise ValidationError("trace quantities need t > 0")
-    path = _resolve_path(fam, t, force_path)
-    if path == "direct":
-        val = 0.5 * float(np.trace(np.linalg.solve(
-            fam.P_at(t), fam.Pdot_at(t))))
-        return val + fam.weight * fam.alpha_dot_at(t)
+    if _trace_path(fam, t, force_path) == "direct":
+        return _half_trace(fam.P_at(t), fam.Pdot_at(t)) + \
+            fam.weight * fam.alpha_dot_at(t)
     td = _tdrift_series(fam, _FLOAT_SERIES_ORDER)
     return float(_series.eval_truncated(td, t).value) / t
 
@@ -433,12 +442,8 @@ def trace_drift(fam: MetricFamily, t: float,
 def trace_potential(fam: MetricFamily, t: float, rho: float,
                     force_path: Optional[str] = None) -> float:
     """``Tr(P(t)^-1 dP/drho)/2`` at radius ``rho``; pole ``dim_p rho/t^2``."""
-    if t <= 0:
-        raise ValidationError("trace quantities need t > 0")
-    path = _resolve_path(fam, t, force_path)
-    if path == "direct":
-        return 0.5 * float(np.trace(np.linalg.solve(
-            fam.P_at(t), fam.Pdot_at(rho))))
+    if _trace_path(fam, t, force_path) == "direct":
+        return _half_trace(fam.P_at(t), fam.Pdot_at(rho))
     a_s = _series.constant(rho / t, _FLOAT_SERIES_ORDER)
     tp = _tpot_series(fam, a_s, _FLOAT_SERIES_ORDER)
     return float(_series.eval_truncated(tp, t).value) / t
@@ -447,22 +452,29 @@ def trace_potential(fam: MetricFamily, t: float, rho: float,
 def trace_potential2(fam: MetricFamily, t: float, rho: float,
                      force_path: Optional[str] = None) -> float:
     """``Tr(P(t)^-1 d^2P/drho^2)/2``; diagonal families only."""
-    if t <= 0:
-        raise ValidationError("trace quantities need t > 0")
-    if not fam.diagonal:
-        raise ValidationError(
-            "second radial derivative reduction supports diagonal "
-            "families only")
-    path = _resolve_path(fam, t, force_path)
-    if path == "direct":
-        return 0.5 * float(np.trace(np.linalg.solve(
-            fam.P_at(t), fam.Pddot_at(rho))))
+    if _trace_path(fam, t, force_path, diagonal_only=True) == "direct":
+        return _half_trace(fam.P_at(t), fam.Pddot_at(rho))
     a_s = _series.constant(rho / t, _FLOAT_SERIES_ORDER)
     zp = _zpot_series(fam, a_s, _FLOAT_SERIES_ORDER)
     return float(_series.eval_truncated(zp, t).value) / (t * t)
 
 
 # -- assembled singular problems ----------------------------------------------
+
+def _harmonic_reg(fam: MetricFamily, t: float, a: float, u: float):
+    """``u' + (p+2) u / t`` at a float ``t``, and the drift excess
+    ``d = drift - p/t`` of the direct branch (None on the series branch
+    below ``t_switch``), which the tension row reuses."""
+    p = fam.dim_p
+    if t >= fam.t_switch:
+        V = trace_potential(fam, t, t * a, force_path="direct")
+        d = trace_drift(fam, t, force_path="direct") - p / t
+        return (V - p * a / t - d * (a + t * u)) / t, d
+    reg = _w_series(fam, _series.constant(a, _FLOAT_SERIES_ORDER),
+                    _series.constant(u, _FLOAT_SERIES_ORDER),
+                    _FLOAT_SERIES_ORDER)
+    return float(_series.eval_truncated(reg, t).value), None
+
 
 def assemble_harmonic(fam: MetricFamily, v: float,
                       t_end: float) -> SingularIVP:
@@ -485,22 +497,11 @@ def assemble_harmonic(fam: MetricFamily, v: float,
     def m_reg(t, y):
         if isinstance(t, Series):
             n = _time_jet_order(t)
-            m = n + 2
-            a_s = _as_series(y[0], m)
-            u_s = _as_series(y[1], m)
-            w = _w_series(fam, a_s, u_s, m)
-            reg_u = _peel2(w, m, "harmonic reduction")
-            return np.array([u_s.truncate(n), reg_u], dtype=object)
-        a, u = float(y[0]), float(y[1])
-        if t >= fam.t_switch:
-            V = trace_potential(fam, t, t * a, force_path="direct")
-            d = trace_drift(fam, t, force_path="direct") - p / t
-            return np.array([u, (V - p * a / t - d * (a + t * u)) / t])
-        a_s = _series.constant(a, _FLOAT_SERIES_ORDER)
-        u_s = _series.constant(u, _FLOAT_SERIES_ORDER)
-        w = _w_series(fam, a_s, u_s, _FLOAT_SERIES_ORDER)
-        reg = _peel2(w, _FLOAT_SERIES_ORDER, "harmonic reduction")
-        return np.array([u, float(_series.eval_truncated(reg, t).value)])
+            a_s, u_s = _as_jet(y[0], n + 2), _as_jet(y[1], n + 2)
+            return np.array([u_s.truncate(n), _w_series(fam, a_s, u_s, n + 2)],
+                            dtype=object)
+        u = float(y[1])
+        return np.array([u, _harmonic_reg(fam, t, float(y[0]), u)[0]])
 
     meta = {"kind": "harmonic", "family": fam, "v": float(v)}
     return SingularIVP(m_sing, m_reg, [float(v), 0.0], t_end,
@@ -531,44 +532,26 @@ def assemble_biharmonic(fam: MetricFamily, v: float, w: float,
         return np.array([0.0, -(p + 2.0) * float(y[1]),
                          0.0, -(p + 2.0) * float(y[3])])
 
-    def wf_series(a_s, b_s, ub_s, order):
-        t_s = _series.identity(order)
-        z = _zpot_series(fam, a_s, order)
-        td = _tdrift_series(fam, order)
-        return (z - float(p)) * b_s - (td - float(p)) * (b_s + t_s * ub_s)
-
     def m_reg(t, y):
         if isinstance(t, Series):
             n = _time_jet_order(t)
-            m = n + 2
-            a_s = _as_series(y[0], m)
-            ua_s = _as_series(y[1], m)
-            b_s = _as_series(y[2], m)
-            ub_s = _as_series(y[3], m)
-            w_a = _w_series(fam, a_s, ua_s, m)
-            reg_a = _peel2(w_a, m, "harmonic reduction") + b_s.truncate(n)
-            w_b = wf_series(a_s, b_s, ub_s, m)
-            reg_b = _peel2(w_b, m, "tension linearization")
-            return np.array([ua_s.truncate(n), reg_a,
-                             ub_s.truncate(n), reg_b], dtype=object)
+            a_s, ua_s, b_s, ub_s = (_as_jet(y[i], n + 2) for i in range(4))
+            return np.array(
+                [ua_s.truncate(n),
+                 _w_series(fam, a_s, ua_s, n + 2) + b_s.truncate(n),
+                 ub_s.truncate(n), _wf_series(fam, a_s, b_s, ub_s, n + 2)],
+                dtype=object)
         a, ua, b, ub = (float(y[i]) for i in range(4))
-        if t >= fam.t_switch:
-            V = trace_potential(fam, t, t * a, force_path="direct")
+        reg_a, d = _harmonic_reg(fam, t, a, ua)
+        if d is None:
+            a_s, b_s, ub_s = (_series.constant(x, _FLOAT_SERIES_ORDER)
+                              for x in (a, b, ub))
+            reg_b = float(_series.eval_truncated(_wf_series(
+                fam, a_s, b_s, ub_s, _FLOAT_SERIES_ORDER), t).value)
+        else:
             V2 = trace_potential2(fam, t, t * a, force_path="direct")
-            d = trace_drift(fam, t, force_path="direct") - p / t
-            reg_a = (V - p * a / t - d * (a + t * ua)) / t + b
             reg_b = ((V2 - p / (t * t)) * t * b - d * (b + t * ub)) / t
-            return np.array([ua, reg_a, ub, reg_b])
-        a_s = _series.constant(a, _FLOAT_SERIES_ORDER)
-        ua_s = _series.constant(ua, _FLOAT_SERIES_ORDER)
-        b_s = _series.constant(b, _FLOAT_SERIES_ORDER)
-        ub_s = _series.constant(ub, _FLOAT_SERIES_ORDER)
-        w_a = _peel2(_w_series(fam, a_s, ua_s, _FLOAT_SERIES_ORDER),
-                     _FLOAT_SERIES_ORDER, "harmonic reduction")
-        w_b = _peel2(wf_series(a_s, b_s, ub_s, _FLOAT_SERIES_ORDER),
-                     _FLOAT_SERIES_ORDER, "tension linearization")
-        return np.array([ua, float(_series.eval_truncated(w_a, t).value) + b,
-                         ub, float(_series.eval_truncated(w_b, t).value)])
+        return np.array([ua, reg_a + b, ub, reg_b])
 
     meta = {"kind": "biharmonic", "family": fam,
             "v": float(v), "w": float(w)}
@@ -577,11 +560,6 @@ def assemble_biharmonic(fam: MetricFamily, v: float, w: float,
 
 
 # -- solutions ----------------------------------------------------------------
-
-def recover_r(traj, t: float) -> float:
-    """Profile value ``r(t) = t a(t)`` from a harmonic/biharmonic state."""
-    return float(t) * float(traj.value(t)[0])
-
 
 class HarmonicSolution:
     """Profile wrapper around a solved harmonic reduction trajectory."""
@@ -592,61 +570,53 @@ class HarmonicSolution:
         self.v = traj.problem.meta.get("v")
         self.t_end = traj.problem.t_end
 
+    def _profile(self, t: float, i: int, second: bool = True):
+        """``(x, x', x'')`` at ``t`` for ``x = t y[i]`` (``r``: 0, ``F``: 2);
+        ``x''`` calls the vector field, so ``second=False`` skips it."""
+        y = self.traj.value(t)
+        x, u = y[i], y[i + 1]
+        xddot = None
+        if second:
+            udot = self.traj.problem.rhs(float(t), y)[i + 1]
+            xddot = float(2.0 * u + t * udot)
+        return float(t) * float(x), float(x + t * u), xddot
+
     def r(self, t: float) -> float:
-        return float(t) * float(self.traj.value(t)[0])
+        return self._profile(t, 0, False)[0]
 
     def rdot(self, t: float) -> float:
-        a, u = self.traj.value(t)
-        return float(a + t * u)
+        return self._profile(t, 0, False)[1]
 
     def rddot(self, t: float) -> float:
-        y = self.traj.value(t)
-        udot = self.traj.problem.rhs(float(t), y)[1]
-        return float(2.0 * y[1] + t * udot)
+        return self._profile(t, 0)[2]
 
     def residual(self, t: float) -> float:
-        return tension_residual(self.family, t, self.r(t), self.rdot(t),
-                                self.rddot(t))
+        return tension_residual(self.family, t, *self._profile(t, 0))
 
 
-class BiharmonicSolution:
-    """Profile and tension wrapper for the coupled reduction."""
+class BiharmonicSolution(HarmonicSolution):
+    """Profile and tension wrapper for the coupled reduction.
+
+    The inherited ``residual`` is the harmonic tension of the profile,
+    which equals ``F`` along a solution; ``residuals`` checks both rows.
+    """
 
     def __init__(self, fam: MetricFamily, traj):
-        self.family = fam
-        self.traj = traj
-        self.v = traj.problem.meta.get("v")
+        super().__init__(fam, traj)
         self.w = traj.problem.meta.get("w")
-        self.t_end = traj.problem.t_end
-
-    def r(self, t: float) -> float:
-        return float(t) * float(self.traj.value(t)[0])
-
-    def rdot(self, t: float) -> float:
-        y = self.traj.value(t)
-        return float(y[0] + t * y[1])
-
-    def rddot(self, t: float) -> float:
-        y = self.traj.value(t)
-        dy = self.traj.problem.rhs(float(t), y)
-        return float(2.0 * y[1] + t * dy[1])
 
     def F(self, t: float) -> float:
-        return float(t) * float(self.traj.value(t)[2])
+        return self._profile(t, 2, False)[0]
 
     def Fdot(self, t: float) -> float:
-        y = self.traj.value(t)
-        return float(y[2] + t * y[3])
+        return self._profile(t, 2, False)[1]
 
     def Fddot(self, t: float) -> float:
-        y = self.traj.value(t)
-        dy = self.traj.problem.rhs(float(t), y)
-        return float(2.0 * y[3] + t * dy[3])
+        return self._profile(t, 2)[2]
 
     def residuals(self, t: float):
-        r, rd, rdd = self.r(t), self.rdot(t), self.rddot(t)
-        return biharmonic_residual(self.family, t, r, rd, rdd,
-                                   self.F(t), self.Fdot(t), self.Fddot(t))
+        return biharmonic_residual(self.family, t, *self._profile(t, 0),
+                                   *self._profile(t, 2))
 
 
 def solve_harmonic(fam: MetricFamily, v: float, t_end: float, *,
@@ -663,7 +633,6 @@ def solve_biharmonic(fam: MetricFamily, v: float, w: float, t_end: float, *,
     p = assemble_biharmonic(fam, v, w, t_end)
     traj = _solve_singular(p, tol=tol, order=order, t_max=t_max)
     return BiharmonicSolution(fam, traj)
-
 
 # -- residual measurements -----------------------------------------------------
 
@@ -702,15 +671,16 @@ class MetricReport:
     verdict: bool
 
 
-def validate_metric(fam: MetricFamily, n_points: int = 50) -> MetricReport:
-    """Positivity on a log grid plus the pole consistency measurement.
+def validate_metric(fam: MetricFamily) -> MetricReport:
+    """Positivity on a 50-point log grid plus the pole consistency
+    measurement.
 
     ``t Tr(P^-1 P')/2`` must approach ``dim_p`` as ``t`` drops; it is
     measured directly at ``1e-3`` and ``1e-4`` and compared within
     ``1e-2``, which catches wrong ``dim_p`` declarations and entries with
     the wrong vanishing order even when no series data exists.
     """
-    ts = np.geomspace(1e-3, fam.t_validate, n_points)
+    ts = np.geomspace(1e-3, fam.t_validate, 50)
     sym_ok = True
     failures = []
     for t in ts:

@@ -58,6 +58,7 @@ _EXP1 = 0.7 / _ORDER
 _EXP2 = 0.4 / _ORDER
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
+_MAX_STEPS = 200_000        # step budget of one integration
 
 
 class DenseSegment:
@@ -153,8 +154,7 @@ def _initial_step(f, t0, y0, f0, t1, rtol, atol, max_step):
     return min(100 * h0, h1, max_step, abs(t1 - t0))
 
 
-def integrate_adaptive(f, t0, y0, t1, rtol, atol, max_step=math.inf,
-                       first_step=None, max_steps=200_000):
+def integrate_adaptive(f, t0, y0, t1, rtol, atol, max_step=math.inf):
     """Integrate ``dy/dt = f(t, y)`` from ``t0`` to ``t1 > t0``.
 
     Parameters
@@ -181,11 +181,7 @@ def integrate_adaptive(f, t0, y0, t1, rtol, atol, max_step=math.inf,
     k = np.empty((7, y.size), dtype=dtype)
     k[0] = f0.astype(dtype)
 
-    if first_step is None:
-        h = _initial_step(f, t0, y, k[0], t1, rtol, atol, max_step)
-    else:
-        h = min(float(first_step), max_step, t1 - t0)
-    h = max(h, 1e-300)
+    h = max(_initial_step(f, t0, y, k[0], t1, rtol, atol, max_step), 1e-300)
 
     t = t0
     ts = [t0]
@@ -197,7 +193,7 @@ def integrate_adaptive(f, t0, y0, t1, rtol, atol, max_step=math.inf,
     err_prev = 1e-4
     rejected_last = False
 
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         if t >= t1:
             break
         is_last = h >= t1 - t
@@ -254,7 +250,7 @@ def integrate_adaptive(f, t0, y0, t1, rtol, atol, max_step=math.inf,
             h *= min(max(factor, _MIN_FACTOR), 1.0)
     else:
         raise NumericalError(
-            f"step budget exhausted after {max_steps} steps at t = {t!r}")
+            f"step budget exhausted after {_MAX_STEPS} steps at t = {t!r}")
 
     return IntegrationResult(ts, ys, segments, n_accepted, n_rejected,
                              est_error)

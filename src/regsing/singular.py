@@ -61,9 +61,16 @@ BLACKBOX_MAX_ORDER = 4
 
 # -- jet helpers -----------------------------------------------------------
 
+def _as_jet(x, order: int) -> Series:
+    """A jet entry lifted to ``order``: a Series is zero padded (or cut),
+    a number becomes a constant jet."""
+    if isinstance(x, Series):
+        return x.pad(order)
+    return _series.constant(float(x), order)
+
+
 def _const_jets(values, order: int) -> np.ndarray:
-    return np.array([_series.constant(float(v), order) for v in values],
-                    dtype=object)
+    return np.array([_as_jet(v, order) for v in values], dtype=object)
 
 
 def _jet_coeff(x, j: int):
@@ -234,7 +241,7 @@ def check_admissibility(p: SingularIVP, order: int = DEFAULT_ORDER
 
 # -- series bootstrap ------------------------------------------------------
 
-def _fd_taylor_coeff(phi, order: int, scale: float = 1.0) -> np.ndarray:
+def _fd_taylor_coeff(phi, order: int) -> np.ndarray:
     """order-th Taylor coefficient of a vector function at 0 by central FD."""
     stencils = {
         0: ([0], [1.0]),
@@ -244,7 +251,7 @@ def _fd_taylor_coeff(phi, order: int, scale: float = 1.0) -> np.ndarray:
         4: ([-2, -1, 0, 1, 2], [1.0, -4.0, 6.0, -4.0, 1.0]),
     }
     offs, w = stencils[order]
-    h = (np.finfo(float).eps) ** (1.0 / (order + 2)) * scale
+    h = (np.finfo(float).eps) ** (1.0 / (order + 2))
     acc = None
     for o, c in zip(offs, w):
         val = c * np.asarray(phi(o * h), dtype=float).reshape(-1)
@@ -552,7 +559,7 @@ class AffineSingularMaps:
     def m_reg(self, t, y):
         y = np.asarray(y)
         if isinstance(t, Series):
-            order = t.order
+            order = _time_jet_order(t)
             S, g = self._jets(order)
             Sv = 0.0 if S is None else S @ y
             gv = 0.0 if g is None else g
@@ -722,18 +729,14 @@ def reduce_hat(f: Callable, Y0, t_end: float = 1.0) -> SingularIVP:
         sj = _series.identity(order + 1)
         warg = np.empty(k, dtype=object)
         for i in range(k):
-            wi = w[i] if isinstance(w[i], Series) else \
-                _series.constant(float(w[i]), order)
-            warg[i] = Y0[i] + sj * wi.pad(order + 1)
+            warg[i] = Y0[i] + sj * _as_jet(w[i], order + 1)
         psi = np.asarray(f(sj, warg), dtype=object).reshape(-1)
         out = np.empty(k, dtype=object)
         for i in range(k):
             ci = psi[i].coeffs if isinstance(psi[i], Series) else \
                 np.array([float(psi[i])] + [0.0] * (order + 1))
             shifted = Series(np.asarray(ci)[1:order + 2], 0.0)
-            wi = w[i] if isinstance(w[i], Series) else \
-                _series.constant(float(w[i]), order)
-            out[i] = wi.truncate(order) + shifted
+            out[i] = _as_jet(w[i], order) + shifted
         return out
 
     def fhat_float(xi: float, w: np.ndarray) -> np.ndarray:
@@ -762,11 +765,7 @@ def reduce_hat(f: Callable, Y0, t_end: float = 1.0) -> SingularIVP:
             # affine part exactly because B = I + A0.
             n = _time_jet_order(t)
             y = np.asarray(y, dtype=object).reshape(-1)
-            w_pad = np.empty(k, dtype=object)
-            for i in range(k):
-                wi = y[i] if isinstance(y[i], Series) else \
-                    _series.constant(float(y[i]), n)
-                w_pad[i] = wi.pad(n + 1)
+            w_pad = np.array([_as_jet(v, n + 1) for v in y], dtype=object)
             jet = fhat_jet(_series.identity(n + 1), w_pad)
             aff = a0 + B @ w_pad
             out = np.empty(k, dtype=object)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from regsing import geometry, singular
+from regsing import geometry, series, singular
 from regsing.errors import ConfigError, StructureError, ValidationError
 from regsing.series import Series
 
@@ -107,6 +107,10 @@ def test_trace_argument_guards():
         [["t^2", "t^3"], ["t^3", "1"]], dim_p=1)
     with pytest.raises(ValidationError):
         geometry.trace_potential2(block, 0.5, 0.2)
+    # t > 0 is checked before the family shape
+    for t in (0.0, -0.5):
+        with pytest.raises(ValidationError, match="t > 0"):
+            geometry.trace_potential2(block, t, 0.2)
 
 
 def test_structure_residue_detection():
@@ -190,7 +194,6 @@ def test_harmonic_solution_derivative_consistency():
         h = 1e-6
         fd = (sol.rdot(t + h) - sol.rdot(t - h)) / (2 * h)
         assert sol.rddot(t) == pytest.approx(fd, rel=1e-5)
-    assert geometry.recover_r(sol.traj, 0.7) == pytest.approx(sol.r(0.7))
 
 
 def test_block_family_solves():
@@ -302,3 +305,265 @@ def test_config_expression_errors_are_config_errors():
     with pytest.raises((ConfigError, ValidationError)):
         geometry.build_metric_family(
             {"diagonal": ["sin(t", "1"], "dim_p": 1})
+
+
+# -- the shared reduction core against the code it replaced -------------------
+#
+# The biharmonic maps now reuse the harmonic half, the tension linearization
+# has one builder, and the two solution wrappers share one profile helper.
+# The references below are the separate implementations they replaced, with
+# the direct trace formulas written out, so results must agree byte for
+# byte, errors included.
+
+def ref_as_series(x, order):
+    if isinstance(x, Series):
+        return x.pad(order)
+    return series.constant(float(x), order)
+
+
+def ref_peel2(w, where):
+    scale = 1.0 + float(np.abs(w.coeffs).max())
+    if abs(w.coeffs[0]) > geometry._STRUCT_TOL * scale or \
+            abs(w.coeffs[1]) > geometry._STRUCT_TOL * scale:
+        raise StructureError(
+            f"{where}: nonzero residue at the pole "
+            f"(c0={w.coeffs[0]:.3e}, c1={w.coeffs[1]:.3e}); odd low-order "
+            "metric data does not cancel, no analytic reduction exists")
+    return Series(w.coeffs[2:], 0.0)
+
+
+def ref_w_series(fam, a_s, u_s, order):
+    p = fam.dim_p
+    t_s = series.identity(order)
+    tpot = geometry._tpot_series(fam, a_s, order)
+    tdrift = geometry._tdrift_series(fam, order)
+    return (tpot - float(p) * a_s) - (tdrift - float(p)) * (a_s + t_s * u_s)
+
+
+def ref_wf_series(fam, a_s, b_s, ub_s, order):
+    p = fam.dim_p
+    t_s = series.identity(order)
+    z = geometry._zpot_series(fam, a_s, order)
+    td = geometry._tdrift_series(fam, order)
+    return (z - float(p)) * b_s - (td - float(p)) * (b_s + t_s * ub_s)
+
+
+def ref_check_structure(fam, with_z):
+    for a0, u0 in ((0.83, 0.41), (-0.37, 0.9)):
+        a_s = series.constant(a0, 8)
+        u_s = series.constant(u0, 8)
+        ref_peel2(ref_w_series(fam, a_s, u_s, 8), "harmonic reduction")
+        if with_z:
+            ref_peel2(ref_wf_series(fam, a_s, a_s, u_s, 8),
+                      "tension linearization")
+
+
+def ref_half_trace(fam, t, X):
+    return 0.5 * float(np.trace(np.linalg.solve(fam.P_at(t), X)))
+
+
+def ref_harmonic_reg(fam, t, y):
+    p, K = fam.dim_p, geometry._FLOAT_SERIES_ORDER
+    if isinstance(t, Series):
+        n = t.order
+        m = n + 2
+        a_s = ref_as_series(y[0], m)
+        u_s = ref_as_series(y[1], m)
+        reg_u = ref_peel2(ref_w_series(fam, a_s, u_s, m),
+                          "harmonic reduction")
+        return np.array([u_s.truncate(n), reg_u], dtype=object)
+    a, u = float(y[0]), float(y[1])
+    if t >= fam.t_switch:
+        V = ref_half_trace(fam, t, fam.Pdot_at(t * a))
+        d = ref_half_trace(fam, t, fam.Pdot_at(t)) + \
+            fam.weight * fam.alpha_dot_at(t) - p / t
+        return np.array([u, (V - p * a / t - d * (a + t * u)) / t])
+    a_s = series.constant(a, K)
+    u_s = series.constant(u, K)
+    reg = ref_peel2(ref_w_series(fam, a_s, u_s, K), "harmonic reduction")
+    return np.array([u, float(series.eval_truncated(reg, t).value)])
+
+
+def ref_biharmonic_reg(fam, t, y):
+    p, K = fam.dim_p, geometry._FLOAT_SERIES_ORDER
+    if isinstance(t, Series):
+        n = t.order
+        m = n + 2
+        a_s, ua_s, b_s, ub_s = (ref_as_series(y[i], m) for i in range(4))
+        w_a = ref_w_series(fam, a_s, ua_s, m)
+        reg_a = ref_peel2(w_a, "harmonic reduction") + b_s.truncate(n)
+        w_b = ref_wf_series(fam, a_s, b_s, ub_s, m)
+        reg_b = ref_peel2(w_b, "tension linearization")
+        return np.array([ua_s.truncate(n), reg_a,
+                         ub_s.truncate(n), reg_b], dtype=object)
+    a, ua, b, ub = (float(y[i]) for i in range(4))
+    if t >= fam.t_switch:
+        V = ref_half_trace(fam, t, fam.Pdot_at(t * a))
+        V2 = ref_half_trace(fam, t, fam.Pddot_at(t * a))
+        d = ref_half_trace(fam, t, fam.Pdot_at(t)) + \
+            fam.weight * fam.alpha_dot_at(t) - p / t
+        reg_a = (V - p * a / t - d * (a + t * ua)) / t + b
+        reg_b = ((V2 - p / (t * t)) * t * b - d * (b + t * ub)) / t
+        return np.array([ua, reg_a, ub, reg_b])
+    a_s, ua_s, b_s, ub_s = (series.constant(x, K) for x in (a, ua, b, ub))
+    w_a = ref_peel2(ref_w_series(fam, a_s, ua_s, K), "harmonic reduction")
+    w_b = ref_peel2(ref_wf_series(fam, a_s, b_s, ub_s, K),
+                    "tension linearization")
+    return np.array([ua, float(series.eval_truncated(w_a, t).value) + b,
+                     ub, float(series.eval_truncated(w_b, t).value)])
+
+
+def ref_sing(p, y):
+    y = np.asarray(y).reshape(-1)
+    if y.dtype == object:
+        return np.array([v * 0.0 if i % 2 == 0 else -(p + 2.0) * v
+                         for i, v in enumerate(y)], dtype=object)
+    return np.array([0.0 if i % 2 == 0 else -(p + 2.0) * float(v)
+                     for i, v in enumerate(y)])
+
+
+class RefHarmonicSolution:
+    def __init__(self, fam, traj):
+        self.family, self.traj = fam, traj
+
+    def r(self, t):
+        return float(t) * float(self.traj.value(t)[0])
+
+    def rdot(self, t):
+        a, u = self.traj.value(t)[:2]
+        return float(a + t * u)
+
+    def rddot(self, t):
+        y = self.traj.value(t)
+        udot = self.traj.problem.rhs(float(t), y)[1]
+        return float(2.0 * y[1] + t * udot)
+
+    def residual(self, t):
+        return geometry.tension_residual(self.family, t, self.r(t),
+                                         self.rdot(t), self.rddot(t))
+
+
+class RefBiharmonicSolution(RefHarmonicSolution):
+    def F(self, t):
+        return float(t) * float(self.traj.value(t)[2])
+
+    def Fdot(self, t):
+        y = self.traj.value(t)
+        return float(y[2] + t * y[3])
+
+    def Fddot(self, t):
+        y = self.traj.value(t)
+        dy = self.traj.problem.rhs(float(t), y)
+        return float(2.0 * y[3] + t * dy[3])
+
+    def residuals(self, t):
+        return geometry.biharmonic_residual(
+            self.family, t, self.r(t), self.rdot(t), self.rddot(t),
+            self.F(t), self.Fdot(t), self.Fddot(t))
+
+
+def outcome(fn, *args):
+    """Exact bytes of a result (floats, arrays, Series, tuples) or the
+    error it raised."""
+    def enc(x):
+        if isinstance(x, Series):
+            return ("S", x.coeffs.dtype.str, x.coeffs.tobytes(), x.t0)
+        if isinstance(x, np.ndarray) and x.dtype == object:
+            return tuple(enc(v) for v in x)
+        if isinstance(x, np.ndarray):
+            return ("A", x.dtype.str, x.tobytes())
+        if isinstance(x, tuple):
+            return tuple(enc(v) for v in x)
+        return ("f", type(x).__name__, np.float64(x).tobytes())
+    try:
+        return enc(fn(*args))
+    except Exception as exc:            # compared, never swallowed
+        return ("E", type(exc).__name__, str(exc))
+
+
+PROBE_FAMILIES = {
+    "sphere": sphere,
+    "flat": flat3,
+    "mixed": lambda: geometry.MetricFamily.from_diagonal(
+        ["sinh(t)^2", "1 + t^2*cos(t)"], dim_p=1, alpha="t^2", weight=2),
+    "block": lambda: geometry.MetricFamily.from_entries(
+        [["t^2*(1 + t^2)", "t^2"], ["t^2", "1 + 2*t^2"]], dim_p=1),
+}
+
+
+def probe_problems(fam):
+    out = [(geometry.assemble_harmonic(fam, 0.7, 1.2), ref_harmonic_reg)]
+    if fam.diagonal:
+        out.append((geometry.assemble_biharmonic(fam, 0.6, 0.3, 1.2),
+                    ref_biharmonic_reg))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_FAMILIES))
+def test_assembled_maps_match_reference_bytes(name):
+    fam = PROBE_FAMILIES[name]()
+    rng = np.random.default_rng(sorted(PROBE_FAMILIES).index(name))
+    for prob, ref_reg in probe_problems(fam):
+        k = prob.k
+        for _ in range(100):
+            # log-uniform on both sides of t_switch
+            t = float(10.0 ** rng.uniform(-5.0, 0.0))
+            y = rng.normal(size=k)
+            assert outcome(prob.m_sing, y) == \
+                outcome(ref_sing, fam.dim_p, y)
+            assert outcome(prob.m_reg, t, y) == \
+                outcome(ref_reg, fam, t, y), (t, y)
+        for order in range(13):
+            y = np.array(
+                [Series(rng.normal(size=order + 1 + int(rng.integers(3))))
+                 if rng.random() < 0.8 else float(rng.normal())
+                 for _ in range(k)], dtype=object)
+            tj = series.identity(order)
+            assert outcome(prob.m_sing, y) == \
+                outcome(ref_sing, fam.dim_p, y)
+            assert outcome(prob.m_reg, tj, y) == \
+                outcome(ref_reg, fam, tj, y), order
+
+
+def test_near_pole_biharmonic_samples_match_reference_bytes():
+    # below t_switch the forcing b is added after the peeled series is
+    # summed; adding it before summation moves the last bits
+    fam = sphere()
+    prob = geometry.assemble_biharmonic(fam, 0.6, 0.3, 1.2)
+    rng = np.random.default_rng(54)
+    for _ in range(200):
+        t = float(10.0 ** rng.uniform(-5.0, np.log10(fam.t_switch)))
+        y = rng.normal(size=4)
+        assert outcome(prob.m_reg, t, y) == \
+            outcome(ref_biharmonic_reg, fam, t, y), (t, y)
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_FAMILIES))
+def test_solution_wrappers_match_reference_bytes(name):
+    fam = PROBE_FAMILIES[name]()
+    ts = [float(t) for t in np.linspace(1e-3, 1.2, 40)]
+    sol = geometry.solve_harmonic(fam, 0.7, 1.2, tol=1e-9)
+    ref = RefHarmonicSolution(fam, sol.traj)
+    for t in ts:
+        for m in ("r", "rdot", "rddot", "residual"):
+            assert outcome(getattr(sol, m), t) == \
+                outcome(getattr(ref, m), t), (m, t)
+    if not fam.diagonal:
+        return
+    bi = geometry.solve_biharmonic(fam, 0.6, 0.3, 1.2, tol=1e-9)
+    ref = RefBiharmonicSolution(fam, bi.traj)
+    for t in ts:
+        for m in ("r", "rdot", "rddot", "F", "Fdot", "Fddot", "residuals"):
+            assert outcome(getattr(bi, m), t) == \
+                outcome(getattr(ref, m), t), (m, t)
+
+
+def test_structure_errors_match_reference_message():
+    def bad():
+        return geometry.MetricFamily.from_diagonal(["t^2", "1"], dim_p=1,
+                                                   alpha="t")
+    want = outcome(ref_check_structure, bad(), False)
+    assert want[:2] == ("E", "StructureError")
+    assert outcome(geometry.assemble_harmonic, bad(), 1.0, 1.0) == want
+    assert outcome(geometry.assemble_biharmonic, bad(), 1.0, 0.5, 1.0) == \
+        outcome(ref_check_structure, bad(), True)

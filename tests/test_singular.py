@@ -275,6 +275,18 @@ def test_affine_jets_are_truncations_of_one_expansion():
         check(order)
 
 
+def test_affine_jet_map_rejects_non_identity_time_jets():
+    # with g = t, a jet claiming t = 7 + 3 s must not be read as t = s
+    aff = singular.AffineSingularMaps(C=[[0.0]], g=["t"])
+    y = np.array([Series([0.0, 0.0, 0.0, 0.0])], dtype=object)
+    out = aff.m_reg(series.identity(3), y)
+    assert list(out[0].coeffs) == [0.0, 1.0, 0.0, 0.0]
+    for bad in (Series([7.0, 3.0, 0.0, 0.0]), Series([0.0, 2.0]),
+                Series([0.0, 1.0], 0.5)):
+        with pytest.raises(ValidationError, match="time jets"):
+            aff.m_reg(bad, y)
+
+
 def test_continuation_limit_check():
     good = singular.continuation_limit_check(
         lambda xi, y: y ** 2 + xi * 0.0, [0.0])
