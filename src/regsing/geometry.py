@@ -122,8 +122,8 @@ class MetricFamily:
         self._alpha_dot = (None if alpha is None
                            else _expr.ExprArray([self._dalpha]))
         self._packs: dict = {}
-        # with_z flags whose _check_structure probe passed (never failures)
-        self._structure_ok: set = set()
+        # set once check_structure passes (a failure is never remembered)
+        self._structure_ok = False
         self.diagonal = all(
             i == j or _is_zero_expr(entries[i, j])
             for i in range(n) for j in range(n))
@@ -375,31 +375,22 @@ def _wf_series(fam: MetricFamily, a_s: Series, b_s: Series, ub_s: Series,
                   "tension linearization")
 
 
-def _check_structure(fam: MetricFamily, with_z: bool):
-    """Probe the pole cancellations once per family and ``with_z``.
-
-    Only a passing probe is remembered, so a family that fails raises on
-    every call.
-    """
-    if with_z in fam._structure_ok:
-        return
-    for a0, u0 in ((0.83, 0.41), (-0.37, 0.9)):
-        a_s = _series.constant(a0, 8)
-        u_s = _series.constant(u0, 8)
-        _w_series(fam, a_s, u_s, 8)
-        if with_z:
-            _wf_series(fam, a_s, a_s, u_s, 8)
-    fam._structure_ok.add(with_z)
-
-
 def check_structure(fam: MetricFamily):
     """Probe the pole cancellations needed by the analytic reductions.
 
-    Raises StructureError when odd low-order metric data leaves a residue
-    (the tension-linearization probe runs only for diagonal families, the
-    only case where the coupled reduction is offered).
+    Raises StructureError when odd low-order metric data leaves a residue.
+    For constant ``a`` and ``u`` the residue of the harmonic reduction is
+    ``c1 t`` with ``c1`` a quadratic in ``a(0)`` alone, so three distinct
+    values of ``a(0)`` show that it vanishes for every profile; the residue
+    of the tension linearization, ``b dc1/da``, then vanishes too.  Only a
+    passing probe is remembered, so a family that fails raises on every
+    call.
     """
-    _check_structure(fam, with_z=fam.diagonal)
+    if fam._structure_ok:
+        return
+    for a0, u0 in ((0.83, 0.41), (-0.37, 0.9), (1.61, -0.23)):
+        _w_series(fam, _series.constant(a0, 8), _series.constant(u0, 8), 8)
+    fam._structure_ok = True
 
 
 # -- pointwise trace quantities ----------------------------------------------
@@ -476,6 +467,22 @@ def _harmonic_reg(fam: MetricFamily, t: float, a: float, u: float):
     return float(_series.eval_truncated(reg, t).value), None
 
 
+def _profile_sing(p: int):
+    """``m_sing`` of the profile reductions: ``(0, -(p+2) u)`` for each
+    ``(x, u)`` pair of the state, so each slope is a free parameter."""
+    def m_sing(y):
+        y = np.asarray(y).reshape(-1)
+        if y.dtype == object:
+            out = -(p + 2.0) * y
+            out[::2] = y[::2] * 0.0
+            return out
+        out = -(p + 2.0) * y
+        out[::2] = 0.0
+        return out
+
+    return m_sing
+
+
 def assemble_harmonic(fam: MetricFamily, v: float,
                       t_end: float) -> SingularIVP:
     """Singular IVP for the profile ``r = t a(t)`` with ``r'(0) = v``.
@@ -486,13 +493,7 @@ def assemble_harmonic(fam: MetricFamily, v: float,
     """
     p = fam.dim_p
     fam.pack(8)
-    _check_structure(fam, with_z=False)
-
-    def m_sing(y):
-        y = np.asarray(y).reshape(-1)
-        if y.dtype == object:
-            return np.array([y[0] * 0.0, -(p + 2.0) * y[1]], dtype=object)
-        return np.array([0.0, -(p + 2.0) * float(y[1])])
+    check_structure(fam)
 
     def m_reg(t, y):
         if isinstance(t, Series):
@@ -504,7 +505,7 @@ def assemble_harmonic(fam: MetricFamily, v: float,
         return np.array([u, _harmonic_reg(fam, t, float(y[0]), u)[0]])
 
     meta = {"kind": "harmonic", "family": fam, "v": float(v)}
-    return SingularIVP(m_sing, m_reg, [float(v), 0.0], t_end,
+    return SingularIVP(_profile_sing(p), m_reg, [float(v), 0.0], t_end,
                        jet_capable=True, meta=meta)
 
 
@@ -522,15 +523,7 @@ def assemble_biharmonic(fam: MetricFamily, v: float, w: float,
             "biharmonic reduction supports diagonal families only")
     p = fam.dim_p
     fam.pack(8)
-    _check_structure(fam, with_z=True)
-
-    def m_sing(y):
-        y = np.asarray(y).reshape(-1)
-        if y.dtype == object:
-            return np.array([y[0] * 0.0, -(p + 2.0) * y[1],
-                             y[2] * 0.0, -(p + 2.0) * y[3]], dtype=object)
-        return np.array([0.0, -(p + 2.0) * float(y[1]),
-                         0.0, -(p + 2.0) * float(y[3])])
+    check_structure(fam)
 
     def m_reg(t, y):
         if isinstance(t, Series):
@@ -555,7 +548,8 @@ def assemble_biharmonic(fam: MetricFamily, v: float, w: float,
 
     meta = {"kind": "biharmonic", "family": fam,
             "v": float(v), "w": float(w)}
-    return SingularIVP(m_sing, m_reg, [float(v), 0.0, float(w), 0.0], t_end,
+    return SingularIVP(_profile_sing(p), m_reg,
+                       [float(v), 0.0, float(w), 0.0], t_end,
                        jet_capable=True, meta=meta)
 
 

@@ -118,15 +118,12 @@ _PROBE_ERRORS = (TypeError, ValueError, ArithmeticError, AttributeError,
                  RegsingError)
 
 
-def _probe_jet_capable(m_sing, m_reg, y0) -> str | None:
-    """None if both maps run on Series jets, else the repr of the error."""
+def _probe_jets(*calls) -> str | None:
+    """Run each call (a map applied to jet arguments) in turn: None if all
+    return jets, else the repr of the first error."""
     try:
-        yj = _const_jets(y0, 2)
-        out = np.asarray(m_sing(yj), dtype=object).reshape(-1)
-        _jet_coeffs(out, 1)
-        tj = _series.identity(2)
-        out2 = np.asarray(m_reg(tj, yj), dtype=object).reshape(-1)
-        _jet_coeffs(out2, 1)
+        for call in calls:
+            _jet_coeffs(call(), 1)
     except _PROBE_ERRORS as exc:
         return repr(exc)
     return None
@@ -162,8 +159,10 @@ class SingularIVP:
         if not self.t_end > 0:
             raise ValidationError(f"t_end must be positive, got {self.t_end}")
         if self.jet_capable is None:
-            self.jet_probe_error = _probe_jet_capable(
-                self.m_sing, self.m_reg, self.y0)
+            yj = _const_jets(self.y0, 2)
+            self.jet_probe_error = _probe_jets(
+                lambda: self.m_sing(yj),
+                lambda: self.m_reg(_series.identity(2), yj))
             self.jet_capable = self.jet_probe_error is None
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
@@ -198,6 +197,12 @@ def _jet_jacobian(fn, y0: np.ndarray) -> np.ndarray:
     return J
 
 
+def _jacobian(fn, y0: np.ndarray, jet_capable: bool) -> np.ndarray:
+    """Jacobian of ``fn`` at ``y0``: exact in Taylor mode, else central
+    differences."""
+    return (_jet_jacobian if jet_capable else _fd_jacobian)(fn, y0)
+
+
 @dataclass
 class AdmissibilityReport:
     """Outcome of the two entry conditions at the pole.
@@ -222,10 +227,7 @@ def check_admissibility(p: SingularIVP, order: int = DEFAULT_ORDER
     """Evaluate both admissibility conditions, never raising on failure."""
     resid = np.asarray(p.m_sing(p.y0), dtype=float).reshape(-1)
     residual_norm = float(np.linalg.norm(resid, np.inf))
-    if p.jet_capable:
-        J = _jet_jacobian(p.m_sing, p.y0)
-    else:
-        J = _fd_jacobian(p.m_sing, p.y0)
+    J = _jacobian(p.m_sing, p.y0, p.jet_capable)
     normJ = float(np.linalg.norm(J, 2))
     eye = np.eye(p.k)
     offending = []
@@ -275,10 +277,7 @@ def bootstrap_series(p: SingularIVP, order: int = DEFAULT_ORDER
         raise ValidationError(
             f"black-box maps support bootstrap order <= {BLACKBOX_MAX_ORDER}")
     k = p.k
-    if p.jet_capable:
-        J = _jet_jacobian(p.m_sing, p.y0)
-    else:
-        J = _fd_jacobian(p.m_sing, p.y0)
+    J = _jacobian(p.m_sing, p.y0, p.jet_capable)
     eye = np.eye(k)
     coeffs = np.zeros((order + 1, k))
     coeffs[0] = p.y0
@@ -327,13 +326,10 @@ def _series_value(coeffs: np.ndarray, t: float) -> np.ndarray:
 
 
 def _series_derivative(coeffs: np.ndarray, t: float) -> np.ndarray:
-    order = coeffs.shape[0] - 1
-    if order == 0:
+    if coeffs.shape[0] == 1:
         return np.zeros_like(coeffs[0])
-    acc = (order * coeffs[order]).astype(float).copy()
-    for h in range(order - 1, 0, -1):
-        acc = acc * t + h * coeffs[h]
-    return acc
+    return _series_value(np.arange(1, coeffs.shape[0])[:, None] * coeffs[1:],
+                         t)
 
 
 def choose_handoff(coeffs: np.ndarray, tol: float, t_max: float,
@@ -388,12 +384,18 @@ class Trajectory:
     def ys(self) -> np.ndarray:
         return self.result.ys
 
+    def _on_series(self, t: float) -> bool:
+        """True at or below the handoff, where the series part is read."""
+        if t > self.handoff:
+            return False
+        if self.coeffs is None:
+            raise ValidationError(
+                f"trajectory starts at {self.handoff}; no series part")
+        return True
+
     def value(self, t: float) -> np.ndarray:
         t = float(t)
-        if t <= self.handoff:
-            if self.coeffs is None:
-                raise ValidationError(
-                    f"trajectory starts at {self.handoff}; no series part")
+        if self._on_series(t):
             return _series_value(self.coeffs, t)
         return self.result.value(t)
 
@@ -401,10 +403,7 @@ class Trajectory:
 
     def derivative(self, t: float) -> np.ndarray:
         t = float(t)
-        if t <= self.handoff:
-            if self.coeffs is None:
-                raise ValidationError(
-                    f"trajectory starts at {self.handoff}; no series part")
+        if self._on_series(t):
             return _series_derivative(self.coeffs, t)
         return self.result.derivative(t)
 
@@ -414,22 +413,20 @@ class Trajectory:
         return float(np.linalg.norm(dy - f, np.inf))
 
 
-def integrate(p: SingularIVP, t0: float, y_t0, tol: float = 1e-10,
-              max_step: float | None = None) -> Trajectory:
+def integrate(p: SingularIVP, t0: float, y_t0,
+              tol: float = 1e-10) -> Trajectory:
     """Adaptive integration from ``t0 > 0`` to ``t_end``.
 
-    The step cap keeps the quartic interpolant's slope error in the same
-    band as the local error, so downstream residual checks inherit the
-    tolerance.
+    Steps are capped at ``max((100 tol)^(1/4), 1e-3)``.  The cap keeps the
+    quartic interpolant's slope error in the same band as the local error,
+    so downstream residual checks inherit the tolerance.
     """
     t0 = float(t0)
     if not 0 < t0 < p.t_end:
         raise ValidationError(f"need 0 < t0 < t_end, got t0={t0}")
-    if max_step is None:
-        max_step = max((100.0 * tol) ** 0.25, 1e-3)
     y_t0 = np.asarray(y_t0, dtype=float).reshape(-1)
     res = _rk.integrate_adaptive(p.rhs, t0, y_t0, p.t_end, tol, tol,
-                                 max_step=max_step)
+                                 max_step=max((100.0 * tol) ** 0.25, 1e-3))
     traj = Trajectory(p, None, t0, res, tol)
     traj.diagnostics = _step_diagnostics(traj)
     return traj
@@ -450,8 +447,7 @@ def _step_diagnostics(traj: Trajectory) -> dict:
 
 
 def solve(p: SingularIVP, *, tol: float = 1e-10, order: int = DEFAULT_ORDER,
-          t_max: float = 0.1, handoff: float | None = None,
-          max_step: float | None = None) -> Trajectory:
+          t_max: float = 0.1, handoff: float | None = None) -> Trajectory:
     """Admissibility check, series bootstrap, handoff, then integration.
 
     Raises
@@ -479,14 +475,12 @@ def solve(p: SingularIVP, *, tol: float = 1e-10, order: int = DEFAULT_ORDER,
         y_t0 = _series_value(coeffs, t0)
     else:
         t0, y_t0 = choose_handoff(coeffs, tol, t_max, p.t_end)
-    traj = integrate(p, t0, y_t0, tol, max_step=max_step)
-    full = Trajectory(p, coeffs, t0, traj.result, tol)
-    full.diagnostics = dict(traj.diagnostics)
-    full.diagnostics["admissibility"] = report
-    full.diagnostics["handoff"] = t0
-    full.diagnostics["series_order"] = order
-    full.diagnostics["jet_probe_error"] = p.jet_probe_error
-    return full
+    traj = integrate(p, t0, y_t0, tol)
+    traj.coeffs = coeffs
+    traj.diagnostics.update(admissibility=report, handoff=t0,
+                            series_order=order,
+                            jet_probe_error=p.jet_probe_error)
+    return traj
 
 
 # -- expression-backed affine maps ------------------------------------------
@@ -609,34 +603,40 @@ def continuation_limit_check(f: Callable, Y0) -> LimitCheck:
     return LimitCheck(r < EPS_ADMISSIBLE, r)
 
 
-def _probe_f_jets(f, Y0) -> str | None:
-    """None if ``f`` runs on Series jets, else the repr of the error."""
-    try:
-        xj = _series.identity(1)
-        yj = _const_jets(Y0, 1)
-        out = np.asarray(f(xj, yj), dtype=object).reshape(-1)
-        _jet_coeffs(out, 1)
-    except _PROBE_ERRORS as exc:
-        return repr(exc)
-    return None
+def _pole_data(f, Y0: np.ndarray):
+    """Linearization of ``f`` at the pole: ``(a0, A0, B, Y1, probe_error)``.
 
+    Checks ``f(0, Y0) = 0``, takes ``a0 = df/dxi`` and ``A0 = df/dY`` at
+    ``(0, Y0)`` in Taylor mode (central differences when the jet probe
+    fails), checks that ``B = I + A0`` is invertible and solves for the
+    forced derivative ``Y1 = -B^{-1} a0``.
+    """
+    chk = continuation_limit_check(f, Y0)
+    if not chk.passed:
+        raise ValidationError(
+            f"f(0, Y0) = 0 violated (residual {chk.residual:.3e})")
 
-def _linearize(f, Y0):
-    """a0 = df/dxi and A0 = df/dY at (0, Y0), plus the jet probe's error."""
-    Y0 = np.asarray(Y0, dtype=float).reshape(-1)
-    probe_error = _probe_f_jets(f, Y0)
-    if probe_error is None:
-        xj = _series.identity(1)
-        out = np.asarray(f(xj, _const_jets(Y0, 1)), dtype=object).reshape(-1)
-        a0 = _jet_coeffs(out, 1)
-        A0 = _jet_jacobian(lambda y: f(_series.constant(0.0, 1), y), Y0)
+    def at_jets():
+        return f(_series.identity(1), _const_jets(Y0, 1))
+
+    probe_error = _probe_jets(at_jets)
+    jet_capable = probe_error is None
+    if jet_capable:
+        a0 = _jet_coeffs(at_jets(), 1)
     else:
         h = (np.finfo(float).eps) ** (1 / 3)
         fp = np.asarray(f(h, Y0), dtype=float).reshape(-1)
         fm = np.asarray(f(-h, Y0), dtype=float).reshape(-1)
         a0 = (fp - fm) / (2 * h)
-        A0 = _fd_jacobian(lambda y: f(0.0, y), Y0)
-    return a0, A0, probe_error
+    xi0 = _series.constant(0.0, 1) if jet_capable else 0.0
+    A0 = _jacobian(lambda y: f(xi0, y), Y0, jet_capable)
+    B = np.eye(Y0.size) + A0
+    smin = float(np.linalg.svd(B, compute_uv=False)[-1])
+    if smin < EPS_INVERTIBLE * (1.0 + float(np.linalg.norm(A0, 2))):
+        raise NumericalError(
+            "I + A0 is numerically singular; spectrum of A0: "
+            f"{np.linalg.eigvals(A0)}")
+    return a0, A0, B, np.linalg.solve(B, -a0), probe_error
 
 
 def initial_derivative(f: Callable, Y0) -> np.ndarray:
@@ -645,19 +645,7 @@ def initial_derivative(f: Callable, Y0) -> np.ndarray:
     ``a0`` and ``A0`` are the partial derivatives of ``f`` at ``(0, Y0)``;
     requires ``f(0, Y0) = 0`` and ``I + A0`` invertible.
     """
-    Y0 = np.asarray(Y0, dtype=float).reshape(-1)
-    chk = continuation_limit_check(f, Y0)
-    if not chk.passed:
-        raise ValidationError(
-            f"f(0, Y0) = 0 violated (residual {chk.residual:.3e})")
-    a0, A0, _ = _linearize(f, Y0)
-    B = np.eye(Y0.size) + A0
-    smin = float(np.linalg.svd(B, compute_uv=False)[-1])
-    if smin < EPS_INVERTIBLE * (1.0 + float(np.linalg.norm(A0, 2))):
-        raise NumericalError(
-            "I + A0 is numerically singular; spectrum of A0: "
-            f"{np.linalg.eigvals(A0)}")
-    return np.linalg.solve(B, -a0)
+    return _pole_data(f, np.asarray(Y0, dtype=float).reshape(-1))[3]
 
 
 def normalize(f: Callable, Y0) -> Callable:
@@ -673,54 +661,32 @@ def normalize(f: Callable, Y0) -> Callable:
     return shifted
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-_GL_T = 0.5 * (_GL_NODES + 1.0)
-_GL_W = 0.5 * _GL_WEIGHTS
-
 _HAT_SWITCH = 1e-2
 _HAT_ORDER = 12
-
-
-def _dir_derivative(f, xi, y, dxi, dy, jet_capable):
-    """First derivative of s -> f(xi + s dxi, y + s dy) at s = 0."""
-    if jet_capable:
-        xj = Series([xi, dxi])
-        yj = np.array([Series([y[i], dy[i]]) for i in range(len(y))],
-                      dtype=object)
-        return _jet_coeffs(np.asarray(f(xj, yj), dtype=object), 1)
-    h = (np.finfo(float).eps) ** (1 / 3) / max(1.0, float(
-        np.linalg.norm(dy, np.inf)) + abs(dxi))
-    fp = np.asarray(f(xi + h * dxi, y + h * dy), dtype=float).reshape(-1)
-    fm = np.asarray(f(xi - h * dxi, y - h * dy), dtype=float).reshape(-1)
-    return (fp - fm) / (2 * h)
 
 
 def reduce_hat(f: Callable, Y0, t_end: float = 1.0) -> SingularIVP:
     """Reduce ``0 = Y' + f(xi, Y)/xi`` to the hat variable problem.
 
     With ``Y = Y0 + xi Yhat`` the system becomes ``0 = Yhat' + (1/xi)
-    fhat(xi, Yhat)`` whose singular slice is affine: ``fhat(0, w) = a0 +
-    (I + A0) w``.  The result is packaged as a :class:`SingularIVP`
-    (``m_sing = -fhat(0, .)``, smooth remainder in ``m_reg``) with the
-    admissible initial value ``Yhat(0) = -(I + A0)^{-1} a0`` filled in.
+    fhat(xi, Yhat)`` with ``fhat(xi, w) = w + f(xi, Y0 + xi w)/xi``, whose
+    singular slice is affine: ``fhat(0, w) = a0 + (I + A0) w``.  The result
+    is packaged as a :class:`SingularIVP` (``m_sing = -fhat(0, .)``, smooth
+    remainder in ``m_reg``) with the admissible initial value ``Yhat(0) =
+    -(I + A0)^{-1} a0`` filled in.  Like :func:`initial_derivative`, it
+    raises NumericalError when ``I + A0`` is numerically singular.
 
-    ``fhat`` itself is the averaged derivative ``Yhat + integral of
-    [df/dxi + df/dY . Yhat] along the ray from (0, Y0) to (xi, Y0 + xi
-    Yhat)``; away from 0 this telescopes to ``Yhat + f(xi, Y0 + xi
-    Yhat)/xi`` and both forms are used in their stable regions
-    (Gauss-Legendre quadrature over the ray for black-box maps, series
-    manipulation for Taylor-capable ones).
+    ``m_reg(xi, w) = -(fhat(xi, w) - fhat(0, w))/xi`` is evaluated in this
+    direct form from ``|xi| >= 1e-2`` on.  Closer to the pole the direct
+    form cancels, so ``m_reg`` is summed from the Taylor coefficients of
+    ``psi(s) = f(s, Y0 + s w)``: computed in Taylor mode to order 12 for
+    Taylor-capable maps, by central-difference stencils of orders 2 to 4
+    for black-box maps.
     """
     Y0 = np.asarray(Y0, dtype=float).reshape(-1)
     k = Y0.size
-    chk = continuation_limit_check(f, Y0)
-    if not chk.passed:
-        raise ValidationError(
-            f"f(0, Y0) = 0 violated (residual {chk.residual:.3e})")
-    a0, A0, probe_error = _linearize(f, Y0)
+    a0, A0, B, y_hat0, probe_error = _pole_data(f, Y0)
     jet_capable = probe_error is None
-    B = np.eye(k) + A0
-    y_hat0 = np.linalg.solve(B, -a0)
 
     def fhat_jet(xi_jet: Series, w):
         # psi(s) = f(s, Y0 + s w(s)) as a series in s; fhat = w + psi/s
@@ -738,22 +704,6 @@ def reduce_hat(f: Callable, Y0, t_end: float = 1.0) -> SingularIVP:
             shifted = Series(np.asarray(ci)[1:order + 2], 0.0)
             out[i] = _as_jet(w[i], order) + shifted
         return out
-
-    def fhat_float(xi: float, w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float).reshape(-1)
-        if abs(xi) >= _HAT_SWITCH:
-            val = np.asarray(f(xi, Y0 + xi * w), dtype=float).reshape(-1)
-            return w + val / xi
-        if jet_capable:
-            jet = fhat_jet(_series.identity(_HAT_ORDER), _const_jets(
-                w, _HAT_ORDER))
-            return np.array([_series.eval_truncated(
-                jet[i], xi).value for i in range(k)])
-        acc = np.zeros(k)
-        for tau, wt in zip(_GL_T, _GL_W):
-            acc = acc + wt * _dir_derivative(
-                f, tau * xi, Y0 + tau * xi * w, 1.0, w, jet_capable)
-        return w + acc
 
     def m_sing(y):
         return -(a0 + B @ np.asarray(y))
@@ -775,16 +725,16 @@ def reduce_hat(f: Callable, Y0, t_end: float = 1.0) -> SingularIVP:
             return out
         y = np.asarray(y, dtype=float).reshape(-1)
         if abs(t) >= _HAT_SWITCH:
-            return -(fhat_float(t, y) - (a0 + B @ y)) / t
+            val = np.asarray(f(t, Y0 + t * y), dtype=float).reshape(-1)
+            return -((y + val / t) - (a0 + B @ y)) / t
         if jet_capable:
+            # coefficient 0 of fhat, fhat(0, y) = a0 + B y, cancels in m_reg
             jet = fhat_jet(_series.identity(_HAT_ORDER), _const_jets(
                 y, _HAT_ORDER))
-            aff = a0 + B @ y
             out = np.empty(k)
             for i in range(k):
-                c = jet[i].coeffs.copy()
-                c[0] -= aff[i]
-                out[i] = -_series.eval_truncated(Series(c[1:], 0.0), t).value
+                out[i] = -_series.eval_truncated(
+                    Series(jet[i].coeffs[1:], 0.0), t).value
             return out
         # black box near 0: m_reg(t, y) = -(psi_2 + psi_3 t + psi_4 t^2 +
         # ...) where psi(s) = f(s, Y0 + s y); moderate-step stencils avoid
@@ -836,7 +786,8 @@ def check_weakly_nonlinear(f: Callable, dim: int,
     """
     if order < 2:
         raise ValidationError("order must be at least 2")
-    probe_error = _probe_f_jets(f, np.zeros(dim))
+    probe_error = _probe_jets(
+        lambda: f(_series.identity(1), _const_jets(np.zeros(dim), 1)))
     if probe_error is not None:
         raise ValidationError(
             "weak nonlinearity test needs a Taylor-capable map; the jet "

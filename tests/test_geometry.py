@@ -140,8 +140,21 @@ def test_structure_failure_raises_on_every_assembly():
     ok = flat3()
     geometry.assemble_harmonic(ok, 1.0, 1.0)
     geometry.assemble_biharmonic(ok, 1.0, 0.5, 1.0)
-    assert ok._structure_ok == {False, True}
+    assert ok._structure_ok is True
     assert not bad._structure_ok
+
+
+def test_structure_probe_catches_family_tuned_to_two_probe_values():
+    # the residue coefficient c1 is a quadratic in a(0); this family zeroes
+    # it at a(0) = 0.83 and -0.37, and the third probe value catches it
+    def tuned():
+        return geometry.MetricFamily.from_diagonal(
+            ["t^2*(1 + t)", "1 - 0.9213*t"], dim_p=1, alpha="-0.34935*t")
+
+    with pytest.raises(StructureError, match="^harmonic reduction"):
+        geometry.assemble_harmonic(tuned(), 0.83, 1.0)
+    with pytest.raises(StructureError, match="^harmonic reduction"):
+        geometry.assemble_biharmonic(tuned(), 0.83, 0.2, 1.0)
 
 
 def test_time_jets_must_expand_the_identity():

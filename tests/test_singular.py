@@ -360,6 +360,35 @@ def test_reduce_hat_rejects_bad_base_point():
         singular.reduce_hat(lambda xi, y: y + 1.0, [0.0])
 
 
+@pytest.mark.parametrize("f", [
+    lambda xi, y: -y,
+    lambda xi, y: np.array([-float(y[0])]),
+    lambda xi, y: -(1.0 - 1e-13) * y + xi,
+    lambda xi, y: np.array([-(1.0 - 1e-13) * float(y[0]) + float(xi)]),
+], ids=["singular-jets", "singular-blackbox", "near-singular-jets",
+        "near-singular-blackbox"])
+def test_reduce_hat_rejects_singular_linearization(f):
+    # I + A0 is 0 or 1e-13: without the check the hat solve raised
+    # LinAlgError or returned Yhat(0) ~ -1e13
+    with pytest.raises(NumericalError,
+                       match=r"^I \+ A0 is numerically singular"):
+        singular.reduce_hat(f, [0.0])
+
+
+def test_reduce_hat_near_pole_jet_remainder():
+    # a0 = -1, A0 = 2, and m_reg(t, y) = (sin t - t)/t^2 + t y^2 exactly
+    def f(xi, y):
+        return 2.0 * y - series.sin(xi) - xi * y * y
+
+    p = singular.reduce_hat(f, [0.0])
+    assert p.jet_capable
+    for t in (9e-3, 1e-3, 1e-5):        # below the switch to the direct form
+        for y in (0.0, 0.7, -1.3):
+            want = -t / 6 + t ** 3 / 120 - t ** 5 / 5040 + t * y * y
+            assert p.m_reg(t, np.array([y]))[0] == \
+                pytest.approx(want, rel=1e-13, abs=1e-300)
+
+
 def test_reduce_hat_solution_satisfies_original():
     # transport the hat solution back and check the unreduced equation
     p = singular.reduce_hat(riccati, [0.0], t_end=0.5)
