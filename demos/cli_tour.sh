@@ -1,7 +1,8 @@
 #!/bin/sh
 # Quick tour of the command line front end using the sample configs.
-# Run from the repository root after `pip install -e .`.
-set -x
+# Run from the repository root after `pip install -e .`.  The tour stops
+# at the first command that fails.
+set -ex
 
 regsing solve-harmonic --config demos/configs/sphere_identity.json --quiet
 regsing solve-harmonic --config demos/configs/flat_sweep.json --quiet
@@ -11,5 +12,7 @@ regsing solve-singular --config demos/configs/affine_singular.json --quiet
 regsing check --config demos/configs/check_sphere.json
 
 # this one exits 2 on purpose: the problem is resonant at the pole and
-# the report explains why
-regsing check --config demos/configs/check_rejected.json
+# the report explains why; any other exit status ends the tour as a failure
+status=0
+regsing check --config demos/configs/check_rejected.json || status=$?
+test "$status" -eq 2

@@ -5,8 +5,7 @@ first ``dim_p`` frame directions collapse at ``t = 0`` like ``t`` (sphere
 type) and the remaining ``dim_m`` stay finite.  Writing ``D(t) =
 diag(t I_p, I_m)``, the family is usable at the origin when ``P = D R D``
 with ``R`` analytic and ``R(0)`` positive definite; the entry series of
-``R`` are obtained from the entries of ``P`` by dropping ``2 / 1 / 0``
-leading coefficients in the pp / pm / mm blocks.
+``R`` drop ``2 / 1 / 0`` leading coefficients of the pp / pm / mm blocks.
 
 Equivariant maps are profiles ``r(t)`` transplanted along the orbits.  The
 harmonic map equation reduces to
@@ -17,21 +16,23 @@ with ``drift = Tr(P^-1 P')/2`` and ``V(t, rho) = Tr(P(t)^-1 dP/dt|_rho)/2``;
 the optional conformal exponent ``alpha`` models an extra warped factor of
 dimension ``weight``.  Biharmonic profiles couple this to the linearized
 (Jacobi) equation for the tension ``F`` through the second radial
-derivative of ``P``; that path is restricted to diagonal families.
+derivative of ``P``; that path is restricted to diagonal families.  From
+``t_switch`` on, the traces of a diagonal family are the closed form
+``sum_i X_ii / P_ii`` and a block family solves ``P(t) S = [P'(rho) |
+P'(t)]`` once; below ``t_switch`` they come from pole-peeled series.
 
 Both reductions have a simple pole at ``t = 0``.  Substituting ``r = t a``
 (and ``F = t b``) produces problems in the class handled by
 :mod:`regsing.singular`, with singular part ``(0, -(p+2) u)`` and free
 initial slope: the assembled maps run on floats and on series jets, so the
 bootstrap there is exact.  Metrics whose odd low-order data does not
-cancel the order-one residue (for example a conformal factor with
-``alpha'(0) != 0``) have no analytic reduction; the series paths raise
-StructureError for them while pointwise evaluation away from 0 still
-works.
+cancel the order-one residue (for example ``alpha'(0) != 0``) have no
+analytic reduction; their series paths raise StructureError.
 """
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass
 from typing import Optional
@@ -59,6 +60,7 @@ MAX_METRIC_DIM = 16
 _SHIFT_TOL = 1e-9
 _STRUCT_TOL = 5e-7
 _FLOAT_SERIES_ORDER = 12
+_differentiate = np.frompyfunc(_expr.differentiate, 1, 1)   # entrywise
 
 
 def _sderiv(s: Series) -> Series:
@@ -78,7 +80,7 @@ class MetricFamily:
         Entries of ``P`` as expressions in the radial variable.
     dim_p : int
         Number of leading directions collapsing at the origin.
-    alpha : Expr or None
+    alpha : Expr, str or None
         Conformal exponent of an optional extra warped factor.
     weight : int
         Dimension carried by ``alpha`` in the drift term.
@@ -106,50 +108,38 @@ class MetricFamily:
         self.n = n
         self.dim_p = int(dim_p)
         self.dim_m = n - self.dim_p
-        self.alpha = alpha
+        self.alpha = alpha = None if alpha is None else _parse(alpha)
         self.weight = int(weight)
         self.t_validate = float(t_validate)
         if t_switch is not None:
             self.t_switch = float(t_switch)
-        self._dentries = np.array(
-            [[_expr.differentiate(entries[i, j]) for j in range(n)]
-             for i in range(n)], dtype=object)
+        self._dentries = _differentiate(entries)
         self._dalpha = None if alpha is None else _expr.differentiate(alpha)
+        self.diagonal = all(
+            isinstance(e, _expr.Num) and e.value == 0
+            for e in entries[~np.eye(n, dtype=bool)])
         # each compiled on its first pointwise call
         self._P = _expr.ExprArray(entries)
         self._Pdot = _expr.ExprArray(self._dentries)
-        self._Pddot = None      # differentiated on its first call
         self._alpha_dot = (None if alpha is None
                            else _expr.ExprArray([self._dalpha]))
         self._packs: dict = {}
         # set once check_structure passes (a failure is never remembered)
         self._structure_ok = False
-        self.diagonal = all(
-            i == j or _is_zero_expr(entries[i, j])
-            for i in range(n) for j in range(n))
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def from_diagonal(cls, diag, dim_p: int, **kw) -> "MetricFamily":
         diag = [_parse(e) for e in diag]
-        n = len(diag)
-        zero = _expr.Num(0.0)
-        entries = np.full((n, n), zero, dtype=object)
-        for i, e in enumerate(diag):
-            entries[i, i] = e
-        kw.setdefault("alpha", None)
-        if kw["alpha"] is not None:
-            kw["alpha"] = _parse(kw["alpha"])
+        entries = np.full((len(diag),) * 2, _expr.Num(0.0), dtype=object)
+        np.fill_diagonal(entries, diag)
         return cls(entries, dim_p, **kw)
 
     @classmethod
     def from_entries(cls, rows, dim_p: int, **kw) -> "MetricFamily":
         entries = np.array([[_parse(e) for e in row] for row in rows],
                            dtype=object)
-        kw.setdefault("alpha", None)
-        if kw["alpha"] is not None:
-            kw["alpha"] = _parse(kw["alpha"])
         return cls(entries, dim_p, **kw)
 
     # -- pointwise evaluation -----------------------------------------------
@@ -161,11 +151,22 @@ class MetricFamily:
         return self._Pdot.eval_real(t)
 
     def Pddot_at(self, t: float) -> np.ndarray:
-        if self._Pddot is None:
-            self._Pddot = _expr.ExprArray(
-                [[_expr.differentiate(self._dentries[i, j])
-                  for j in range(self.n)] for i in range(self.n)])
-        return self._Pddot.eval_real(t)
+        return self._second[0].eval_real(t)
+
+    @functools.cached_property
+    def _direct(self):
+        """``[P, P']`` at ``t`` and ``[P']`` at ``rho`` for the direct branch,
+        diagonals only where the family is diagonal; built on first use."""
+        pick = np.diagonal if self.diagonal else np.ravel
+        d1 = pick(self._dentries)
+        return _expr.ExprArray([*pick(self.entries), *d1]), _expr.ExprArray(d1)
+
+    @functools.cached_property
+    def _second(self):
+        """``P''``, and ``[P', P'']`` over the diagonal; built on first use."""
+        dd = _differentiate(self._dentries)
+        return _expr.ExprArray(dd), _expr.ExprArray(
+            [*np.diagonal(self._dentries), *np.diagonal(dd)])
 
     def alpha_dot_at(self, t: float) -> float:
         if self._alpha_dot is None:
@@ -173,9 +174,6 @@ class MetricFamily:
         return float(self._alpha_dot.eval_real(t)[0])
 
     # -- series data ---------------------------------------------------------
-
-    def _shift_of(self, i: int, j: int) -> int:
-        return (i < self.dim_p) + (j < self.dim_p)
 
     def pack(self, order: int) -> dict:
         """Cached sandwich series at the origin up to ``order``.
@@ -189,7 +187,7 @@ class MetricFamily:
         R = np.empty((n, n), dtype=object)
         for i in range(n):
             for j in range(n):
-                shift = self._shift_of(i, j)
+                shift = (i < self.dim_p) + (j < self.dim_p)
                 full = _expr.taylor(self.entries[i, j], 0.0, order + 1 + shift)
                 c = full.coeffs
                 scale = 1.0 + float(np.abs(c).max())
@@ -223,10 +221,6 @@ class MetricFamily:
         return pack
 
 
-def _is_zero_expr(e) -> bool:
-    return isinstance(e, _expr.Num) and e.value == 0
-
-
 def _parse(e):
     if isinstance(e, str):
         return _expr.parse(e)
@@ -242,12 +236,8 @@ def _mat_coeff_stack(M: np.ndarray, order: int) -> np.ndarray:
     out = np.zeros((order + 1, n, n))
     for i in range(n):
         for j in range(n):
-            s = M[i, j]
-            if isinstance(s, Series):
-                m = min(order, s.order)
-                out[: m + 1, i, j] = s.coeffs[: m + 1].real
-            else:
-                out[0, i, j] = float(s)
+            m = min(order, M[i, j].order)
+            out[: m + 1, i, j] = M[i, j].coeffs[: m + 1].real
     return out
 
 
@@ -407,24 +397,44 @@ def _trace_path(fam: MetricFamily, t: float, force_path,
             "families only")
     if force_path not in (None, "direct", "series"):
         raise ValidationError(f"unknown path {force_path!r}")
-    if force_path is not None:
-        return force_path
-    return "direct" if t >= fam.t_switch else "series"
+    return force_path or ("direct" if t >= fam.t_switch else "series")
 
 
-def _half_trace(P: np.ndarray, X: np.ndarray) -> float:
-    return 0.5 * float(np.trace(np.linalg.solve(P, X)))
+def _direct_traces(fam: MetricFamily, t: float, rho: float, second: bool):
+    """``(V, drift, V2)`` of the direct branch, ``drift = Tr(P^-1 P')/2``
+    and ``V2`` None unless ``second``.  Diagonal families sum ``X_ii /
+    P_ii``; block families solve ``P(t) S = [P'(rho) | P'(t)]`` once.
+    Sums run in index order; a singular ``P(t)`` raises NumericalError."""
+    n, at = fam.n, fam._direct[0].eval_real(t)    # P(t), P'(t) in one call
+    x = (fam._second[1] if second else fam._direct[1]).eval_real(rho)
+    try:
+        if fam.diagonal:
+            at, x = at.tolist(), x.tolist()
+            div, rows = at[:n], (x[:n], at[n:], x[n:])
+        else:   # S already holds the terms: unit divisors
+            P, Pdot = at.reshape(2, n, n)
+            S = np.linalg.solve(P, np.hstack((x.reshape(n, n), Pdot)))
+            rows = S.diagonal().tolist(), S.diagonal(n).tolist(), []
+            div = [1.0] * n
+        traces = []
+        for row in rows:
+            acc = 0.0
+            for v, d in zip(row, div):
+                acc += v / d
+            traces.append(0.5 * acc)
+    except (ZeroDivisionError, np.linalg.LinAlgError):
+        raise NumericalError(f"P(t) is singular at t = {t!r}") from None
+    return traces[0], traces[1], traces[2] if second else None
 
 
 def trace_drift(fam: MetricFamily, t: float,
                 force_path: Optional[str] = None) -> float:
-    """``Tr(P^-1 P')/2 + weight alpha'`` at ``t > 0``.
-
-    Uses direct linear solves at moderate ``t`` and the pole-peeled series
-    below ``t_switch``; ``force_path`` pins one branch for cross-checks.
+    """``Tr(P^-1 P')/2 + weight alpha'`` at ``t > 0``: from ``t_switch`` on
+    the closed form ``sum_i P'_ii / P_ii`` (diagonal) or one linear solve
+    (block), the pole-peeled series below; ``force_path`` pins one branch.
     """
     if _trace_path(fam, t, force_path) == "direct":
-        return _half_trace(fam.P_at(t), fam.Pdot_at(t)) + \
+        return _direct_traces(fam, t, t, False)[1] + \
             fam.weight * fam.alpha_dot_at(t)
     td = _tdrift_series(fam, _FLOAT_SERIES_ORDER)
     return float(_series.eval_truncated(td, t).value) / t
@@ -434,7 +444,7 @@ def trace_potential(fam: MetricFamily, t: float, rho: float,
                     force_path: Optional[str] = None) -> float:
     """``Tr(P(t)^-1 dP/drho)/2`` at radius ``rho``; pole ``dim_p rho/t^2``."""
     if _trace_path(fam, t, force_path) == "direct":
-        return _half_trace(fam.P_at(t), fam.Pdot_at(rho))
+        return _direct_traces(fam, t, rho, False)[0]
     a_s = _series.constant(rho / t, _FLOAT_SERIES_ORDER)
     tp = _tpot_series(fam, a_s, _FLOAT_SERIES_ORDER)
     return float(_series.eval_truncated(tp, t).value) / t
@@ -444,7 +454,7 @@ def trace_potential2(fam: MetricFamily, t: float, rho: float,
                      force_path: Optional[str] = None) -> float:
     """``Tr(P(t)^-1 d^2P/drho^2)/2``; diagonal families only."""
     if _trace_path(fam, t, force_path, diagonal_only=True) == "direct":
-        return _half_trace(fam.P_at(t), fam.Pddot_at(rho))
+        return _direct_traces(fam, t, rho, True)[2]
     a_s = _series.constant(rho / t, _FLOAT_SERIES_ORDER)
     zp = _zpot_series(fam, a_s, _FLOAT_SERIES_ORDER)
     return float(_series.eval_truncated(zp, t).value) / (t * t)
@@ -452,19 +462,30 @@ def trace_potential2(fam: MetricFamily, t: float, rho: float,
 
 # -- assembled singular problems ----------------------------------------------
 
-def _harmonic_reg(fam: MetricFamily, t: float, a: float, u: float):
-    """``u' + (p+2) u / t`` at a float ``t``, and the drift excess
-    ``d = drift - p/t`` of the direct branch (None on the series branch
-    below ``t_switch``), which the tension row reuses."""
-    p = fam.dim_p
+def _float_reg(fam: MetricFamily, t: float, y) -> np.ndarray:
+    """``m_reg`` at a float ``t`` for the harmonic state ``(a, u)`` or the
+    biharmonic one ``(a, u, b, u_b)``: the direct traces at ``rho = t a``
+    from ``t_switch`` on, the pole-peeled series below."""
+    p, K = fam.dim_p, _FLOAT_SERIES_ORDER
+    y = [float(v) for v in y]
+    a, u, coupled = y[0], y[1], len(y) == 4
     if t >= fam.t_switch:
-        V = trace_potential(fam, t, t * a, force_path="direct")
-        d = trace_drift(fam, t, force_path="direct") - p / t
-        return (V - p * a / t - d * (a + t * u)) / t, d
-    reg = _w_series(fam, _series.constant(a, _FLOAT_SERIES_ORDER),
-                    _series.constant(u, _FLOAT_SERIES_ORDER),
-                    _FLOAT_SERIES_ORDER)
-    return float(_series.eval_truncated(reg, t).value), None
+        V, drift, V2 = _direct_traces(fam, t, t * a, coupled)
+        d = drift + fam.weight * fam.alpha_dot_at(t) - p / t
+        out = [u, (V - p * a / t - d * (a + t * u)) / t]
+        if coupled:
+            b, ub = y[2:]
+            out += [ub, ((V2 - p / (t * t)) * t * b - d * (b + t * ub)) / t]
+    else:
+        s = [_series.constant(v, K) for v in y]
+        w = _w_series(fam, s[0], s[1], K)
+        out = [u, float(_series.eval_truncated(w, t).value)]
+        if coupled:
+            w = _wf_series(fam, s[0], s[2], s[3], K)
+            out += [y[3], float(_series.eval_truncated(w, t).value)]
+    if coupled:     # the tension F = t b forces the profile row
+        out[1] += y[2]
+    return np.array(out)
 
 
 def _profile_sing(p: int):
@@ -472,12 +493,8 @@ def _profile_sing(p: int):
     ``(x, u)`` pair of the state, so each slope is a free parameter."""
     def m_sing(y):
         y = np.asarray(y).reshape(-1)
-        if y.dtype == object:
-            out = -(p + 2.0) * y
-            out[::2] = y[::2] * 0.0
-            return out
         out = -(p + 2.0) * y
-        out[::2] = 0.0
+        out[::2] = y[::2] * 0.0 if y.dtype == object else 0.0
         return out
 
     return m_sing
@@ -501,8 +518,7 @@ def assemble_harmonic(fam: MetricFamily, v: float,
             a_s, u_s = _as_jet(y[0], n + 2), _as_jet(y[1], n + 2)
             return np.array([u_s.truncate(n), _w_series(fam, a_s, u_s, n + 2)],
                             dtype=object)
-        u = float(y[1])
-        return np.array([u, _harmonic_reg(fam, t, float(y[0]), u)[0]])
+        return _float_reg(fam, t, y)
 
     meta = {"kind": "harmonic", "family": fam, "v": float(v)}
     return SingularIVP(_profile_sing(p), m_reg, [float(v), 0.0], t_end,
@@ -534,17 +550,7 @@ def assemble_biharmonic(fam: MetricFamily, v: float, w: float,
                  _w_series(fam, a_s, ua_s, n + 2) + b_s.truncate(n),
                  ub_s.truncate(n), _wf_series(fam, a_s, b_s, ub_s, n + 2)],
                 dtype=object)
-        a, ua, b, ub = (float(y[i]) for i in range(4))
-        reg_a, d = _harmonic_reg(fam, t, a, ua)
-        if d is None:
-            a_s, b_s, ub_s = (_series.constant(x, _FLOAT_SERIES_ORDER)
-                              for x in (a, b, ub))
-            reg_b = float(_series.eval_truncated(_wf_series(
-                fam, a_s, b_s, ub_s, _FLOAT_SERIES_ORDER), t).value)
-        else:
-            V2 = trace_potential2(fam, t, t * a, force_path="direct")
-            reg_b = ((V2 - p / (t * t)) * t * b - d * (b + t * ub)) / t
-        return np.array([ua, reg_a + b, ub, reg_b])
+        return _float_reg(fam, t, y)
 
     meta = {"kind": "biharmonic", "family": fam,
             "v": float(v), "w": float(w)}
@@ -687,18 +693,12 @@ def validate_metric(fam: MetricFamily) -> MetricReport:
             failures.append(float(t))
     spd_ok = not failures
     measured = {}
-    pole_ok = True
     for t in (1e-3, 1e-4):
         try:
-            val = t * 0.5 * float(np.trace(np.linalg.solve(
-                fam.P_at(t), fam.Pdot_at(t))))
-        except np.linalg.LinAlgError:
-            pole_ok = False
-            measured[t] = float("nan")
-            continue
-        measured[t] = val
-        if abs(val - fam.dim_p) > 1e-2:
-            pole_ok = False
+            measured[t] = t * _direct_traces(fam, t, t, False)[1]
+        except NumericalError:
+            measured[t] = float("nan")      # fails the check below
+    pole_ok = all(abs(v - fam.dim_p) <= 1e-2 for v in measured.values())
     try:
         fam.pack(4)
         series_ok = True

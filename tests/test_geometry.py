@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from regsing import geometry, series, singular
-from regsing.errors import ConfigError, StructureError, ValidationError
+from regsing.errors import (ConfigError, NumericalError, StructureError,
+                            ValidationError)
 from regsing.series import Series
 
 
@@ -275,6 +276,30 @@ def test_validate_metric_spd_failure():
     assert not rep.verdict
 
 
+@pytest.mark.parametrize("fam_fn", [
+    lambda: geometry.MetricFamily.from_diagonal(
+        ["t^2", "(1 - t^2)^2"], dim_p=1),
+    lambda: geometry.MetricFamily.from_entries(
+        [["t^2", "t^2*(1 - t^2)"], ["t^2*(1 - t^2)", "(1 - t^2)^2"]],
+        dim_p=1)])
+def test_singular_metric_raises_numerical_error(fam_fn):
+    # P(1) is exactly singular: diag(1, 0), and [[1, 0], [0, 0]]
+    fam = fam_fn()
+    for fn, args in ((geometry.trace_drift, (1.0,)),
+                     (geometry.trace_potential, (1.0, 0.5))):
+        with pytest.raises(NumericalError, match="singular at t = 1.0"):
+            fn(fam, *args)
+
+
+def test_validate_metric_reads_singular_pole_probe_as_failure():
+    # P(1e-3) = diag(1e-6, 0): the pole measurement there reads nan
+    fam = geometry.MetricFamily.from_diagonal(["t^2", "(t - 0.001)^2"],
+                                              dim_p=1)
+    rep = geometry.validate_metric(fam)
+    assert math.isnan(rep.drift_measured[1e-3])
+    assert not rep.pole_ok and not rep.verdict
+
+
 def test_tension_residual_signed():
     # residual of a deliberately wrong profile has the predicted value
     fam = flat3()
@@ -371,8 +396,26 @@ def ref_check_structure(fam, with_z):
                       "tension linearization")
 
 
-def ref_half_trace(fam, t, X):
-    return 0.5 * float(np.trace(np.linalg.solve(fam.P_at(t), X)))
+def ref_direct_traces(fam, t, rho, second):
+    """Halved traces of ``P(t)^-1 X`` for X = P'(rho), P'(t) (and P''(rho)):
+    entry by entry for a diagonal family, one solve against the stacked
+    right-hand sides for a block one, each summed in index order."""
+    P, n = fam.P_at(t), fam.n
+    Xs = [fam.Pdot_at(rho), fam.Pdot_at(t)]
+    if second:
+        Xs.append(fam.Pddot_at(rho))
+    if fam.diagonal:
+        diags = [[X[i, i] / P[i, i] for i in range(n)] for X in Xs]
+    else:
+        S = np.linalg.solve(P, np.hstack(Xs))
+        diags = [[S[i, j * n + i] for i in range(n)] for j in range(len(Xs))]
+    out = []
+    for d in diags:
+        acc = 0.0
+        for x in d:
+            acc += float(x)
+        out.append(0.5 * acc)
+    return out
 
 
 def ref_harmonic_reg(fam, t, y):
@@ -387,9 +430,8 @@ def ref_harmonic_reg(fam, t, y):
         return np.array([u_s.truncate(n), reg_u], dtype=object)
     a, u = float(y[0]), float(y[1])
     if t >= fam.t_switch:
-        V = ref_half_trace(fam, t, fam.Pdot_at(t * a))
-        d = ref_half_trace(fam, t, fam.Pdot_at(t)) + \
-            fam.weight * fam.alpha_dot_at(t) - p / t
+        V, drift = ref_direct_traces(fam, t, t * a, False)
+        d = drift + fam.weight * fam.alpha_dot_at(t) - p / t
         return np.array([u, (V - p * a / t - d * (a + t * u)) / t])
     a_s = series.constant(a, K)
     u_s = series.constant(u, K)
@@ -411,10 +453,8 @@ def ref_biharmonic_reg(fam, t, y):
                          ub_s.truncate(n), reg_b], dtype=object)
     a, ua, b, ub = (float(y[i]) for i in range(4))
     if t >= fam.t_switch:
-        V = ref_half_trace(fam, t, fam.Pdot_at(t * a))
-        V2 = ref_half_trace(fam, t, fam.Pddot_at(t * a))
-        d = ref_half_trace(fam, t, fam.Pdot_at(t)) + \
-            fam.weight * fam.alpha_dot_at(t) - p / t
+        V, drift, V2 = ref_direct_traces(fam, t, t * a, True)
+        d = drift + fam.weight * fam.alpha_dot_at(t) - p / t
         reg_a = (V - p * a / t - d * (a + t * ua)) / t + b
         reg_b = ((V2 - p / (t * t)) * t * b - d * (b + t * ub)) / t
         return np.array([ua, reg_a, ub, reg_b])
@@ -502,6 +542,27 @@ PROBE_FAMILIES = {
     "block": lambda: geometry.MetricFamily.from_entries(
         [["t^2*(1 + t^2)", "t^2"], ["t^2", "1 + 2*t^2"]], dim_p=1),
 }
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_FAMILIES))
+def test_direct_traces_agree_with_solve_then_trace(name):
+    # each trace against 0.5 tr(solve(P, X)), within 4 n eps times the
+    # sum of the absolute terms 0.5 sum_i |(P^-1 X)_ii|
+    fam = PROBE_FAMILIES[name]()
+    rng = np.random.default_rng(97 + sorted(PROBE_FAMILIES).index(name))
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        t = float(np.exp(rng.uniform(np.log(fam.t_switch), np.log(1.5))))
+        rho = t * float(rng.normal())
+        got = geometry._direct_traces(fam, t, rho, fam.diagonal)
+        Xs = [fam.Pdot_at(rho), fam.Pdot_at(t)]
+        if fam.diagonal:
+            Xs.append(fam.Pddot_at(rho))
+        for g, X in zip(got, Xs):
+            S = np.linalg.solve(fam.P_at(t), X)
+            want = 0.5 * float(np.trace(S))
+            bound = 4 * fam.n * eps * 0.5 * float(np.abs(np.diagonal(S)).sum())
+            assert abs(g - want) <= bound, (t, rho, g, want)
 
 
 def probe_problems(fam):
