@@ -96,8 +96,11 @@ def _admissibility_dict(report) -> dict:
     }
 
 
-def _write_summary(args, cfg, effective, traj, rows):
-    """Sidecar JSON next to the CSV; skipped when writing to stdout."""
+def _write_summary(args, cfg, effective, traj, residuals):
+    """Sidecar JSON next to the CSV; skipped when writing to stdout.
+
+    ``residuals`` holds every residual entry of the CSV rows.
+    """
     if args.out is None:
         return
     diag = dict(traj.diagnostics)
@@ -108,7 +111,7 @@ def _write_summary(args, cfg, effective, traj, rows):
         "diagnostics": {k: v for k, v in diag.items()
                         if k != "admissibility"},
         "admissibility": _admissibility_dict(diag["admissibility"]),
-        "residual_max": max(abs(float(r[-1])) for r in rows),
+        "residual_max": max(abs(float(r)) for r in residuals),
     }
     _emit_json(summary, _summary_path(args.out))
 
@@ -227,7 +230,8 @@ def _cmd_solve_harmonic(args) -> int:
         rows = [(t, sol.r(t), sol.rdot(t), sol.residual(t))
                 for t in _sample_grid(t_end, samples)]
         _emit_csv(["t", "r", "r_dot", "residual"], rows, args.out)
-        _write_summary(args, cfg, effective, sol.traj, rows)
+        _write_summary(args, cfg, effective, sol.traj,
+                       [r[-1] for r in rows])
         if not args.quiet:
             d = sol.traj.diagnostics
             print(f"handoff {d['handoff']:.6g}, "
@@ -274,7 +278,8 @@ def _cmd_solve_biharmonic(args) -> int:
                          res_r, res_f))
         _emit_csv(["t", "r", "r_dot", "F", "F_dot", "res_def", "res_eq"],
                   rows, args.out)
-        _write_summary(args, cfg, effective, sol.traj, rows)
+        _write_summary(args, cfg, effective, sol.traj,
+                       [x for r in rows for x in r[-2:]])
         if not args.quiet:
             d = sol.traj.diagnostics
             print(f"handoff {d['handoff']:.6g}, {d['steps_accepted']} steps",
@@ -348,7 +353,8 @@ def _cmd_solve_singular(args) -> int:
         rows.append((t, *y, traj.residual(t)))
     _emit_csv(header, rows, args.out)
     _write_summary(args, cfg, {"tol": tol, "order": order,
-                               "samples": samples}, traj, rows)
+                               "samples": samples}, traj,
+                   [r[-1] for r in rows])
     if not args.quiet:
         d = traj.diagnostics
         print(f"handoff {d['handoff']:.6g}, {d['steps_accepted']} steps, "

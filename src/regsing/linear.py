@@ -232,7 +232,7 @@ def fundamental_solution(sys: LinearRSSystem, z0, z1, tol: float = 1e-10
         return (-dz * (sys.A_at(np.exp(z)) @ U)).ravel()
 
     y0 = np.eye(n, dtype=complex).ravel()
-    res = integrate_adaptive(rhs, 0.0, y0, 1.0, tol, tol)
+    res = integrate_adaptive(rhs, 0.0, y0, 1.0, tol)
     return res.ys[-1].reshape(n, n)
 
 
@@ -258,7 +258,7 @@ def monodromy_at(sys: LinearRSSystem, sigma: float, tol: float = 1e-10
         return (-1j * (sys.A_at(s) @ U)).ravel()
 
     y0 = np.eye(n, dtype=complex).ravel()
-    res = integrate_adaptive(rhs, 0.0, y0, 2.0 * math.pi, tol, tol)
+    res = integrate_adaptive(rhs, 0.0, y0, 2.0 * math.pi, tol)
     M = res.ys[-1].reshape(n, n)
     return MonodromyResult(sigma, M, conjugacy_invariants(M),
                            res.n_accepted, res.est_error)
@@ -287,5 +287,5 @@ def solve_inhomogeneous(sys: LinearRSSystem, z0, z1, Y0, tol: float = 1e-10
         ez = np.exp(z)
         return dz * (-(sys.A_at(ez) @ y) + ez * sys.h_at(ez))
 
-    res = integrate_adaptive(rhs, 0.0, Y0, 1.0, tol, tol)
+    res = integrate_adaptive(rhs, 0.0, Y0, 1.0, tol)
     return res.ys[-1]

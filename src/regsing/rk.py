@@ -4,22 +4,26 @@ Internal engine shared by the linear path integrator and the singular IVP
 solver.  Works on 1-d numpy arrays with real or complex entries; the
 independent variable is always real and increasing.
 
-Step size is governed by a PI controller: after a step with scaled error
-``err`` the factor is ``safety * err**(-0.7/p) * err_prev**(0.4/p)`` with
-``p = 5`` and safety 0.9.  Each accepted step stores a quartic Hermite-type
-interpolant (endpoint values and slopes plus one extra stage combination),
-so trajectories can be sampled and differentiated anywhere.
+One tolerance ``tol`` sets the error scale ``tol*(1 + max|y|)`` per
+component.  Step size is governed by a PI controller: after a step with
+scaled error ``err`` the factor is ``safety * err**(-0.7/p) *
+err_prev**(0.4/p)`` with ``p = 5`` and safety 0.9.  Each accepted step
+appends the five coefficient rows of the quartic Dormand-Prince continuous
+extension (endpoint values and slopes plus one extra stage combination);
+the result keeps them as one ``(n_steps, 5, n)`` array, so trajectories
+can be sampled and differentiated anywhere inside the integrated span.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 
-__all__ = ["integrate_adaptive", "IntegrationResult", "DenseSegment"]
+__all__ = ["integrate_adaptive", "IntegrationResult"]
 
 # classic Dormand-Prince coefficients
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -61,71 +65,45 @@ _MAX_FACTOR = 5.0
 _MAX_STEPS = 200_000        # step budget of one integration
 
 
-class DenseSegment:
-    """Quartic interpolant over one accepted step [t0, t1].
+class IntegrationResult:
+    """Accepted grid, dense-output rows and step statistics.
 
-    Hermite data (values and slopes at both ends) plus one extra stage
-    combination pin a degree-4 polynomial whose value error matches the
-    order of the step itself.
+    ``rows[i]`` holds the five coefficient rows of the quartic interpolant
+    on ``[ts[i], ts[i + 1]]``: endpoint values and slopes plus one extra
+    stage combination, so the value error matches the order of the step.
     """
 
-    __slots__ = ("t0", "t1", "_c")
-
-    def __init__(self, t0, t1, y0, y1, f0, f1, k):
-        self.t0 = float(t0)
-        self.t1 = float(t1)
-        h = self.t1 - self.t0
-        ydiff = y1 - y0
-        bspl = h * f0 - ydiff
-        self._c = (
-            y0.copy(),
-            ydiff,
-            bspl,
-            ydiff - h * f1 - bspl,
-            h * (_D @ k),
-        )
-
-    def _theta(self, t):
-        return (t - self.t0) / (self.t1 - self.t0)
-
-    def value(self, t):
-        c0, c1, c2, c3, c4 = self._c
-        th = self._theta(t)
-        om = 1.0 - th
-        return c0 + th * (c1 + om * (c2 + th * (c3 + om * c4)))
-
-    def derivative(self, t):
-        c0, c1, c2, c3, c4 = self._c
-        th = self._theta(t)
-        om = 1.0 - th
-        dth = (c1 + (1.0 - 2.0 * th) * c2 + th * (2.0 - 3.0 * th) * c3
-               + 2.0 * th * om * (1.0 - 2.0 * th) * c4)
-        return dth / (self.t1 - self.t0)
-
-
-class IntegrationResult:
-    """Accepted grid, dense segments and step statistics."""
-
-    def __init__(self, ts, ys, segments, n_accepted, n_rejected, est_error):
+    def __init__(self, ts, ys, rows, n_accepted, n_rejected, est_error):
         self.ts = np.asarray(ts)
+        self._grid = self.ts.tolist()   # plain floats: fast bisection
         self.ys = np.asarray(ys)
-        self.segments = segments
+        self.rows = np.asarray(rows)
         self.n_accepted = n_accepted
         self.n_rejected = n_rejected
         self.est_error = est_error
 
-    def _segment_at(self, t):
-        if not self.segments:
-            raise NumericalError("no dense segments available")
-        idx = int(np.searchsorted(self.ts[1:], t, side="left"))
-        idx = min(max(idx, 0), len(self.segments) - 1)
-        return self.segments[idx]
+    def _local(self, t):
+        """Rows, local coordinate in [0, 1] and width of the step at ``t``."""
+        grid = self._grid
+        if not grid[0] <= t <= grid[-1]:
+            raise ValidationError(
+                f"t = {float(t)} is outside the integrated span "
+                f"[{grid[0]}, {grid[-1]}]")
+        i = bisect.bisect_left(grid, t, 1) - 1
+        t0, t1 = grid[i], grid[i + 1]
+        return self.rows[i], (t - t0) / (t1 - t0), t1 - t0
 
     def value(self, t):
-        return self._segment_at(t).value(t)
+        (c0, c1, c2, c3, c4), th, _ = self._local(t)
+        om = 1.0 - th
+        return c0 + th * (c1 + om * (c2 + th * (c3 + om * c4)))
 
     def derivative(self, t):
-        return self._segment_at(t).derivative(t)
+        (c0, c1, c2, c3, c4), th, h = self._local(t)
+        om = 1.0 - th
+        dth = (c1 + (1.0 - 2.0 * th) * c2 + th * (2.0 - 3.0 * th) * c3
+               + 2.0 * th * om * (1.0 - 2.0 * th) * c4)
+        return dth / h
 
 
 def _rms_norm(x):
@@ -134,9 +112,9 @@ def _rms_norm(x):
     return float(np.sqrt(np.mean(np.abs(x) ** 2)))
 
 
-def _initial_step(f, t0, y0, f0, t1, rtol, atol, max_step):
+def _initial_step(f, t0, y0, f0, t1, tol, max_step):
     # standard two-probe guess, conservative on degenerate data
-    sc = atol + rtol * np.abs(y0)
+    sc = tol + tol * np.abs(y0)
     d0 = _rms_norm(y0 / sc)
     d1 = _rms_norm(f0 / sc)
     if d0 < 1e-5 or d1 < 1e-5:
@@ -154,15 +132,17 @@ def _initial_step(f, t0, y0, f0, t1, rtol, atol, max_step):
     return min(100 * h0, h1, max_step, abs(t1 - t0))
 
 
-def integrate_adaptive(f, t0, y0, t1, rtol, atol, max_step=math.inf):
+def integrate_adaptive(f, t0, y0, t1, tol, max_step=math.inf):
     """Integrate ``dy/dt = f(t, y)`` from ``t0`` to ``t1 > t0``.
 
     Parameters
     ----------
     f : callable
         Right-hand side returning an array matching ``y``.
-    rtol, atol : float
-        Mixed error test: component scale ``atol + rtol*max(|y0|,|y1|)``.
+    tol : float
+        Error scale per component ``tol*(1 + max(|y0|, |y1|))`` of a step.
+    max_step : float
+        Upper bound on the step width.
 
     Raises
     ------
@@ -181,12 +161,12 @@ def integrate_adaptive(f, t0, y0, t1, rtol, atol, max_step=math.inf):
     k = np.empty((7, y.size), dtype=dtype)
     k[0] = f0.astype(dtype)
 
-    h = max(_initial_step(f, t0, y, k[0], t1, rtol, atol, max_step), 1e-300)
+    h = max(_initial_step(f, t0, y, k[0], t1, tol, max_step), 1e-300)
 
     t = t0
     ts = [t0]
-    ys = [y.copy()]
-    segments = []
+    ys = [y]
+    rows = []
     n_accepted = 0
     n_rejected = 0
     est_error = 0.0
@@ -207,11 +187,9 @@ def integrate_adaptive(f, t0, y0, t1, rtol, atol, max_step=math.inf):
         for i in range(1, 7):
             yi = y + h * (_A[i] @ k[:i])
             k[i] = f(t + _C[i] * h, yi)
-        y_new = yi  # stage 7 argument equals the 5th order solution
-        f_new = k[6]
-
+        # the last stage argument is the 5th order solution (FSAL)
         err_vec = h * (_E @ k)
-        sc = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        sc = tol + tol * np.maximum(np.abs(y), np.abs(yi))
         with np.errstate(invalid="ignore", over="ignore"):
             err = _rms_norm(err_vec / sc)
 
@@ -221,23 +199,26 @@ def integrate_adaptive(f, t0, y0, t1, rtol, atol, max_step=math.inf):
             h *= _MIN_FACTOR
             continue
 
+        if err == 0.0:      # 0.0 ** -_EXP1 raises
+            factor = _MAX_FACTOR
+        else:
+            factor = _SAFETY * err ** (-_EXP1) * err_prev ** _EXP2
+            factor = min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
+
         if err <= 1.0:
             t_next = t1 if is_last else t + h
-            segments.append(DenseSegment(t, t_next, y, y_new, k[0], f_new,
-                                         k.copy()))
+            dt = t_next - t     # the stored width; may differ from h by 1 ulp
+            ydiff = yi - y
+            bspl = dt * k[0] - ydiff
+            rows.append((y, ydiff, bspl, ydiff - dt * k[6] - bspl,
+                         dt * (_D @ k)))
             t = t_next
-            y = y_new.copy()
-            k[0] = f_new
+            y = yi
+            k[0] = k[6]
             ts.append(t)
-            ys.append(y.copy())
+            ys.append(y)
             n_accepted += 1
             est_error += _rms_norm(err_vec)
-
-            if err == 0.0:
-                factor = _MAX_FACTOR
-            else:
-                factor = _SAFETY * err ** (-_EXP1) * err_prev ** _EXP2
-                factor = min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
             if rejected_last:
                 factor = min(factor, 1.0)
             rejected_last = False
@@ -246,11 +227,9 @@ def integrate_adaptive(f, t0, y0, t1, rtol, atol, max_step=math.inf):
         else:
             n_rejected += 1
             rejected_last = True
-            factor = _SAFETY * err ** (-_EXP1) * err_prev ** _EXP2
-            h *= min(max(factor, _MIN_FACTOR), 1.0)
+            h *= min(factor, 1.0)
     else:
         raise NumericalError(
             f"step budget exhausted after {_MAX_STEPS} steps at t = {t!r}")
 
-    return IntegrationResult(ts, ys, segments, n_accepted, n_rejected,
-                             est_error)
+    return IntegrationResult(ts, ys, rows, n_accepted, n_rejected, est_error)

@@ -425,7 +425,7 @@ def integrate(p: SingularIVP, t0: float, y_t0,
     if not 0 < t0 < p.t_end:
         raise ValidationError(f"need 0 < t0 < t_end, got t0={t0}")
     y_t0 = np.asarray(y_t0, dtype=float).reshape(-1)
-    res = _rk.integrate_adaptive(p.rhs, t0, y_t0, p.t_end, tol, tol,
+    res = _rk.integrate_adaptive(p.rhs, t0, y_t0, p.t_end, tol,
                                  max_step=max((100.0 * tol) ** 0.25, 1e-3))
     traj = Trajectory(p, None, t0, res, tol)
     traj.diagnostics = _step_diagnostics(traj)
@@ -435,9 +435,9 @@ def integrate(p: SingularIVP, t0: float, y_t0,
 def _step_diagnostics(traj: Trajectory) -> dict:
     res = traj.result
     worst = 0.0
-    for seg in res.segments:
-        tm = 0.5 * (seg.t0 + seg.t1)
-        worst = max(worst, traj.residual(tm))
+    ts = res.ts.tolist()
+    for t0, t1 in zip(ts, ts[1:]):
+        worst = max(worst, traj.residual(0.5 * (t0 + t1)))
     return {
         "steps_accepted": res.n_accepted,
         "steps_rejected": res.n_rejected,

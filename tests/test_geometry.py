@@ -201,6 +201,21 @@ def test_sphere_identity_map():
         assert abs(sol.residual(t)) < 1e-7
 
 
+def test_dense_reads_outside_the_span_raise():
+    # reads past t_end used to extrapolate the last step silently
+    sol = geometry.solve_harmonic(sphere(), 0.7, 1.2, tol=1e-10)
+    res = sol.traj.result
+    assert sol.r(1.2) == pytest.approx(float(res.ys[-1][0]) * 1.2)
+    with pytest.raises(ValidationError, match="outside the integrated span"):
+        sol.r(10.0)
+    with pytest.raises(ValidationError):
+        sol.traj.value(1.2 + 1e-9)
+    with pytest.raises(ValidationError):
+        res.derivative(1.5)
+    with pytest.raises(ValidationError):
+        res.value(res.ts[0] - 1e-9)
+
+
 def test_harmonic_solution_derivative_consistency():
     sol = geometry.solve_harmonic(sphere(), 0.6, 1.4, tol=1e-11)
     # rddot from the vector field matches a finite difference of rdot

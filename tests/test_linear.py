@@ -195,7 +195,7 @@ def test_solve_inhomogeneous_vs_variation_of_constants():
 
     state0 = np.concatenate([np.eye(2, dtype=complex).ravel(),
                              Y0.astype(complex)])
-    res = rk.integrate_adaptive(rhs, 0.0, state0, 1.0, 1e-12, 1e-12)
+    res = rk.integrate_adaptive(rhs, 0.0, state0, 1.0, 1e-12)
     np.testing.assert_allclose(got, res.ys[-1][4:], atol=1e-9)
 
 

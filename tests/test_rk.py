@@ -1,16 +1,18 @@
 """Adaptive embedded Runge-Kutta core with dense output."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from regsing import rk
+from regsing.errors import NumericalError
 
 
 def test_exponential_decay_accuracy():
     res = rk.integrate_adaptive(lambda t, y: -y, 0.0, np.array([1.0]),
-                                5.0, 1e-10, 1e-10)
+                                5.0, 1e-10)
     assert res.ys[-1][0] == pytest.approx(math.exp(-5.0), rel=1e-8)
     assert res.n_accepted > 0
     assert res.est_error < 1e-7
@@ -19,7 +21,7 @@ def test_exponential_decay_accuracy():
 def test_dense_output_between_steps():
     # y' = cos t, y(0) = 0; interpolant must track sin t between nodes
     res = rk.integrate_adaptive(lambda t, y: np.array([math.cos(t)]),
-                                0.0, np.array([0.0]), 3.0, 1e-10, 1e-10)
+                                0.0, np.array([0.0]), 3.0, 1e-10)
     for t in np.linspace(0.05, 2.95, 37):
         assert res.value(t)[0] == pytest.approx(math.sin(t), abs=5e-10)
         assert res.derivative(t)[0] == pytest.approx(math.cos(t), abs=5e-8)
@@ -27,25 +29,24 @@ def test_dense_output_between_steps():
 
 def test_dense_output_continuous_at_nodes():
     res = rk.integrate_adaptive(lambda t, y: -2.0 * t * y, 0.0,
-                                np.array([1.0]), 2.0, 1e-9, 1e-9)
-    for seg in res.segments[1:]:
-        left = res.value(seg.t0 - 1e-13)
-        right = res.value(seg.t0 + 1e-13)
+                                np.array([1.0]), 2.0, 1e-9)
+    for t in res.ts[1:-1]:
+        left = res.value(t - 1e-13)
+        right = res.value(t + 1e-13)
         assert abs(left[0] - right[0]) < 1e-11
 
 
 def test_max_step_respected():
     res = rk.integrate_adaptive(lambda t, y: -y, 0.0, np.array([1.0]),
-                                1.0, 1e-6, 1e-6, max_step=0.01)
-    widths = [seg.t1 - seg.t0 for seg in res.segments]
-    assert max(widths) <= 0.01 + 1e-12
+                                1.0, 1e-6, max_step=0.01)
+    assert max(np.diff(res.ts)) <= 0.01 + 1e-12
 
 
 def test_complex_state():
     # y' = i y keeps |y| = 1
     res = rk.integrate_adaptive(lambda t, y: 1j * y, 0.0,
                                 np.array([1.0 + 0j]), 2 * math.pi,
-                                1e-11, 1e-11)
+                                1e-11)
     assert abs(res.ys[-1][0] - 1.0) < 1e-8
     for t in np.linspace(0.3, 6.0, 9):
         assert abs(abs(res.value(t)[0]) - 1.0) < 1e-9
@@ -56,7 +57,7 @@ def test_forward_only():
     from regsing.errors import NumericalError
     with pytest.raises(NumericalError):
         rk.integrate_adaptive(lambda t, y: -y, 1.0, np.array([1.0]),
-                              0.0, 1e-10, 1e-10)
+                              0.0, 1e-10)
 
 
 def test_tolerance_scaling():
@@ -64,10 +65,34 @@ def test_tolerance_scaling():
         return np.array([y[1], -y[0]])
 
     coarse = rk.integrate_adaptive(f, 0.0, np.array([1.0, 0.0]), 10.0,
-                                   1e-5, 1e-5)
+                                   1e-5)
     fine = rk.integrate_adaptive(f, 0.0, np.array([1.0, 0.0]), 10.0,
-                                 1e-11, 1e-11)
+                                 1e-11)
     err_c = abs(coarse.ys[-1][0] - math.cos(10.0))
     err_f = abs(fine.ys[-1][0] - math.cos(10.0))
     assert err_f < err_c
     assert fine.n_accepted > coarse.n_accepted
+
+
+def test_non_finite_error_shrinks_until_the_span_is_unreachable():
+    def f(t, y):
+        return np.array([math.nan]) if t > 0.5 else -y
+
+    with pytest.raises(NumericalError, match="underflow") as info:
+        rk.integrate_adaptive(f, 0.0, np.array([1.0]), 1.0, 1e-10)
+    t_stuck = float(re.search(r"at t = (\S+) ", str(info.value)).group(1))
+    assert 0.5 - 1e-6 <= t_stuck <= 0.5
+
+
+def test_one_non_finite_step_is_rejected_and_recovered():
+    calls = {"n": 0}
+
+    def f(t, y):
+        calls["n"] += 1
+        return np.array([math.nan]) if calls["n"] == 10 else -y
+
+    clean = rk.integrate_adaptive(lambda t, y: -y, 0.0, np.array([1.0]),
+                                  2.0, 1e-10)
+    res = rk.integrate_adaptive(f, 0.0, np.array([1.0]), 2.0, 1e-10)
+    assert res.n_rejected >= 1
+    assert res.ys[-1][0] == pytest.approx(clean.ys[-1][0], abs=1e-8)
