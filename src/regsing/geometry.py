@@ -19,7 +19,9 @@ dimension ``weight``.  Biharmonic profiles couple this to the linearized
 derivative of ``P``; that path is restricted to diagonal families.  From
 ``t_switch`` on, the traces of a diagonal family are the closed form
 ``sum_i X_ii / P_ii`` and a block family solves ``P(t) S = [P'(rho) |
-P'(t)]`` once; below ``t_switch`` they come from pole-peeled series.
+P'(t)]`` once; below ``t_switch`` they come from pole-peeled series.  A
+residual sample evaluates the traces once and reads ``r''`` (and ``F''``)
+from the computed trajectory, so it measures that trajectory's defect.
 
 Both reductions have a simple pole at ``t = 0``.  Substituting ``r = t a``
 (and ``F = t b``) produces problems in the class handled by
@@ -385,21 +387,6 @@ def check_structure(fam: MetricFamily):
 
 # -- pointwise trace quantities ----------------------------------------------
 
-def _trace_path(fam: MetricFamily, t: float, force_path,
-                diagonal_only: bool = False) -> str:
-    """Check ``t > 0`` (then diagonality, if asked) and pick the branch:
-    ``force_path``, else direct from ``t_switch`` on and series below."""
-    if t <= 0:
-        raise ValidationError("trace quantities need t > 0")
-    if diagonal_only and not fam.diagonal:
-        raise ValidationError(
-            "second radial derivative reduction supports diagonal "
-            "families only")
-    if force_path not in (None, "direct", "series"):
-        raise ValidationError(f"unknown path {force_path!r}")
-    return force_path or ("direct" if t >= fam.t_switch else "series")
-
-
 def _direct_traces(fam: MetricFamily, t: float, rho: float, second: bool):
     """``(V, drift, V2)`` of the direct branch, ``drift = Tr(P^-1 P')/2``
     and ``V2`` None unless ``second``.  Diagonal families sum ``X_ii /
@@ -427,37 +414,51 @@ def _direct_traces(fam: MetricFamily, t: float, rho: float, second: bool):
     return traces[0], traces[1], traces[2] if second else None
 
 
+def _traces(fam: MetricFamily, t: float, rho: float, second: bool,
+            force_path: Optional[str] = None):
+    """``(drift + weight alpha', V, V2)`` at ``t > 0`` and radius ``rho``,
+    ``V2`` None unless ``second`` (diagonal families only).  The branch is
+    picked once: ``force_path``, else one :func:`_direct_traces` call from
+    ``t_switch`` on and one order-12 pole-peeled series evaluation below."""
+    if t <= 0:
+        raise ValidationError("trace quantities need t > 0")
+    if second and not fam.diagonal:
+        raise ValidationError(
+            "second radial derivative reduction supports diagonal "
+            "families only")
+    if force_path not in (None, "direct", "series"):
+        raise ValidationError(f"unknown path {force_path!r}")
+    if force_path == "direct" or (force_path is None and t >= fam.t_switch):
+        V, drift, V2 = _direct_traces(fam, t, rho, second)
+        return drift + fam.weight * fam.alpha_dot_at(t), V, V2
+    K = _FLOAT_SERIES_ORDER
+    a_s = _series.constant(rho / t, K)
+    D, V = (float(_series.eval_truncated(s, t).value) / t
+            for s in (_tdrift_series(fam, K), _tpot_series(fam, a_s, K)))
+    V2 = (float(_series.eval_truncated(_zpot_series(fam, a_s, K), t).value)
+          / (t * t) if second else None)
+    return D, V, V2
+
+
 def trace_drift(fam: MetricFamily, t: float,
                 force_path: Optional[str] = None) -> float:
     """``Tr(P^-1 P')/2 + weight alpha'`` at ``t > 0``: from ``t_switch`` on
     the closed form ``sum_i P'_ii / P_ii`` (diagonal) or one linear solve
     (block), the pole-peeled series below; ``force_path`` pins one branch.
     """
-    if _trace_path(fam, t, force_path) == "direct":
-        return _direct_traces(fam, t, t, False)[1] + \
-            fam.weight * fam.alpha_dot_at(t)
-    td = _tdrift_series(fam, _FLOAT_SERIES_ORDER)
-    return float(_series.eval_truncated(td, t).value) / t
+    return _traces(fam, t, t, False, force_path)[0]
 
 
 def trace_potential(fam: MetricFamily, t: float, rho: float,
                     force_path: Optional[str] = None) -> float:
     """``Tr(P(t)^-1 dP/drho)/2`` at radius ``rho``; pole ``dim_p rho/t^2``."""
-    if _trace_path(fam, t, force_path) == "direct":
-        return _direct_traces(fam, t, rho, False)[0]
-    a_s = _series.constant(rho / t, _FLOAT_SERIES_ORDER)
-    tp = _tpot_series(fam, a_s, _FLOAT_SERIES_ORDER)
-    return float(_series.eval_truncated(tp, t).value) / t
+    return _traces(fam, t, rho, False, force_path)[1]
 
 
 def trace_potential2(fam: MetricFamily, t: float, rho: float,
                      force_path: Optional[str] = None) -> float:
     """``Tr(P(t)^-1 d^2P/drho^2)/2``; diagonal families only."""
-    if _trace_path(fam, t, force_path, diagonal_only=True) == "direct":
-        return _direct_traces(fam, t, rho, True)[2]
-    a_s = _series.constant(rho / t, _FLOAT_SERIES_ORDER)
-    zp = _zpot_series(fam, a_s, _FLOAT_SERIES_ORDER)
-    return float(_series.eval_truncated(zp, t).value) / (t * t)
+    return _traces(fam, t, rho, True, force_path)[2]
 
 
 # -- assembled singular problems ----------------------------------------------
@@ -572,13 +573,11 @@ class HarmonicSolution:
 
     def _profile(self, t: float, i: int, second: bool = True):
         """``(x, x', x'')`` at ``t`` for ``x = t y[i]`` (``r``: 0, ``F``: 2);
-        ``x''`` calls the vector field, so ``second=False`` skips it."""
-        y = self.traj.value(t)
-        x, u = y[i], y[i + 1]
-        xddot = None
-        if second:
-            udot = self.traj.problem.rhs(float(t), y)[i + 1]
-            xddot = float(2.0 * u + t * udot)
+        ``x''`` reads ``u'`` from the computed trajectory, never from the
+        vector field, and ``second=False`` skips that read."""
+        x, u = self.traj.value(t)[i:i + 2]
+        xddot = (float(2.0 * u + t * self.traj.derivative(t)[i + 1])
+                 if second else None)
         return float(t) * float(x), float(x + t * u), xddot
 
     def r(self, t: float) -> float:
@@ -599,6 +598,7 @@ class BiharmonicSolution(HarmonicSolution):
 
     The inherited ``residual`` is the harmonic tension of the profile,
     which equals ``F`` along a solution; ``residuals`` checks both rows.
+    ``F''``, like ``r''``, is read from the computed trajectory.
     """
 
     def __init__(self, fam: MetricFamily, traj):
@@ -638,19 +638,18 @@ def solve_biharmonic(fam: MetricFamily, v: float, w: float, t_end: float, *,
 
 def tension_residual(fam: MetricFamily, t: float, r: float, rdot: float,
                      rddot: float) -> float:
-    """``r'' + (drift + weight alpha') r' - V(t, r)``, signed."""
-    D = trace_drift(fam, t)
-    V = trace_potential(fam, t, r)
+    """``r'' + (drift + weight alpha') r' - V(t, r)``, signed, from one
+    trace evaluation."""
+    D, V, _ = _traces(fam, t, r, False)
     return float(rddot + D * rdot - V)
 
 
 def biharmonic_residual(fam: MetricFamily, t: float, r: float, rdot: float,
                         rddot: float, F: float, Fdot: float,
                         Fddot: float):
-    """Residuals of the forced tension and Jacobi equations, signed pair."""
-    D = trace_drift(fam, t)
-    V = trace_potential(fam, t, r)
-    V2 = trace_potential2(fam, t, r)
+    """Residuals of the forced tension and Jacobi equations, signed pair,
+    from one trace evaluation."""
+    D, V, V2 = _traces(fam, t, r, True)
     res_r = rddot + D * rdot - V - F
     res_f = Fddot + D * Fdot - V2 * F
     return float(res_r), float(res_f)

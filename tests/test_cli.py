@@ -149,14 +149,15 @@ def test_solve_biharmonic_csv(tmp_path):
 
 def test_biharmonic_sidecar_residual_max_covers_both_columns(tmp_path):
     cfg = write_cfg(tmp_path, "b.json",
-                    {"metric": SPHERE, "v": 0.9, "w": 0.4, "t_end": 1.2,
+                    {"metric": SPHERE, "v": 0.9, "w": 0.0, "t_end": 1.2,
                      "samples": 12, "tol": 1e-8})
     out = tmp_path / "b.csv"
     assert cli.run(["solve-biharmonic", "--config", cfg, "--out", str(out),
                     "--quiet"]) == 0
     _, data = read_csv(out)
     summary = json.loads((tmp_path / "b.summary.json").read_text())
-    # here the res_def column holds the largest entry, not res_eq
+    # w = 0 makes F vanish, so res_eq is exactly 0 and the largest entry
+    # sits in the res_def column
     res_def = max(abs(row[-2]) for row in data)
     assert res_def > max(abs(row[-1]) for row in data)
     assert summary["residual_max"] == res_def

@@ -218,11 +218,62 @@ def test_dense_reads_outside_the_span_raise():
 
 def test_harmonic_solution_derivative_consistency():
     sol = geometry.solve_harmonic(sphere(), 0.6, 1.4, tol=1e-11)
-    # rddot from the vector field matches a finite difference of rdot
+    # rddot from the computed trajectory matches a finite difference of rdot
     for t in (0.3, 0.9):
         h = 1e-6
         fd = (sol.rdot(t + h) - sol.rdot(t - h)) / (2 * h)
         assert sol.rddot(t) == pytest.approx(fd, rel=1e-5)
+
+
+def residual_grid(t_end):
+    return [float(t) for t in np.linspace(0.05, t_end, 64)]
+
+
+def test_residual_reads_the_computed_trajectory():
+    # the residual measures the integrator's defect: it is well above
+    # rounding at a loose tolerance, yet inside 100 tol
+    tol = 1e-6
+    sol = geometry.solve_harmonic(sphere(), 0.7, 1.5, tol=tol)
+    worst = max(abs(sol.residual(t)) for t in residual_grid(1.5))
+    assert 1e-9 < worst < 100 * tol
+
+
+def test_residuals_catch_a_planted_interpolant_fault():
+    # scaling one coefficient row of the dense output bends the computed
+    # profile between the nodes; a residual built from the vector field
+    # would still read rounding
+    tol = 1e-10
+    sol = geometry.solve_harmonic(sphere(), 0.7, 1.5, tol=tol)
+    bi = geometry.solve_biharmonic(sphere(), 0.6, 0.3, 1.5, tol=tol)
+    ts = [t for t in residual_grid(1.5) if t > sol.traj.handoff]
+    assert max(abs(sol.residual(t)) for t in ts) < 100 * tol
+    assert max(max(map(abs, bi.residuals(t))) for t in ts) < 100 * tol
+    sol.traj.result.rows[:, 2] *= 1.01
+    bi.traj.result.rows[:, 2] *= 1.01
+    assert max(abs(sol.residual(t)) for t in ts) > 100 * tol
+    assert max(max(map(abs, bi.residuals(t))) for t in ts) > 100 * tol
+
+
+def test_one_trace_evaluation_per_residual_sample(monkeypatch):
+    sol = geometry.solve_harmonic(sphere(), 0.7, 1.5, tol=1e-8)
+    bi = geometry.solve_biharmonic(sphere(), 0.6, 0.3, 1.5, tol=1e-8)
+    calls = []
+    direct = geometry._direct_traces
+
+    def counted(*args):
+        calls.append(args[1])
+        return direct(*args)
+
+    monkeypatch.setattr(geometry, "_direct_traces", counted)
+    ts = [0.2, 0.7, 1.4]
+    assert min(ts) > sol.family.t_switch
+    for t in ts:
+        sol.residual(t)
+    assert calls == ts
+    calls.clear()
+    for t in ts:
+        bi.residuals(t)
+    assert calls == ts
 
 
 def test_block_family_solves():
@@ -502,8 +553,9 @@ class RefHarmonicSolution:
         return float(a + t * u)
 
     def rddot(self, t):
+        # u' from the computed trajectory, not from the vector field
         y = self.traj.value(t)
-        udot = self.traj.problem.rhs(float(t), y)[1]
+        udot = self.traj.derivative(t)[1]
         return float(2.0 * y[1] + t * udot)
 
     def residual(self, t):
@@ -521,7 +573,7 @@ class RefBiharmonicSolution(RefHarmonicSolution):
 
     def Fddot(self, t):
         y = self.traj.value(t)
-        dy = self.traj.problem.rhs(float(t), y)
+        dy = self.traj.derivative(t)
         return float(2.0 * y[3] + t * dy[3])
 
     def residuals(self, t):

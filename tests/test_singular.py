@@ -247,6 +247,20 @@ def test_affine_maps_shapes_and_endpoint():
         singular.AffineSingularMaps(C=[[0.0]], S=[["t", "1"]])
 
 
+def test_max_residual_samples_where_the_slope_error_peaks():
+    # demos/configs/affine_singular.json: the interpolant's slope error
+    # vanishes at each step's midpoint, so a midpoint sample reads it
+    # ~75x low; the per-step sample must see the quarter-point maximum
+    aff = singular.AffineSingularMaps(
+        C=[[0.0, 1.0], [0.0, -3.0]], S=[["0", "0"], ["t", "0"]],
+        g=["0", "sin(t)"])
+    traj = singular.solve(aff.problem([0.0, 0.0], 1.0), tol=1e-10)
+    ts = traj.ts.tolist()
+    quarters = max(traj.residual(t0 + q * (t1 - t0))
+                   for t0, t1 in zip(ts, ts[1:]) for q in (0.25, 0.5, 0.75))
+    assert traj.diagnostics["max_residual"] >= 0.5 * quarters
+
+
 def test_affine_jets_are_truncations_of_one_expansion():
     aff = singular.AffineSingularMaps(
         C=[[-1.0, 0.5], [0.0, -2.0]],
