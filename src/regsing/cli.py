@@ -111,7 +111,8 @@ def _write_summary(args, cfg, effective, traj, residuals):
         "diagnostics": {k: v for k, v in diag.items()
                         if k != "admissibility"},
         "admissibility": _admissibility_dict(diag["admissibility"]),
-        "residual_max": max(abs(float(r)) for r in residuals),
+        # np.max, not builtin max, so that a nan entry shows
+        "residual_max": float(np.max(np.abs(np.asarray(residuals, float)))),
     }
     _emit_json(summary, _summary_path(args.out))
 

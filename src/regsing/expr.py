@@ -16,8 +16,10 @@ trees into one generated Python function that returns every entry in a
 single call.  :class:`ExprArray` holds a matrix or vector of trees and
 compiles each mode on its first use, so a coefficient matrix is compiled
 once, lazily, and then evaluated whole; ``eval_real``, ``eval_complex``
-and ``taylor`` compile a single tree the same way.  Values and domain
-errors are those of a node-by-node evaluation in the same order.
+and ``taylor`` compile a single tree the same way.  :class:`HalfTraces`
+generates one real-mode function of ``(t, rho)`` that also divides and
+sums the values, for the half traces of diagonal matrices.  Values and
+domain errors are those of a node-by-node evaluation in the same order.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .series import Series
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "parse", "render", "differentiate", "eval_real", "eval_complex",
-    "taylor", "ExprArray", "FUNCTIONS",
+    "taylor", "ExprArray", "HalfTraces", "FUNCTIONS",
 ]
 
 
@@ -596,7 +598,7 @@ class _Emitter:
         # or whose evaluation fails, is evaluated on every call instead, so
         # any error arises there, in evaluation order.
         exp_var = var if mode == "real" else "0.0"
-        folded = exp_var != "t" or not _contains_var(e.exponent)
+        folded = mode != "real" or not _contains_var(e.exponent)
         if folded:
             try:
                 c = _fold(e.exponent)
@@ -719,6 +721,84 @@ class ExprArray:
         out = np.empty(len(self.exprs), dtype=object)
         out[:] = self._fn("taylor")(t0, order)
         return out.reshape(self.shape)
+
+
+_HALF_TRACES = """def f(t, rho, <cells>):
+    try:
+        t = float(t)
+        <body>
+    except OverflowError as exc:
+        raise _E(f"overflow during evaluation: {exc}") from None
+    <sums>
+    return (<results>)
+"""
+
+
+def _compile_half_traces(den, rows):
+    """The function of ``(t, rho)`` a :class:`HalfTraces` calls."""
+    gen = _Emitter()
+    groups = [("t", den), *rows]
+    values = [None] * len(groups)
+    # every tree is evaluated before the first division, t before rho
+    for var in ("t", "rho"):
+        if var == "rho":
+            gen.lines.append("rho = float(rho)")
+        for g, (v, trees) in enumerate(groups):
+            if v == var:
+                values[g] = [gen.node(e, "real", var) for e in trees]
+    # the float conversion eval_real's float64 array makes
+    for g, names in enumerate(values):
+        gen.lines += [f"x{g}_{i} = float({x})" for i, x in enumerate(names)]
+    sums, results = [], []
+    for g in range(1, len(groups)):
+        # explicit index order: builtin sum rounds differently from 3.12 on
+        sums.append("acc = 0.0")
+        sums += [f"acc += x{g}_{i} / x0_{i}" for i in range(len(den))]
+        sums.append(f"s{g} = 0.5 * acc")
+        results.append(f"s{g}, ")
+    source = (_HALF_TRACES
+              .replace("<cells>", ", ".join(
+                  f"k{i}" for i in range(len(gen.consts))))
+              .replace("<body>", "\n        ".join(gen.lines))
+              .replace("<sums>", "\n    ".join(sums))
+              .replace("<results>", "".join(results)))
+    return types.FunctionType(_code(source), _GLOBALS, "f",
+                              tuple(gen.consts))
+
+
+class HalfTraces:
+    """Half traces ``0.5 * sum_i x_i / den_i`` of diagonal matrices as one
+    generated function of ``(t, rho)``.
+
+    ``den`` holds the divisor trees, evaluated at ``t``; each of ``rows``
+    is a ``(var, trees)`` pair of numerators evaluated at ``var``, ``"t"``
+    or ``"rho"``.  A call evaluates every tree first, the divisors and the
+    ``t`` rows before the ``rho`` rows, each in the given order and with
+    the values and domain errors of :meth:`ExprArray.eval_real`; it then
+    sums each row in index order and returns the sums as a tuple of floats
+    in the order of ``rows``.  A zero divisor raises ZeroDivisionError.
+    The function is compiled on the first call; like :class:`ExprArray`,
+    the object pickles as its trees.
+    """
+
+    __slots__ = ("den", "rows", "_fn")
+
+    def __init__(self, den, rows):
+        self.den = tuple(den)
+        self.rows = tuple((var, tuple(trees)) for var, trees in rows)
+        if any(var not in ("t", "rho") or len(trees) != len(self.den)
+               for var, trees in self.rows):
+            raise ExprError("each row needs one tree per divisor, in t or rho")
+        self._fn = None
+
+    def __reduce__(self):
+        return HalfTraces, (self.den, self.rows)
+
+    def __call__(self, t, rho) -> tuple:
+        fn = self._fn
+        if fn is None:
+            fn = self._fn = _compile_half_traces(self.den, self.rows)
+        return fn(t, rho)
 
 
 # -- evaluation ------------------------------------------------------------

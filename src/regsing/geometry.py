@@ -18,10 +18,12 @@ dimension ``weight``.  Biharmonic profiles couple this to the linearized
 (Jacobi) equation for the tension ``F`` through the second radial
 derivative of ``P``; that path is restricted to diagonal families.  From
 ``t_switch`` on, the traces of a diagonal family are the closed form
-``sum_i X_ii / P_ii`` and a block family solves ``P(t) S = [P'(rho) |
-P'(t)]`` once; below ``t_switch`` they come from pole-peeled series.  A
-residual sample evaluates the traces once and reads ``r''`` (and ``F''``)
-from the computed trajectory, so it measures that trajectory's defect.
+``sum_i X_ii / P_ii``, one generated function of ``(t, rho)`` per family
+(:class:`~regsing.expr.HalfTraces`), and a block family solves ``P(t) S =
+[P'(rho) | P'(t)]`` once; below ``t_switch`` they come from pole-peeled
+series.  A residual sample evaluates the traces once and reads ``r''``
+(and ``F''``) from the computed trajectory, so it measures that
+trajectory's defect.
 
 Both reductions have a simple pole at ``t = 0``.  Substituting ``r = t a``
 (and ``F = t b``) produces problems in the class handled by
@@ -153,22 +155,29 @@ class MetricFamily:
         return self._Pdot.eval_real(t)
 
     def Pddot_at(self, t: float) -> np.ndarray:
-        return self._second[0].eval_real(t)
+        return self._second.eval_real(t)
 
     @functools.cached_property
     def _direct(self):
-        """``[P, P']`` at ``t`` and ``[P']`` at ``rho`` for the direct branch,
-        diagonals only where the family is diagonal; built on first use."""
-        pick = np.diagonal if self.diagonal else np.ravel
-        d1 = pick(self._dentries)
-        return _expr.ExprArray([*pick(self.entries), *d1]), _expr.ExprArray(d1)
+        """``[P, P']`` at ``t`` and ``P'`` at ``rho`` for a block family's
+        direct branch; built on first use."""
+        return (_expr.ExprArray([self.entries, self._dentries]),
+                _expr.ExprArray(self._dentries))
+
+    @functools.cached_property
+    def _half_traces(self):
+        """A diagonal family's direct branch, ``(V, drift)`` and ``(V,
+        drift, V2)`` from ``P_ii(t)``, ``P'_ii(t)``, ``P'_ii(rho)`` and
+        ``P''_ii(rho)``, each one generated function; built on first use."""
+        d0, d1 = np.diagonal(self.entries), np.diagonal(self._dentries)
+        rows = [("rho", d1), ("t", d1)]
+        return (_expr.HalfTraces(d0, rows), _expr.HalfTraces(
+            d0, [*rows, ("rho", [_expr.differentiate(e) for e in d1])]))
 
     @functools.cached_property
     def _second(self):
-        """``P''``, and ``[P', P'']`` over the diagonal; built on first use."""
-        dd = _differentiate(self._dentries)
-        return _expr.ExprArray(dd), _expr.ExprArray(
-            [*np.diagonal(self._dentries), *np.diagonal(dd)])
+        """``P''``; built on first use."""
+        return _expr.ExprArray(_differentiate(self._dentries))
 
     def alpha_dot_at(self, t: float) -> float:
         if self._alpha_dot is None:
@@ -389,29 +398,26 @@ def check_structure(fam: MetricFamily):
 
 def _direct_traces(fam: MetricFamily, t: float, rho: float, second: bool):
     """``(V, drift, V2)`` of the direct branch, ``drift = Tr(P^-1 P')/2``
-    and ``V2`` None unless ``second``.  Diagonal families sum ``X_ii /
-    P_ii``; block families solve ``P(t) S = [P'(rho) | P'(t)]`` once.
+    and ``V2`` None unless ``second``.  A diagonal family makes one call of
+    its generated :class:`~regsing.expr.HalfTraces`, which sums ``X_ii /
+    P_ii``; a block family solves ``P(t) S = [P'(rho) | P'(t)]`` once.
     Sums run in index order; a singular ``P(t)`` raises NumericalError."""
-    n, at = fam.n, fam._direct[0].eval_real(t)    # P(t), P'(t) in one call
-    x = (fam._second[1] if second else fam._direct[1]).eval_real(rho)
     try:
         if fam.diagonal:
-            at, x = at.tolist(), x.tolist()
-            div, rows = at[:n], (x[:n], at[n:], x[n:])
-        else:   # S already holds the terms: unit divisors
-            P, Pdot = at.reshape(2, n, n)
-            S = np.linalg.solve(P, np.hstack((x.reshape(n, n), Pdot)))
-            rows = S.diagonal().tolist(), S.diagonal(n).tolist(), []
-            div = [1.0] * n
-        traces = []
-        for row in rows:
-            acc = 0.0
-            for v, d in zip(row, div):
-                acc += v / d
-            traces.append(0.5 * acc)
+            traces = fam._half_traces[second](t, rho)
+            return traces if second else (*traces, None)
+        P, Pdot = fam._direct[0].eval_real(t)
+        x = fam._direct[1].eval_real(rho)
+        S = np.linalg.solve(P, np.hstack((x, Pdot)))
     except (ZeroDivisionError, np.linalg.LinAlgError):
         raise NumericalError(f"P(t) is singular at t = {t!r}") from None
-    return traces[0], traces[1], traces[2] if second else None
+    traces = []
+    for row in (S.diagonal().tolist(), S.diagonal(fam.n).tolist()):
+        acc = 0.0
+        for v in row:
+            acc += v
+        traces.append(0.5 * acc)
+    return traces[0], traces[1], None
 
 
 def _traces(fam: MetricFamily, t: float, rho: float, second: bool,

@@ -109,7 +109,8 @@ class IntegrationResult:
 def _rms_norm(x):
     if x.size == 0:
         return 0.0
-    return float(np.sqrt(np.mean(np.abs(x) ** 2)))
+    # np.mean's own reduce and division, without its dispatch overhead
+    return math.sqrt(float(np.add.reduce(np.abs(x) ** 2)) / x.size)
 
 
 def _initial_step(f, t0, y0, f0, t1, tol, max_step):

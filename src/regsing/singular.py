@@ -440,10 +440,10 @@ _THETA_PEAK = (3.0 - math.sqrt(3.0)) / 6.0
 
 def _step_diagnostics(traj: Trajectory) -> dict:
     res = traj.result
-    worst = 0.0
     ts = res.ts.tolist()
-    for t0, t1 in zip(ts, ts[1:]):
-        worst = max(worst, traj.residual(t0 + _THETA_PEAK * (t1 - t0)))
+    # np.max, not builtin max, so that a nan sample shows wherever it falls
+    worst = float(np.max([traj.residual(t0 + _THETA_PEAK * (t1 - t0))
+                          for t0, t1 in zip(ts, ts[1:])], initial=0.0))
     return {
         "steps_accepted": res.n_accepted,
         "steps_rejected": res.n_rejected,

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from regsing import cli
+from regsing import cli, geometry
 
 
 FLAT = {"diagonal": ["t^2", "t^2", "1 + t^2"], "dim_p": 2}
@@ -161,6 +161,25 @@ def test_biharmonic_sidecar_residual_max_covers_both_columns(tmp_path):
     res_def = max(abs(row[-2]) for row in data)
     assert res_def > max(abs(row[-1]) for row in data)
     assert summary["residual_max"] == res_def
+
+
+def test_sidecar_residual_max_shows_a_nan_entry(tmp_path, monkeypatch):
+    # planted fault: one residual sample (not the first) reads nan
+    real, calls = geometry.HarmonicSolution.residual, []
+
+    def planted(self, t):
+        calls.append(t)
+        return math.nan if len(calls) == 3 else real(self, t)
+
+    monkeypatch.setattr(geometry.HarmonicSolution, "residual", planted)
+    cfg = write_cfg(tmp_path, "h.json",
+                    {"metric": SPHERE, "v": 0.6, "t_end": 1.2, "samples": 6})
+    out = tmp_path / "h.csv"
+    assert cli.run(["solve-harmonic", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 0
+    assert len(calls) == 6
+    summary = json.loads((tmp_path / "h.summary.json").read_text())
+    assert math.isnan(summary["residual_max"])
 
 
 def test_biharmonic_grid(tmp_path):

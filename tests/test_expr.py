@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from regsing import expr, geometry, linear, series, singular
-from regsing.errors import EvalDomainError, ParseError, ValidationError
+from regsing.errors import (EvalDomainError, ExprError, ParseError,
+                            ValidationError)
 from regsing.series import Series
 
 
@@ -461,9 +462,31 @@ def test_compiled_owners_pickle():
     system = linear.LinearRSSystem([["1 + t", "sin(t)"], ["0", "t^2"]])
     fam = geometry.MetricFamily.from_diagonal(["sin(t)^2"] * 2, dim_p=2)
     A, P = system.A_at(0.3j), fam.P_at(0.4)     # both now compiled
+    # and both generated trace functions, through a solve and a direct call
+    geometry.solve_biharmonic(fam, 0.6, 0.3, 0.5, tol=1e-6)
+    traces = [f(fam, 0.4, 0.3) for f in (geometry.trace_potential,
+                                          geometry.trace_potential2)]
     system2, fam2 = pickle.loads(pickle.dumps((system, fam)))
     assert system2.A_at(0.3j).tobytes() == A.tobytes()
     assert fam2.P_at(0.4).tobytes() == P.tobytes()
+    assert [f(fam2, 0.4, 0.3) for f in (geometry.trace_potential,
+                                        geometry.trace_potential2)] == traces
+
+
+def test_half_traces_rows_and_errors():
+    e = expr.parse
+    den = [e("t"), e("2")]
+    # a hand-built exponent in t, read in a rho row, is evaluated at rho
+    rho_pow = expr.Pow(expr.Var(), expr.Var())
+    h = expr.HalfTraces(den, [("rho", [e("t"), rho_pow]),
+                              ("t", [e("1"), e("t^2")])])
+    assert h(0.5, 3.0) == (0.5 * (3.0 / 0.5 + 3.0 ** 3.0 / 2.0),
+                           0.5 * (1.0 / 0.5 + 0.25 / 2.0))
+    with pytest.raises(ZeroDivisionError):
+        h(0.0, 1.0)
+    for rows in ([("s", [e("t"), e("t")])], [("t", [e("t")])]):
+        with pytest.raises(ExprError):
+            expr.HalfTraces(den, rows)
 
 
 def test_empty_arrays_evaluate_to_empty_results():

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from regsing import geometry, series, singular
-from regsing.errors import (ConfigError, NumericalError, StructureError,
-                            ValidationError)
+from regsing import expr, geometry, series, singular
+from regsing.errors import (ConfigError, EvalDomainError, NumericalError,
+                            StructureError, ValidationError)
 from regsing.series import Series
 
 
@@ -630,6 +630,100 @@ def test_direct_traces_agree_with_solve_then_trace(name):
             want = 0.5 * float(np.trace(S))
             bound = 4 * fam.n * eps * 0.5 * float(np.abs(np.diagonal(S)).sum())
             assert abs(g - want) <= bound, (t, rho, g, want)
+
+
+def ref_diagonal_traces(fam, t, rho, second):
+    """``(V, drift, V2)`` of a diagonal family from the diagonals of
+    ``P_at``/``Pdot_at``/``Pddot_at``, each ``X_ii / P_ii`` summed in index
+    order."""
+    P, Pt = fam.P_at(t), fam.Pdot_at(t)
+    Xs = [fam.Pdot_at(rho), Pt] + ([fam.Pddot_at(rho)] if second else [])
+    out = []
+    for X in Xs:
+        acc = 0.0
+        for i in range(fam.n):
+            acc += float(X[i, i]) / float(P[i, i])
+        out.append(0.5 * acc)
+    return out[0], out[1], out[2] if second else None
+
+
+DIAGONAL_TRACE_FAMILIES = {
+    "sphere": sphere,
+    "t2t2_1pt2": flat3,
+    "flat4": lambda: geometry.MetricFamily.from_diagonal(["t^2"] * 4,
+                                                         dim_p=4),
+    "alpha": lambda: geometry.MetricFamily.from_diagonal(
+        ["sinh(t)^2", "1 + t^2*cos(t)"], dim_p=1, alpha="t^2", weight=2),
+    "sqrt_log": lambda: geometry.MetricFamily.from_diagonal(
+        ["t^2*sqrt(1 + t)", "log(2 + t^2)", "exp(t)*(1 + t)^0.5"], dim_p=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGONAL_TRACE_FAMILIES))
+def test_generated_traces_equal_the_diagonal_sums(name):
+    # exact: the generated function divides and sums as the reference does
+    fam = DIAGONAL_TRACE_FAMILIES[name]()
+    rng = np.random.default_rng(31 + sorted(DIAGONAL_TRACE_FAMILIES).index(
+        name))
+    errors = 0
+    for _ in range(150):
+        t = float(np.exp(rng.uniform(np.log(fam.t_switch), np.log(1.5))))
+        rho = t * float(rng.normal(scale=1.5))
+        for second in (False, True):
+            want = outcome(ref_diagonal_traces, fam, t, rho, second)
+            assert outcome(geometry._direct_traces, fam, t, rho,
+                           second) == want, (t, rho, second)
+            errors += want[0] == "E"
+            if want[0] != "E":
+                V, drift, V2 = ref_diagonal_traces(fam, t, rho, second)
+                D = drift + fam.weight * fam.alpha_dot_at(t)
+                assert geometry._traces(fam, t, rho, second) == (D, V, V2)
+    # only the sqrt/log family leaves its domain, and it does so at rho
+    assert (errors > 0) == (name == "sqrt_log")
+
+
+def test_generated_traces_raise_as_the_matrix_reads():
+    # log(t) fails at t < 0, sqrt(1 + rho) at rho < -1: t is evaluated first
+    fam = geometry.MetricFamily.from_diagonal(
+        ["t^2*(2 + log(t))", "sqrt(1 + t)"], dim_p=1)
+    for second in (False, True):
+        for t, rho, read in ((-0.5, -3.0, lambda: fam.P_at(-0.5)),
+                             (0.5, -3.0, lambda: fam.Pdot_at(-3.0))):
+            with pytest.raises(EvalDomainError) as want:
+                read()
+            with pytest.raises(EvalDomainError) as got:
+                geometry._direct_traces(fam, t, rho, second)
+            assert str(got.value) == str(want.value)
+    # a zero diagonal entry: P(1) = diag(1, 0)
+    fam = geometry.MetricFamily.from_diagonal(["t^2", "(1 - t^2)^2"],
+                                              dim_p=1)
+    for second in (False, True):
+        with pytest.raises(NumericalError, match="singular at t = 1.0"):
+            geometry._direct_traces(fam, 1.0, 0.5, second)
+
+
+def test_diagonal_rhs_makes_no_expression_array_call(monkeypatch):
+    fam = sphere()
+    probs = [geometry.assemble_harmonic(fam, 0.7, 1.5),
+             geometry.assemble_biharmonic(fam, 0.6, 0.3, 1.5)]
+    for p in probs:                     # compile outside the count
+        p.rhs(0.5, np.full(p.k, 0.3))
+    calls = {"eval_real": 0, "traces": 0}
+    eval_real, traces = expr.ExprArray.eval_real, expr.HalfTraces.__call__
+
+    def counted_eval_real(self, t):
+        calls["eval_real"] += 1
+        return eval_real(self, t)
+
+    def counted_traces(self, t, rho):
+        calls["traces"] += 1
+        return traces(self, t, rho)
+
+    monkeypatch.setattr(expr.ExprArray, "eval_real", counted_eval_real)
+    monkeypatch.setattr(expr.HalfTraces, "__call__", counted_traces)
+    for p in probs:
+        p.rhs(0.5, np.full(p.k, 0.3))
+    assert calls == {"eval_real": 0, "traces": 2}
 
 
 def probe_problems(fam):

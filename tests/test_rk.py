@@ -96,3 +96,14 @@ def test_one_non_finite_step_is_rejected_and_recovered():
     res = rk.integrate_adaptive(f, 0.0, np.array([1.0]), 2.0, 1e-10)
     assert res.n_rejected >= 1
     assert res.ys[-1][0] == pytest.approx(clean.ys[-1][0], abs=1e-8)
+
+
+def test_rms_norm_matches_the_numpy_mean_form_bytewise():
+    rng = np.random.default_rng(17)
+    for size in range(1, 65):
+        for x in (rng.normal(size=size) * 10.0 ** rng.uniform(-8, 8, size),
+                  rng.normal(size=size) + 1j * rng.normal(size=size)):
+            want = float(np.sqrt(np.mean(np.abs(x) ** 2)))
+            got = rk._rms_norm(x)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()

@@ -261,6 +261,23 @@ def test_max_residual_samples_where_the_slope_error_peaks():
     assert traj.diagnostics["max_residual"] >= 0.5 * quarters
 
 
+def test_max_residual_shows_a_nan_sample(monkeypatch):
+    # planted fault: one per-step sample (not the first) reads nan
+    real, calls = singular.Trajectory.residual, []
+
+    def planted(self, t):
+        calls.append(t)
+        return math.nan if len(calls) == 3 else real(self, t)
+
+    monkeypatch.setattr(singular.Trajectory, "residual", planted)
+    aff = singular.AffineSingularMaps(
+        C=[[0.0, 1.0], [0.0, -3.0]], S=[["0", "0"], ["t", "0"]],
+        g=["0", "sin(t)"])
+    traj = singular.solve(aff.problem([0.0, 0.0], 1.0), tol=1e-8)
+    assert len(calls) > 3
+    assert math.isnan(traj.diagnostics["max_residual"])
+
+
 def test_affine_jets_are_truncations_of_one_expansion():
     aff = singular.AffineSingularMaps(
         C=[[-1.0, 0.5], [0.0, -2.0]],
