@@ -12,6 +12,9 @@ appends the five coefficient rows of the quartic Dormand-Prince continuous
 extension (endpoint values and slopes plus one extra stage combination);
 the result keeps them as one ``(n_steps, 5, n)`` array, so trajectories
 can be sampled and differentiated anywhere inside the integrated span.
+With ``check_defect`` a step must also hold its defect at theta* = (3 -
+sqrt 3)/6, where the interpolant's slope error th (1 - th) (1 - 2 th) peaks,
+to ``D*tol*(1 + max|y|)``, ``D`` = 10, at one more ``f`` call; no step cap.
 """
 
 from __future__ import annotations
@@ -63,6 +66,11 @@ _EXP2 = 0.4 / _ORDER
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _MAX_STEPS = 200_000        # step budget of one integration
+_DEFECT = 10.0              # the defect bound D, in units of the error scale
+# interpolant value and slope row weights at theta*, where th (1 - th) = 1/6
+_THETA = (3.0 - math.sqrt(3.0)) / 6.0
+_AT_THETA = np.array([[1.0, _THETA, 1 / 6, _THETA / 6, 1 / 36],
+                      [0.0, 1.0, 3 ** -0.5, 0.5 - _THETA, 3 ** -1.5]])
 
 
 class IntegrationResult:
@@ -73,7 +81,8 @@ class IntegrationResult:
     stage combination, so the value error matches the order of the step.
     """
 
-    def __init__(self, ts, ys, rows, n_accepted, n_rejected, est_error):
+    def __init__(self, ts, ys, rows, n_accepted, n_rejected, est_error,
+                 n_defect_rejected, max_defect):
         self.ts = np.asarray(ts)
         self._grid = self.ts.tolist()   # plain floats: fast bisection
         self.ys = np.asarray(ys)
@@ -81,6 +90,8 @@ class IntegrationResult:
         self.n_accepted = n_accepted
         self.n_rejected = n_rejected
         self.est_error = est_error
+        self.n_defect_rejected = n_defect_rejected
+        self.max_defect = max_defect
 
     def _local(self, t):
         """Rows, local coordinate in [0, 1] and width of the step at ``t``."""
@@ -113,7 +124,7 @@ def _rms_norm(x):
     return math.sqrt(float(np.add.reduce(np.abs(x) ** 2)) / x.size)
 
 
-def _initial_step(f, t0, y0, f0, t1, tol, max_step):
+def _initial_step(f, t0, y0, f0, t1, tol):
     # standard two-probe guess, conservative on degenerate data
     sc = tol + tol * np.abs(y0)
     d0 = _rms_norm(y0 / sc)
@@ -130,10 +141,10 @@ def _initial_step(f, t0, y0, f0, t1, tol, max_step):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1.0 / _ORDER)
-    return min(100 * h0, h1, max_step, abs(t1 - t0))
+    return min(100 * h0, h1, abs(t1 - t0))
 
 
-def integrate_adaptive(f, t0, y0, t1, tol, max_step=math.inf):
+def integrate_adaptive(f, t0, y0, t1, tol, check_defect=False):
     """Integrate ``dy/dt = f(t, y)`` from ``t0`` to ``t1 > t0``.
 
     Parameters
@@ -142,8 +153,10 @@ def integrate_adaptive(f, t0, y0, t1, tol, max_step=math.inf):
         Right-hand side returning an array matching ``y``.
     tol : float
         Error scale per component ``tol*(1 + max(|y0|, |y1|))`` of a step.
-    max_step : float
-        Upper bound on the step width.
+    check_defect : bool
+        Also require ``|p' - f| <= D*tol*(1 + max|y|)`` of the step's
+        interpolant ``p`` at ``t + theta* h``.  Without it the result's
+        ``max_defect`` and ``n_defect_rejected`` are None.
 
     Raises
     ------
@@ -162,7 +175,7 @@ def integrate_adaptive(f, t0, y0, t1, tol, max_step=math.inf):
     k = np.empty((7, y.size), dtype=dtype)
     k[0] = f0.astype(dtype)
 
-    h = max(_initial_step(f, t0, y, k[0], t1, tol, max_step), 1e-300)
+    h = max(_initial_step(f, t0, y, k[0], t1, tol), 1e-300)
 
     t = t0
     ts = [t0]
@@ -171,6 +184,7 @@ def integrate_adaptive(f, t0, y0, t1, tol, max_step=math.inf):
     n_accepted = 0
     n_rejected = 0
     est_error = 0.0
+    n_defect_rejected, max_defect = (0, 0.0) if check_defect else (None, None)
     err_prev = 1e-4
     rejected_last = False
 
@@ -194,43 +208,54 @@ def integrate_adaptive(f, t0, y0, t1, tol, max_step=math.inf):
         with np.errstate(invalid="ignore", over="ignore"):
             err = _rms_norm(err_vec / sc)
 
-        if not np.isfinite(err):
-            n_rejected += 1
-            rejected_last = True
-            h *= _MIN_FACTOR
-            continue
-
         if err == 0.0:      # 0.0 ** -_EXP1 raises
             factor = _MAX_FACTOR
-        else:
+        else:               # a nan err gets the floor: max keeps its first
             factor = _SAFETY * err ** (-_EXP1) * err_prev ** _EXP2
-            factor = min(max(factor, _MIN_FACTOR), _MAX_FACTOR)
+            factor = min(max(_MIN_FACTOR, factor), _MAX_FACTOR)
 
-        if err <= 1.0:
+        accept = err <= 1.0
+        if accept:
             t_next = t1 if is_last else t + h
             dt = t_next - t     # the stored width; may differ from h by 1 ulp
             ydiff = yi - y
             bspl = dt * k[0] - ydiff
-            rows.append((y, ydiff, bspl, ydiff - dt * k[6] - bspl,
-                         dt * (_D @ k)))
-            t = t_next
-            y = yi
-            k[0] = k[6]
-            ts.append(t)
-            ys.append(y)
-            n_accepted += 1
-            est_error += _rms_norm(err_vec)
-            if rejected_last:
-                factor = min(factor, 1.0)
-            rejected_last = False
-            err_prev = max(err, 1e-4)
-            h = min(h * factor, max_step)
-        else:
+            row = (y, ydiff, bspl, ydiff - dt * k[6] - bspl, dt * (_D @ k))
+        if accept and check_defect:
+            p, dp = _AT_THETA @ np.array(row)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                gap = np.abs(dp / dt - f(t + _THETA * dt, p))
+                ratio = np.max(gap / sc) / _DEFECT
+                # the slope error goes like h**4; a nan ratio gets the floor
+                dfactor = float(max(_MIN_FACTOR, _SAFETY * ratio ** -0.25))
+            accept = ratio <= 1.0
+            if accept:
+                factor = min(factor, dfactor)
+                max_defect = max(max_defect, float(np.max(gap)))
+            else:
+                factor = dfactor
+                n_defect_rejected += 1
+        if not accept:
             n_rejected += 1
             rejected_last = True
             h *= min(factor, 1.0)
+            continue
+        rows.append(row)
+        t = t_next
+        y = yi
+        k[0] = k[6]
+        ts.append(t)
+        ys.append(y)
+        n_accepted += 1
+        est_error += _rms_norm(err_vec)
+        if rejected_last:
+            factor = min(factor, 1.0)
+        rejected_last = False
+        err_prev = max(err, 1e-4)
+        h *= factor
     else:
         raise NumericalError(
             f"step budget exhausted after {_MAX_STEPS} steps at t = {t!r}")
 
-    return IntegrationResult(ts, ys, rows, n_accepted, n_rejected, est_error)
+    return IntegrationResult(ts, ys, rows, n_accepted, n_rejected, est_error,
+                             n_defect_rejected, max_defect)

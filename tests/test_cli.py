@@ -220,6 +220,22 @@ def test_solve_singular_csv(tmp_path):
     assert abs(res) < 1e-8
 
 
+def test_singular_sidecar_reports_the_step_controller(tmp_path):
+    cfg = write_cfg(tmp_path, "aff.json",
+                    {"C": [[0.0, 1.0], [0.0, -3.0]],
+                     "S": [["0", "0"], ["t", "0"]],
+                     "g": ["0", "sin(t)"],
+                     "y0": [0.0, 0.0], "t_end": 1.0, "samples": 2})
+    out = tmp_path / "aff.csv"
+    assert cli.run(["solve-singular", "--config", cfg, "--out", str(out),
+                    "--quiet"]) == 0
+    d = json.loads((tmp_path / "aff.summary.json").read_text())["diagnostics"]
+    assert d["steps_defect_rejected"] >= 1
+    assert d["steps_rejected"] >= d["steps_defect_rejected"]
+    assert 0.0 <= d["handoff_residual"] < 1e-10
+    assert 0.0 < d["max_residual"] <= 100 * 1e-10
+
+
 def test_monodromy_nilpotent(tmp_path):
     cfg = write_cfg(tmp_path, "m.json",
                     {"A": [["0", "t"], ["0", "1"]], "rho": 2.0, "sigma": 1.0})

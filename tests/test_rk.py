@@ -36,10 +36,22 @@ def test_dense_output_continuous_at_nodes():
         assert abs(left[0] - right[0]) < 1e-11
 
 
-def test_max_step_respected():
-    res = rk.integrate_adaptive(lambda t, y: -y, 0.0, np.array([1.0]),
-                                1.0, 1e-6, max_step=0.01)
-    assert max(np.diff(res.ts)) <= 0.01 + 1e-12
+def test_defect_check_bounds_and_reports_the_theta_star_residual():
+    def f(t, y):
+        return np.array([math.cos(t)])
+
+    off = rk.integrate_adaptive(f, 0.0, np.array([0.0]), 3.0, 1e-10)
+    assert off.n_defect_rejected is None
+    assert off.max_defect is None
+    on = rk.integrate_adaptive(f, 0.0, np.array([0.0]), 3.0, 1e-10,
+                               check_defect=True)
+    assert on.n_defect_rejected >= 0
+    # every accepted step: defect within D times the error scale
+    assert 0.0 < on.max_defect <= rk._DEFECT * 1e-10 * 2.0
+    ts = on.ts.tolist()
+    worst = max(abs(on.derivative(s)[0] - math.cos(s))
+                for s in (a + rk._THETA * (b - a) for a, b in zip(ts, ts[1:])))
+    assert on.max_defect == pytest.approx(worst, rel=1e-3)
 
 
 def test_complex_state():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from regsing import series, singular
+from regsing import geometry, rk, series, singular
 from regsing.errors import (AdmissibilityError, NumericalError,
                             ValidationError)
 from regsing.series import Series
@@ -16,6 +16,13 @@ def linear_forced(forcing, y0=0.0, t_end=2.0):
     # dy/dt = -2y/t + forcing(t); m_sing has Jacobian -2 everywhere
     return singular.SingularIVP(lambda y: -2.0 * y,
                                 forcing, np.array([y0]), t_end)
+
+
+def _affine_demo():
+    # the system of demos/configs/affine_singular.json
+    return singular.AffineSingularMaps(
+        C=[[0.0, 1.0], [0.0, -3.0]], S=[["0", "0"], ["t", "0"]],
+        g=["0", "sin(t)"])
 
 
 def test_jet_capability_probe():
@@ -175,11 +182,9 @@ def test_choose_handoff_cases():
         singular.choose_handoff(bad, 1e-12, 1.0, 4.0)
 
 
-def test_integrate_respects_default_step_cap():
+def test_integrate_from_a_state_at_t0():
     p = linear_forced(lambda t, y: y * 0.0 + 1.0)
     traj = singular.integrate(p, 0.05, [0.05 / 3.0], tol=1e-10)
-    # max_step = max((100 tol)^(1/4), 1e-3) = 1e-2 for tol = 1e-10
-    assert np.max(np.diff(traj.ts)) <= 1e-2 + 1e-12
     assert traj.value(2.0)[0] == pytest.approx(2.0 / 3.0, abs=1e-9)
     with pytest.raises(ValidationError):
         traj.value(0.01)       # no series part below the handoff
@@ -261,21 +266,142 @@ def test_max_residual_samples_where_the_slope_error_peaks():
     assert traj.diagnostics["max_residual"] >= 0.5 * quarters
 
 
-def test_max_residual_shows_a_nan_sample(monkeypatch):
-    # planted fault: one per-step sample (not the first) reads nan
-    real, calls = singular.Trajectory.residual, []
+def test_nan_defect_sample_is_rejected_and_retried():
+    # planted fault: f reads nan at the defect abscissa of one step (not
+    # the first); the step must be rejected and retried with a smaller
+    # width, so the nan never reaches an accepted step
+    aff = _affine_demo()
+    p = aff.problem([0.0, 0.0], 1.0)
+    clean = singular.solve(p, tol=1e-8)
+    ts = clean.ts.tolist()
+    t_bad = ts[3] + rk._THETA * (ts[4] - ts[3])
+    rhs, seen = p.rhs, []
 
-    def planted(self, t):
-        calls.append(t)
-        return math.nan if len(calls) == 3 else real(self, t)
+    def planted(t, y):
+        if t == t_bad:
+            seen.append(t)
+            return np.full_like(y, math.nan)
+        return rhs(t, y)
 
-    monkeypatch.setattr(singular.Trajectory, "residual", planted)
-    aff = singular.AffineSingularMaps(
-        C=[[0.0, 1.0], [0.0, -3.0]], S=[["0", "0"], ["t", "0"]],
-        g=["0", "sin(t)"])
-    traj = singular.solve(aff.problem([0.0, 0.0], 1.0), tol=1e-8)
-    assert len(calls) > 3
-    assert math.isnan(traj.diagnostics["max_residual"])
+    p.rhs = planted
+    traj = singular.solve(p, tol=1e-8)
+    d = traj.diagnostics
+    assert seen == [t_bad]
+    assert d["steps_defect_rejected"] >= 1
+    assert traj.ts[:4].tolist() == ts[:4]
+    assert traj.ts[4] < ts[4]           # the retried step is narrower
+    assert math.isfinite(d["max_residual"])
+    assert d["max_residual"] <= 100 * 1e-8
+
+
+# -- defect-controlled stepping ----------------------------------------------
+
+# quarter points and both slope-error peaks of the quartic interpolant
+_THETAS = (0.25, 0.5, 0.75, rk._THETA, 1.0 - rk._THETA)
+
+
+def _worst_residual(traj):
+    ts = traj.ts.tolist()
+    return max(traj.residual(a + q * (b - a))
+               for a, b in zip(ts, ts[1:]) for q in _THETAS)
+
+
+_ROWS = {
+    "sphere": lambda: geometry.assemble_harmonic(
+        geometry.MetricFamily.from_diagonal(["sin(t)^2", "sin(t)^2"],
+                                            dim_p=2), 0.7, 1.5),
+    "block": lambda: geometry.assemble_harmonic(
+        geometry.MetricFamily.from_entries(
+            [["t^2*(1.5 + 0.3*t^2)", "0.2*t^2"],
+             ["0.2*t^2", "1.7 + 0.25*t^2"]], dim_p=1), 1.3, 1.0),
+    "affine": lambda: _affine_demo().problem([0.0, 0.0], 1.0),
+    "flat3": lambda: geometry.assemble_biharmonic(
+        geometry.MetricFamily.from_diagonal(["t^2"] * 3, dim_p=3),
+        0.8, 0.4, 1.0),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("row", sorted(_ROWS))
+def test_defect_control_holds_the_residual_within_100_tol(row, tol):
+    # a fixed step cap read 193 tol on the affine row at tol 1e-12
+    traj = singular.solve(_ROWS[row](), tol=tol)
+    assert _worst_residual(traj) <= 100 * tol
+    assert traj.diagnostics["max_residual"] <= 100 * tol
+
+
+def test_defect_check_catches_a_planted_interpolant_fault(monkeypatch):
+    # planted fault: the interpolant's extra stage row is 1% off; the
+    # step's error estimate cannot see it, only the dense output's slope
+    tol = 1e-12
+    p = _ROWS["sphere"]()
+    y0 = singular._series_value(singular.bootstrap_series(p), 0.1)
+    clean = singular.integrate(p, 0.1, y0, tol)
+    monkeypatch.setattr(rk, "_D", rk._D * 1.01)
+    res = rk.integrate_adaptive(p.rhs, 0.1, y0, p.t_end, tol)
+    unchecked = singular.Trajectory(p, None, 0.1, res, tol)
+    assert _worst_residual(unchecked) > 100 * tol
+    checked = singular.integrate(p, 0.1, y0, tol)
+    assert checked.diagnostics["max_residual"] <= 100 * tol
+    assert _worst_residual(checked) <= 100 * tol
+    assert (checked.diagnostics["steps_accepted"]
+            > clean.diagnostics["steps_accepted"])
+
+
+def test_integrate_reads_the_residual_only_inside_the_step_loop(
+        monkeypatch):
+    outside = []
+    inside = [False]
+    real_integrate = rk.integrate_adaptive
+    real_rhs, real_residual = (singular.SingularIVP.rhs,
+                               singular.Trajectory.residual)
+
+    def integrate(*args, **kwargs):
+        inside[0] = True
+        try:
+            return real_integrate(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    def rhs(self, t, y):
+        if not inside[0]:
+            outside.append(("rhs", t))
+        return real_rhs(self, t, y)
+
+    def residual(self, t):
+        outside.append(("residual", t))
+        return real_residual(self, t)
+
+    monkeypatch.setattr(rk, "integrate_adaptive", integrate)
+    monkeypatch.setattr(singular.SingularIVP, "rhs", rhs)
+    monkeypatch.setattr(singular.Trajectory, "residual", residual)
+    p = _ROWS["affine"]()
+    traj = singular.integrate(p, 0.1, [0.0, 0.0], tol=1e-10)
+    assert outside == []
+    assert traj.diagnostics["steps_accepted"] > 0
+
+
+def test_handoff_residual_reads_the_series_at_the_handoff():
+    # the order-9 series of y' = -y/t + sinh t hands off at t = 1 with a
+    # state error of ~2.5e-7; the integrator's residual cannot see it
+    aff = singular.AffineSingularMaps([[-1.0]], g=["sinh(t)"])
+    p = aff.problem([0.0], 2.0)
+    traj = singular.solve(p, tol=1e-10, order=9, t_max=1.0)
+    d = traj.diagnostics
+    t0 = d["handoff"]
+    assert t0 == 1.0
+    c = traj.coeffs
+    powers = np.arange(c.shape[0])
+    dy = (powers[1:, None] * c[1:] * t0 ** (powers[1:, None] - 1)).sum(0)
+    y = (c * t0 ** powers[:, None]).sum(0)
+    assert d["handoff_residual"] == pytest.approx(
+        float(np.max(np.abs(dy - p.rhs(t0, y)))), rel=1e-9)
+    assert d["max_residual"] <= 100 * 1e-10
+    assert d["handoff_residual"] > 1e4 * 1e-10
+    # a handoff chosen where the series holds reads far below tol
+    for row in ("sphere", "affine", "flat3"):
+        d = singular.solve(_ROWS[row](), tol=1e-10).diagnostics
+        assert d["handoff_residual"] <= 0.1 * 1e-10
 
 
 def test_affine_jets_are_truncations_of_one_expansion():
