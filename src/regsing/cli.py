@@ -2,8 +2,9 @@
 
 Subcommands consume a JSON config file and emit either a CSV table (the
 solve commands) or a JSON report (monodromy, fundamental, check).  A solve
-command with ``--out`` also writes a ``*.summary.json`` sidecar echoing the
-config and the run diagnostics, enough to reproduce the run.  Config keys
+command with ``--out`` that solves for one parameter value also writes a
+``*.summary.json`` sidecar echoing the config and the run diagnostics,
+enough to reproduce the run; a sweep writes none.  Config keys
 are validated strictly: unknown keys are errors, so typos fail loudly
 instead of silently using defaults.
 
@@ -160,10 +161,12 @@ def _integer(cfg, key, where, default=None):
 
 
 def _parse_sweep(spec, where: str) -> np.ndarray:
-    """Accept a number or a 'start:stop:count' range string."""
+    """Accept a number or a 'start:stop:count' range string; the span
+    ``stop - start`` must be finite, and nonzero when the count is above
+    one."""
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return np.array([float(spec)])
-    if isinstance(spec, str):
+        a, b, n = float(spec), float(spec), 1
+    elif isinstance(spec, str):
         parts = spec.split(":")
         if len(parts) != 3:
             raise ConfigError(
@@ -175,10 +178,13 @@ def _parse_sweep(spec, where: str) -> np.ndarray:
             raise ConfigError(f"{where}: bad sweep '{spec}'") from exc
         if n < 1:
             raise ConfigError(f"{where}: sweep count must be >= 1")
-        if n == 1:
-            return np.array([a])
-        return np.linspace(a, b, n)
-    raise ConfigError(f"{where}: expected a number or sweep string")
+    else:
+        raise ConfigError(f"{where}: expected a number or sweep string")
+    # b - a is finite only when both ends are and their span is too
+    if not math.isfinite(b - a) or (n > 1 and a == b):
+        raise ConfigError(f"{where}: sweep {spec!r} needs a finite span, "
+                          "nonzero when the count is above 1")
+    return np.array([a]) if n == 1 else np.linspace(a, b, n)
 
 
 def _fd_slopes(xs, vals):
@@ -498,33 +504,36 @@ def _build_parser() -> argparse.ArgumentParser:
                     "rotationally reduced harmonic maps.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, helptext):
+    # each subcommand offers the overrides it reads
+    tol = ("--tol", float, "override the config tolerance")
+    order = ("--order", int, "override the series bootstrap order")
+
+    def add(name, fn, helptext, *overrides):
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True,
                        help="path to a JSON config file")
         p.add_argument("--out", default=None,
                        help="output file (default: stdout)")
-        p.add_argument("--tol", type=float, default=None,
-                       help="override the config tolerance")
-        p.add_argument("--order", type=int, default=None,
-                       help="override the series bootstrap order")
+        for flag, kind, text in overrides:
+            p.add_argument(flag, type=kind, default=None, help=text)
         p.add_argument("--quiet", action="store_true",
                        help="suppress progress notes on stderr")
         p.set_defaults(fn=fn)
         return p
 
     add("solve-harmonic", _cmd_solve_harmonic,
-        "profile of an equivariant harmonic map (CSV)")
+        "profile of an equivariant harmonic map (CSV)", tol, order)
     add("solve-biharmonic", _cmd_solve_biharmonic,
-        "coupled profile/tension system (CSV)")
+        "coupled profile/tension system (CSV)", tol, order)
     add("solve-singular", _cmd_solve_singular,
-        "affine problem with a simple pole at t=0 (CSV)")
+        "affine problem with a simple pole at t=0 (CSV)", tol, order)
     add("monodromy", _cmd_monodromy,
-        "monodromy matrix of a linear system (JSON)")
+        "monodromy matrix of a linear system (JSON)", tol)
     add("fundamental", _cmd_fundamental,
-        "fundamental solution on the log cover (JSON)")
+        "fundamental solution on the log cover (JSON)", tol)
     add("check", _cmd_check,
-        "validation report for a metric family or singular problem (JSON)")
+        "validation report for a metric family or singular problem (JSON)",
+        order)
     return ap
 
 

@@ -21,17 +21,20 @@ derivative of ``P``; that path is restricted to diagonal families.  From
 ``sum_i X_ii / P_ii``, one generated function of ``(t, rho)`` per family
 (:class:`~regsing.expr.HalfTraces`), and a block family solves ``P(t) S =
 [P'(rho) | P'(t)]`` once; below ``t_switch`` they come from pole-peeled
-series.  A residual sample evaluates the traces once and reads ``r''``
-(and ``F''``) from the computed trajectory, so it measures that
-trajectory's defect.
+series.  ``MetricFamily.t_switch`` is the only switch between the two
+branches, for the assembled maps and the public trace functions alike.  A
+residual sample evaluates the traces once and reads ``r''`` (and ``F''``)
+from the computed trajectory, so it measures that trajectory's defect.
 
 Both reductions have a simple pole at ``t = 0``.  Substituting ``r = t a``
 (and ``F = t b``) produces problems in the class handled by
 :mod:`regsing.singular`, with singular part ``(0, -(p+2) u)`` and free
-initial slope: the assembled maps run on floats and on series jets, so the
-bootstrap there is exact.  Metrics whose odd low-order data does not
-cancel the order-one residue (for example ``alpha'(0) != 0``) have no
-analytic reduction; their series paths raise StructureError.
+initial slope.  One assembler builds both: the biharmonic problem is the
+harmonic one with the tension pair ``(b, u_b)`` appended to the state, and
+its maps run on floats and on series jets, so the bootstrap there is exact.
+Metrics whose odd low-order data does not cancel the order-one residue (for
+example ``alpha'(0) != 0``) have no analytic reduction; their series paths
+raise StructureError.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -90,6 +92,9 @@ class MetricFamily:
         Dimension carried by ``alpha`` in the drift term.
     t_validate : float
         Right end of the interval used by :func:`validate_metric`.
+    t_switch : float or None
+        The only branch switch: the traces take the direct branch from
+        ``t_switch`` on, the series branch below (default ``1e-2``).
 
     Construction is lenient: pole structure is only enforced when a series
     path is actually used, so families that fail validation can still be
@@ -124,7 +129,6 @@ class MetricFamily:
             for e in entries[~np.eye(n, dtype=bool)])
         # each compiled on its first pointwise call
         self._P = _expr.ExprArray(entries)
-        self._Pdot = _expr.ExprArray(self._dentries)
         self._alpha_dot = (None if alpha is None
                            else _expr.ExprArray([self._dalpha]))
         self._packs: dict = {}
@@ -152,15 +156,15 @@ class MetricFamily:
         return self._P.eval_real(t)
 
     def Pdot_at(self, t: float) -> np.ndarray:
-        return self._Pdot.eval_real(t)
+        return self._direct[1].eval_real(t)
 
     def Pddot_at(self, t: float) -> np.ndarray:
         return self._second.eval_real(t)
 
     @functools.cached_property
     def _direct(self):
-        """``[P, P']`` at ``t`` and ``P'`` at ``rho`` for a block family's
-        direct branch; built on first use."""
+        """``[P, P']`` at ``t`` and ``P'`` at ``rho`` (also :meth:`Pdot_at`)
+        for a block family's direct branch; built on first use."""
         return (_expr.ExprArray([self.entries, self._dentries]),
                 _expr.ExprArray(self._dentries))
 
@@ -420,21 +424,18 @@ def _direct_traces(fam: MetricFamily, t: float, rho: float, second: bool):
     return traces[0], traces[1], None
 
 
-def _traces(fam: MetricFamily, t: float, rho: float, second: bool,
-            force_path: Optional[str] = None):
+def _traces(fam: MetricFamily, t: float, rho: float, second: bool):
     """``(drift + weight alpha', V, V2)`` at ``t > 0`` and radius ``rho``,
-    ``V2`` None unless ``second`` (diagonal families only).  The branch is
-    picked once: ``force_path``, else one :func:`_direct_traces` call from
-    ``t_switch`` on and one order-12 pole-peeled series evaluation below."""
+    ``V2`` None unless ``second`` (diagonal families only): one
+    :func:`_direct_traces` call from ``t_switch`` on, one order-12
+    pole-peeled series evaluation below."""
     if t <= 0:
         raise ValidationError("trace quantities need t > 0")
     if second and not fam.diagonal:
         raise ValidationError(
             "second radial derivative reduction supports diagonal "
             "families only")
-    if force_path not in (None, "direct", "series"):
-        raise ValidationError(f"unknown path {force_path!r}")
-    if force_path == "direct" or (force_path is None and t >= fam.t_switch):
+    if t >= fam.t_switch:
         V, drift, V2 = _direct_traces(fam, t, rho, second)
         return drift + fam.weight * fam.alpha_dot_at(t), V, V2
     K = _FLOAT_SERIES_ORDER
@@ -446,36 +447,44 @@ def _traces(fam: MetricFamily, t: float, rho: float, second: bool,
     return D, V, V2
 
 
-def trace_drift(fam: MetricFamily, t: float,
-                force_path: Optional[str] = None) -> float:
+def trace_drift(fam: MetricFamily, t: float) -> float:
     """``Tr(P^-1 P')/2 + weight alpha'`` at ``t > 0``: from ``t_switch`` on
     the closed form ``sum_i P'_ii / P_ii`` (diagonal) or one linear solve
-    (block), the pole-peeled series below; ``force_path`` pins one branch.
-    """
-    return _traces(fam, t, t, False, force_path)[0]
+    (block), the pole-peeled series below."""
+    return _traces(fam, t, t, False)[0]
 
 
-def trace_potential(fam: MetricFamily, t: float, rho: float,
-                    force_path: Optional[str] = None) -> float:
+def trace_potential(fam: MetricFamily, t: float, rho: float) -> float:
     """``Tr(P(t)^-1 dP/drho)/2`` at radius ``rho``; pole ``dim_p rho/t^2``."""
-    return _traces(fam, t, rho, False, force_path)[1]
+    return _traces(fam, t, rho, False)[1]
 
 
-def trace_potential2(fam: MetricFamily, t: float, rho: float,
-                     force_path: Optional[str] = None) -> float:
+def trace_potential2(fam: MetricFamily, t: float, rho: float) -> float:
     """``Tr(P(t)^-1 d^2P/drho^2)/2``; diagonal families only."""
-    return _traces(fam, t, rho, True, force_path)[2]
+    return _traces(fam, t, rho, True)[2]
 
 
 # -- assembled singular problems ----------------------------------------------
 
-def _float_reg(fam: MetricFamily, t: float, y) -> np.ndarray:
-    """``m_reg`` at a float ``t`` for the harmonic state ``(a, u)`` or the
-    biharmonic one ``(a, u, b, u_b)``: the direct traces at ``rho = t a``
-    from ``t_switch`` on, the pole-peeled series below."""
+def _profile_reg(fam: MetricFamily, t, y) -> np.ndarray:
+    """``m_reg`` of both profile problems, for the harmonic state ``(a, u)``
+    or the biharmonic one ``(a, u, b, u_b)``, at a time jet or a float
+    ``t``; the tension ``F = t b`` forces the profile row.  A float ``t``
+    reads the direct traces at ``rho = t a`` from ``t_switch`` on and the
+    pole-peeled series below."""
+    coupled = len(y) == 4
+    if isinstance(t, Series):
+        n = _time_jet_order(t)
+        s = [_as_jet(v, n + 2) for v in y]
+        out = [s[1].truncate(n), _w_series(fam, s[0], s[1], n + 2)]
+        if coupled:
+            out[1] = out[1] + s[2].truncate(n)
+            out += [s[3].truncate(n),
+                    _wf_series(fam, s[0], s[2], s[3], n + 2)]
+        return np.array(out, dtype=object)
     p, K = fam.dim_p, _FLOAT_SERIES_ORDER
     y = [float(v) for v in y]
-    a, u, coupled = y[0], y[1], len(y) == 4
+    a, u = y[0], y[1]
     if t >= fam.t_switch:
         V, drift, V2 = _direct_traces(fam, t, t * a, coupled)
         d = drift + fam.weight * fam.alpha_dot_at(t) - p / t
@@ -490,7 +499,7 @@ def _float_reg(fam: MetricFamily, t: float, y) -> np.ndarray:
         if coupled:
             w = _wf_series(fam, s[0], s[2], s[3], K)
             out += [y[3], float(_series.eval_truncated(w, t).value)]
-    if coupled:     # the tension F = t b forces the profile row
+    if coupled:
         out[1] += y[2]
     return np.array(out)
 
@@ -507,6 +516,25 @@ def _profile_sing(p: int):
     return m_sing
 
 
+def _assemble(fam: MetricFamily, v: float, w: float | None,
+              t_end: float) -> SingularIVP:
+    """The profile problem with ``r'(0) = v``: harmonic, state ``(a, u)``,
+    when ``w`` is None, else biharmonic with ``F'(0) = w`` and the tension
+    pair ``(b, u_b)`` appended to the state."""
+    if w is not None and not fam.diagonal:
+        raise ValidationError(
+            "biharmonic reduction supports diagonal families only")
+    check_structure(fam)
+    y0 = [float(v), 0.0]
+    meta = {"kind": "harmonic", "family": fam, "v": float(v)}
+    if w is not None:
+        y0 += [float(w), 0.0]
+        meta.update(kind="biharmonic", w=float(w))
+    return SingularIVP(_profile_sing(fam.dim_p),
+                       functools.partial(_profile_reg, fam), y0, t_end,
+                       jet_capable=True, meta=meta)
+
+
 def assemble_harmonic(fam: MetricFamily, v: float,
                       t_end: float) -> SingularIVP:
     """Singular IVP for the profile ``r = t a(t)`` with ``r'(0) = v``.
@@ -515,21 +543,7 @@ def assemble_harmonic(fam: MetricFamily, v: float,
     so the slope ``v`` is a free shooting parameter.  Raises StructureError
     when the family has no analytic reduction at the pole.
     """
-    p = fam.dim_p
-    fam.pack(8)
-    check_structure(fam)
-
-    def m_reg(t, y):
-        if isinstance(t, Series):
-            n = _time_jet_order(t)
-            a_s, u_s = _as_jet(y[0], n + 2), _as_jet(y[1], n + 2)
-            return np.array([u_s.truncate(n), _w_series(fam, a_s, u_s, n + 2)],
-                            dtype=object)
-        return _float_reg(fam, t, y)
-
-    meta = {"kind": "harmonic", "family": fam, "v": float(v)}
-    return SingularIVP(_profile_sing(p), m_reg, [float(v), 0.0], t_end,
-                       jet_capable=True, meta=meta)
+    return _assemble(fam, v, None, t_end)
 
 
 def assemble_biharmonic(fam: MetricFamily, v: float, w: float,
@@ -541,29 +555,7 @@ def assemble_biharmonic(fam: MetricFamily, v: float, w: float,
     linearization of the potential along the profile.  Diagonal families
     only.
     """
-    if not fam.diagonal:
-        raise ValidationError(
-            "biharmonic reduction supports diagonal families only")
-    p = fam.dim_p
-    fam.pack(8)
-    check_structure(fam)
-
-    def m_reg(t, y):
-        if isinstance(t, Series):
-            n = _time_jet_order(t)
-            a_s, ua_s, b_s, ub_s = (_as_jet(y[i], n + 2) for i in range(4))
-            return np.array(
-                [ua_s.truncate(n),
-                 _w_series(fam, a_s, ua_s, n + 2) + b_s.truncate(n),
-                 ub_s.truncate(n), _wf_series(fam, a_s, b_s, ub_s, n + 2)],
-                dtype=object)
-        return _float_reg(fam, t, y)
-
-    meta = {"kind": "biharmonic", "family": fam,
-            "v": float(v), "w": float(w)}
-    return SingularIVP(_profile_sing(p), m_reg,
-                       [float(v), 0.0, float(w), 0.0], t_end,
-                       jet_capable=True, meta=meta)
+    return _assemble(fam, v, w, t_end)
 
 
 # -- solutions ----------------------------------------------------------------
@@ -625,20 +617,23 @@ class BiharmonicSolution(HarmonicSolution):
                                    *self._profile(t, 2))
 
 
+def _solve(fam: MetricFamily, v: float, w: float | None, t_end: float,
+           tol: float, order: int, t_max: float) -> HarmonicSolution:
+    traj = _solve_singular(_assemble(fam, v, w, t_end), tol=tol, order=order,
+                           t_max=t_max)
+    return (HarmonicSolution if w is None else BiharmonicSolution)(fam, traj)
+
+
 def solve_harmonic(fam: MetricFamily, v: float, t_end: float, *,
                    tol: float = 1e-10, order: int = 10,
                    t_max: float = 0.1) -> HarmonicSolution:
-    p = assemble_harmonic(fam, v, t_end)
-    traj = _solve_singular(p, tol=tol, order=order, t_max=t_max)
-    return HarmonicSolution(fam, traj)
+    return _solve(fam, v, None, t_end, tol, order, t_max)
 
 
 def solve_biharmonic(fam: MetricFamily, v: float, w: float, t_end: float, *,
                      tol: float = 1e-10, order: int = 10,
                      t_max: float = 0.1) -> BiharmonicSolution:
-    p = assemble_biharmonic(fam, v, w, t_end)
-    traj = _solve_singular(p, tol=tol, order=order, t_max=t_max)
-    return BiharmonicSolution(fam, traj)
+    return _solve(fam, v, w, t_end, tol, order, t_max)
 
 # -- residual measurements -----------------------------------------------------
 

@@ -379,20 +379,25 @@ def sqrt(x):
     return Series._new(out, x.t0)
 
 
-def _sin_cos(x: Series):
+def _sin_cos(x: Series, hyperbolic: bool = False):
+    """``(sin x, cos x)``, or ``(sinh x, cosh x)`` when ``hyperbolic``, by
+    the recurrences of ``s' = c x'`` and ``c' = -s x'`` (``+s x'``)."""
     g = x.coeffs
     k = x.order
     if np.iscomplexobj(g):
-        s0, c0 = cmath.sin(g[0]), cmath.cos(g[0])
+        mod, g0 = cmath, g[0]
     else:
-        s0, c0 = math.sin(g[0].real), math.cos(g[0].real)
+        mod, g0 = math, g[0].real
+    s0, c0 = ((mod.sinh(g0), mod.cosh(g0)) if hyperbolic
+              else (mod.sin(g0), mod.cos(g0)))
     dt = np.result_type(g.dtype, type(s0))
     s = np.zeros(k + 1, dtype=dt)
     c = np.zeros(k + 1, dtype=dt)
     s[0], c[0] = s0, c0
     for n in range(1, k + 1):
         s[n] = _dmul_sum(g, c, n) / n
-        c[n] = -_dmul_sum(g, s, n) / n
+        d = _dmul_sum(g, s, n)
+        c[n] = (d if hyperbolic else -d) / n
     return Series._new(s, x.t0), Series._new(c, x.t0)
 
 
@@ -417,39 +422,22 @@ def tan(x):
     return s * reciprocal(c)
 
 
-def _sinh_cosh(x: Series):
-    g = x.coeffs
-    k = x.order
-    if np.iscomplexobj(g):
-        s0, c0 = cmath.sinh(g[0]), cmath.cosh(g[0])
-    else:
-        s0, c0 = math.sinh(g[0].real), math.cosh(g[0].real)
-    dt = np.result_type(g.dtype, type(s0))
-    s = np.zeros(k + 1, dtype=dt)
-    c = np.zeros(k + 1, dtype=dt)
-    s[0], c[0] = s0, c0
-    for n in range(1, k + 1):
-        s[n] = _dmul_sum(g, c, n) / n
-        c[n] = _dmul_sum(g, s, n) / n
-    return Series._new(s, x.t0), Series._new(c, x.t0)
-
-
 def sinh(x):
     if not isinstance(x, Series):
         return _lift(math.sinh, cmath.sinh, x)
-    return _sinh_cosh(x)[0]
+    return _sin_cos(x, True)[0]
 
 
 def cosh(x):
     if not isinstance(x, Series):
         return _lift(math.cosh, cmath.cosh, x)
-    return _sinh_cosh(x)[1]
+    return _sin_cos(x, True)[1]
 
 
 def tanh(x):
     if not isinstance(x, Series):
         return _lift(math.tanh, cmath.tanh, x)
-    s, c = _sinh_cosh(x)
+    s, c = _sin_cos(x, True)
     return s * reciprocal(c)
 
 

@@ -363,8 +363,9 @@ class Trajectory:
 
     Below the handoff time the bootstrap polynomial is used; above it the
     dense output of the adaptive integrator.  ``value`` and ``derivative``
-    work anywhere in ``(0, t_end]``; ``residual`` measures how well the
-    ODE holds at a point (max norm).
+    work anywhere in ``[0, t_end]``; ``residual`` measures how well the
+    ODE holds at a point of ``(0, t_end]`` (max norm).  Reads outside
+    those intervals raise ValidationError.
     """
 
     def __init__(self, problem: SingularIVP, coeffs, handoff: float,
@@ -386,6 +387,8 @@ class Trajectory:
 
     def _on_series(self, t: float) -> bool:
         """True at or below the handoff, where the series part is read."""
+        if not t >= 0.0:
+            raise ValidationError(f"reads need t >= 0, got t = {t}")
         if t > self.handoff:
             return False
         if self.coeffs is None:
@@ -408,6 +411,8 @@ class Trajectory:
         return self.result.derivative(t)
 
     def residual(self, t: float) -> float:
+        if not t > 0.0:
+            raise ValidationError(f"residual needs t > 0, got t = {t}")
         dy = self.derivative(t)
         f = self.problem.rhs(float(t), self.value(t))
         return float(np.linalg.norm(dy - f, np.inf))

@@ -234,8 +234,10 @@ def test_series_and_direct_paths_agree():
             t = float(t)
             for fn, args in ((geometry.trace_drift, (t,)),
                              (geometry.trace_potential, (t, 0.4 * t))):
-                direct = fn(fam, *args, force_path="direct")
-                series = fn(fam, *args, force_path="series")
+                fam.t_switch = 0.0          # direct branch at every t > 0
+                direct = fn(fam, *args)
+                fam.t_switch = math.inf     # series branch at every t
+                series = fn(fam, *args)
                 assert series == pytest.approx(direct, rel=1e-9, abs=1e-12)
     print("acceptance 13 PASS two-path overlap agreement")
 

@@ -358,3 +358,29 @@ def test_usage_error_is_systemexit():
     assert ei.value.code == 2
     with pytest.raises(SystemExit):
         cli.run(["solve-harmonic"])      # --config is required
+
+
+@pytest.mark.parametrize("v", ["1:1:3", "nan:1:3", "0:inf:3", math.nan,
+                               "-1.7e308:1.7e308:3"])
+def test_sweep_rejects_empty_and_non_finite_ranges(tmp_path, capsys, v):
+    # an empty range has no slope, a non-finite one no solution
+    cfg = write_cfg(tmp_path, "sw.json", {"metric": FLAT, "v": v,
+                                          "t_end": 1.0})
+    assert cli.run(["solve-harmonic", "--config", cfg, "--quiet"]) == 3
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [("monodromy", "--order"),
+                                           ("fundamental", "--order"),
+                                           ("check", "--tol")])
+def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, command,
+                                                        flag):
+    cfg = write_cfg(tmp_path, "c.json", {"metric": SPHERE})
+    with pytest.raises(SystemExit) as ei:
+        cli.run([command, "--config", cfg, flag, "5", "--quiet"])
+    assert ei.value.code == 2
+    # the flag each command reads is still offered
+    kept = "--order" if flag == "--tol" else "--tol"
+    args = cli._build_parser().parse_args(
+        [command, "--config", cfg, kept, "5", "--quiet"])
+    assert getattr(args, kept[2:]) == 5

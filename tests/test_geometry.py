@@ -86,13 +86,15 @@ def test_conformal_factor_enters_drift():
 
 @pytest.mark.parametrize("fam_fn", [flat3, sphere])
 def test_two_path_agreement(fam_fn):
-    fam = fam_fn()
+    # t_switch picks the branch: 0 takes the direct one at every t > 0
+    direct, peeled = fam_fn(), fam_fn()
+    direct.t_switch, peeled.t_switch = 0.0, math.inf
     for t in (0.004, 0.009, 0.02):
         for fn, args in ((geometry.trace_drift, (t,)),
                          (geometry.trace_potential, (t, 0.6 * t)),
                          (geometry.trace_potential2, (t, 0.6 * t))):
-            a = fn(fam, *args, force_path="direct")
-            b = fn(fam, *args, force_path="series")
+            a = fn(direct, *args)
+            b = fn(peeled, *args)
             assert b == pytest.approx(a, rel=1e-9), (fn.__name__, t)
 
 
@@ -102,8 +104,6 @@ def test_trace_argument_guards():
         geometry.trace_drift(fam, 0.0)
     with pytest.raises(ValidationError):
         geometry.trace_potential(fam, -1.0, 0.5)
-    with pytest.raises(ValidationError):
-        geometry.trace_drift(fam, 1.0, force_path="magic")
     block = geometry.MetricFamily.from_entries(
         [["t^2", "t^3"], ["t^3", "1"]], dim_p=1)
     with pytest.raises(ValidationError):

@@ -209,6 +209,19 @@ def test_solve_piecewise_trajectory():
     assert d["max_residual"] < 1e-8
 
 
+def test_trajectory_reads_before_the_pole_raise():
+    # y = t/3 from t = 0 on; nothing is defined before the pole
+    p = linear_forced(lambda t, y: y * 0.0 + 1.0)
+    traj = singular.solve(p, tol=1e-10)
+    assert traj.value(0.0)[0] == 0.0
+    assert traj.derivative(0.0)[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+    for read, t in ((traj.value, -0.5), (traj.derivative, -0.5),
+                    (traj.residual, -0.5), (traj.residual, 0.0),
+                    (traj.value, math.nan)):
+        with pytest.raises(ValidationError):
+            read(t)
+
+
 def test_solve_explicit_handoff_and_bounds():
     p = linear_forced(lambda t, y: y * 0.0 + 1.0)
     traj = singular.solve(p, handoff=0.03)
