@@ -140,15 +140,28 @@ def _check_keys(cfg: dict, allowed, required, where: str):
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
+def _finite(v, what: str) -> float:
+    """``v`` as a float, which must be finite: ``json.load`` reads NaN and
+    Infinity, and integers past the float range that ``float`` rejects."""
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{what} must be finite, got {v!r:.40}")
+    return x
+
+
 def _number(cfg, key, where, default=None, positive=False):
     if key not in cfg:
         return default
     v = cfg[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}: '{key}' must be a number")
+    v = _finite(v, f"{where}: '{key}'")
     if positive and v <= 0:
         raise ConfigError(f"{where}: '{key}' must be positive")
-    return float(v)
+    return v
 
 
 def _integer(cfg, key, where, default=None):
@@ -157,7 +170,31 @@ def _integer(cfg, key, where, default=None):
     v = cfg[key]
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{where}: '{key}' must be an integer")
+    _finite(v, f"{where}: '{key}'")
     return v
+
+
+def _tol(cfg, args, where):
+    """``--tol`` when given, else the config key, through the key's check
+    (``_order`` likewise for ``--order``)."""
+    cfg = cfg if args.tol is None else {"tol": args.tol}
+    return _number(cfg, "tol", where, default=1e-10, positive=True)
+
+
+def _order(cfg, args, where):
+    cfg = cfg if args.order is None else {"order": args.order}
+    return _integer(cfg, "order", where, default=10)
+
+
+def _numbers(values, key, where) -> np.ndarray:
+    """A (nested) list of numbers as a finite float array."""
+    try:
+        arr = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: '{key}' must be numeric") from exc
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"{where}: '{key}' must be finite")
+    return arr
 
 
 def _parse_sweep(spec, where: str) -> np.ndarray:
@@ -165,7 +202,8 @@ def _parse_sweep(spec, where: str) -> np.ndarray:
     ``stop - start`` must be finite, and nonzero when the count is above
     one."""
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        a, b, n = float(spec), float(spec), 1
+        a = b = _finite(spec, f"{where}: sweep")
+        n = 1
     elif isinstance(spec, str):
         parts = spec.split(":")
         if len(parts) != 3:
@@ -205,15 +243,13 @@ def _sample_grid(t_end: float, samples: int) -> np.ndarray:
 
 
 def _solver_options(cfg, args, where):
-    tol = args.tol if args.tol is not None else \
-        _number(cfg, "tol", where, default=1e-10, positive=True)
-    order = args.order if args.order is not None else \
-        _integer(cfg, "order", where, default=10)
+    """The solve keywords ``tol``, ``order`` and ``t_max``, and ``samples``."""
+    opts = {"tol": _tol(cfg, args, where), "order": _order(cfg, args, where)}
     samples = _integer(cfg, "samples", where, default=33)
     if samples < 1:
         raise ConfigError(f"{where}: 'samples' must be >= 1")
-    t_max = _number(cfg, "t_max", where, default=0.1, positive=True)
-    return tol, order, samples, t_max
+    opts["t_max"] = _number(cfg, "t_max", where, default=0.1, positive=True)
+    return opts, samples
 
 
 # -- solve commands ----------------------------------------------------------
@@ -227,17 +263,14 @@ def _cmd_solve_harmonic(args) -> int:
                 "solve-harmonic")
     fam = _geo.build_metric_family(cfg["metric"])
     t_end = _number(cfg, "t_end", "solve-harmonic", positive=True)
-    tol, order, samples, t_max = _solver_options(cfg, args, "solve-harmonic")
-    effective = {"tol": tol, "order": order, "samples": samples,
-                 "t_max": t_max}
+    opts, samples = _solver_options(cfg, args, "solve-harmonic")
     vs = _parse_sweep(cfg["v"], "solve-harmonic")
     if len(vs) == 1:
-        sol = _geo.solve_harmonic(fam, float(vs[0]), t_end, tol=tol,
-                                  order=order, t_max=t_max)
+        sol = _geo.solve_harmonic(fam, float(vs[0]), t_end, **opts)
         rows = [(t, sol.r(t), sol.rdot(t), sol.residual(t))
                 for t in _sample_grid(t_end, samples)]
         _emit_csv(["t", "r", "r_dot", "residual"], rows, args.out)
-        _write_summary(args, cfg, effective, sol.traj,
+        _write_summary(args, cfg, {**opts, "samples": samples}, sol.traj,
                        [r[-1] for r in rows])
         if not args.quiet:
             d = sol.traj.diagnostics
@@ -248,8 +281,7 @@ def _cmd_solve_harmonic(args) -> int:
     # family sweep: one row per v, plus a finite difference slope of r(T)
     ends = []
     for v in vs:
-        sol = _geo.solve_harmonic(fam, float(v), t_end, tol=tol,
-                                  order=order, t_max=t_max)
+        sol = _geo.solve_harmonic(fam, float(v), t_end, **opts)
         ends.append((sol.r(t_end), sol.rdot(t_end),
                      sol.traj.diagnostics["max_residual"]))
     slopes = _fd_slopes(vs, [e[0] for e in ends])
@@ -269,15 +301,12 @@ def _cmd_solve_biharmonic(args) -> int:
                 "solve-biharmonic")
     fam = _geo.build_metric_family(cfg["metric"])
     t_end = _number(cfg, "t_end", "solve-biharmonic", positive=True)
-    tol, order, samples, t_max = _solver_options(cfg, args,
-                                                 "solve-biharmonic")
-    effective = {"tol": tol, "order": order, "samples": samples,
-                 "t_max": t_max}
+    opts, samples = _solver_options(cfg, args, "solve-biharmonic")
     vs = _parse_sweep(cfg["v"], "solve-biharmonic")
     ws = _parse_sweep(cfg["w"], "solve-biharmonic")
     if len(vs) == 1 and len(ws) == 1:
         sol = _geo.solve_biharmonic(fam, float(vs[0]), float(ws[0]), t_end,
-                                    tol=tol, order=order, t_max=t_max)
+                                    **opts)
         rows = []
         for t in _sample_grid(t_end, samples):
             res_r, res_f = sol.residuals(t)
@@ -285,7 +314,7 @@ def _cmd_solve_biharmonic(args) -> int:
                          res_r, res_f))
         _emit_csv(["t", "r", "r_dot", "F", "F_dot", "res_def", "res_eq"],
                   rows, args.out)
-        _write_summary(args, cfg, effective, sol.traj,
+        _write_summary(args, cfg, {**opts, "samples": samples}, sol.traj,
                        [x for r in rows for x in r[-2:]])
         if not args.quiet:
             d = sol.traj.diagnostics
@@ -298,7 +327,7 @@ def _cmd_solve_biharmonic(args) -> int:
         ends = []
         for v in vs:
             sol = _geo.solve_biharmonic(fam, float(v), float(w), t_end,
-                                        tol=tol, order=order, t_max=t_max)
+                                        **opts)
             ends.append((sol.r(t_end), sol.rdot(t_end), sol.F(t_end),
                          sol.Fdot(t_end),
                          sol.traj.diagnostics["max_residual"]))
@@ -315,52 +344,39 @@ _SINGULAR_KEYS = {"C", "c", "S", "g", "y0", "t_end", "tol", "order",
                   "samples"}
 
 
-def _matrix_of_numbers(cfg, key, where):
-    rows = cfg[key]
-    if not isinstance(rows, list) or not all(
-            isinstance(r, list) for r in rows):
-        raise ConfigError(f"{where}: '{key}' must be a nested list")
-    try:
-        M = np.array(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: '{key}' must be numeric") from exc
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ConfigError(f"{where}: '{key}' must be square")
-    return M
-
-
 def _affine_problem(cfg, where):
-    C = _matrix_of_numbers(cfg, "C", where)
-    k = C.shape[0]
-    y0 = cfg.get("y0")
-    if not isinstance(y0, list) or len(y0) != k:
-        raise ConfigError(f"{where}: 'y0' must be a list of {k} numbers")
-    c = cfg.get("c")
-    if c is not None and (not isinstance(c, list) or len(c) != k):
-        raise ConfigError(f"{where}: 'c' must be a list of {k} numbers")
+    C = _numbers(cfg["C"], "C", where)
+    k = C.shape[0] if C.ndim else 0
+    if C.shape != (k, k):
+        raise ConfigError(f"{where}: 'C' must be a square matrix")
+    y0 = _numbers(cfg["y0"], "y0", where)
+    c = None if cfg.get("c") is None else _numbers(cfg["c"], "c", where)
+    for key, v in (("y0", y0), ("c", c)):
+        if v is not None and v.shape != (k,):
+            raise ConfigError(f"{where}: '{key}' must be a list of {k} numbers")
     t_end = _number(cfg, "t_end", where, positive=True)
     try:
         maps = _singular.AffineSingularMaps(C, c=c, S=cfg.get("S"),
                                             g=cfg.get("g"))
     except ExprError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    return maps.problem(np.array(y0, dtype=float), t_end), k, t_end
+    return maps.problem(y0, t_end), k, t_end
 
 
 def _cmd_solve_singular(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, _SINGULAR_KEYS, {"C", "y0", "t_end"}, "solve-singular")
     prob, k, t_end = _affine_problem(cfg, "solve-singular")
-    tol, order, samples, _ = _solver_options(cfg, args, "solve-singular")
-    traj = _singular.solve(prob, tol=tol, order=order)
+    opts, samples = _solver_options(cfg, args, "solve-singular")
+    del opts["t_max"]       # not a solve-singular key
+    traj = _singular.solve(prob, **opts)
     header = ["t"] + [f"y{i + 1}" for i in range(k)] + ["residual"]
     rows = []
     for t in _sample_grid(t_end, samples):
         y = traj.value(t)
         rows.append((t, *y, traj.residual(t)))
     _emit_csv(header, rows, args.out)
-    _write_summary(args, cfg, {"tol": tol, "order": order,
-                               "samples": samples}, traj,
+    _write_summary(args, cfg, {**opts, "samples": samples}, traj,
                    [r[-1] for r in rows])
     if not args.quiet:
         d = traj.diagnostics
@@ -391,17 +407,13 @@ def _cmd_monodromy(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, _MONODROMY_KEYS, {"A", "rho", "sigma"}, "monodromy")
     sys_ = _linear_system(cfg, "monodromy")
-    tol = args.tol if args.tol is not None else \
-        _number(cfg, "tol", "monodromy", default=1e-10, positive=True)
-    sigmas = cfg["sigma"]
-    single = not isinstance(sigmas, list)
-    if single:
-        sigmas = [sigmas]
+    tol = _tol(cfg, args, "monodromy")
+    single = not isinstance(cfg["sigma"], list)
+    sigmas = [_number({"sigma": s}, "sigma", "monodromy")
+              for s in ([cfg["sigma"]] if single else cfg["sigma"])]
     reports = []
     for s in sigmas:
-        if isinstance(s, bool) or not isinstance(s, (int, float)):
-            raise ConfigError("monodromy: 'sigma' entries must be numbers")
-        res = _linear.monodromy_at(sys_, float(s), tol=tol)
+        res = _linear.monodromy_at(sys_, s, tol=tol)
         reports.append({
             "sigma": res.sigma,
             "matrix": res.matrix,
@@ -418,11 +430,9 @@ _FUNDAMENTAL_KEYS = {"A", "h", "rho", "z0", "z1", "tol"}
 
 def _complex_pair(cfg, key, where):
     v = cfg.get(key)
-    if not isinstance(v, list) or len(v) != 2 or any(
-            isinstance(x, bool) or not isinstance(x, (int, float))
-            for x in v):
+    if not isinstance(v, list) or len(v) != 2:
         raise ConfigError(f"{where}: '{key}' must be a [re, im] pair")
-    return complex(v[0], v[1])
+    return complex(*(_number({key: x}, key, where) for x in v))
 
 
 def _cmd_fundamental(args) -> int:
@@ -432,8 +442,7 @@ def _cmd_fundamental(args) -> int:
     sys_ = _linear_system(cfg, "fundamental")
     z0 = _complex_pair(cfg, "z0", "fundamental")
     z1 = _complex_pair(cfg, "z1", "fundamental")
-    tol = args.tol if args.tol is not None else \
-        _number(cfg, "tol", "fundamental", default=1e-10, positive=True)
+    tol = _tol(cfg, args, "fundamental")
     U = _linear.fundamental_solution(sys_, z0, z1, tol=tol)
     cond = float(np.linalg.cond(U))
     _emit_json({"z0": z0, "z1": z1, "matrix": U, "condition": cond},
@@ -476,8 +485,7 @@ def _check_metric(cfg, args) -> int:
 def _check_singular(cfg, args) -> int:
     _check_keys(cfg, _CHECK_SINGULAR_KEYS, {"C", "y0", "t_end"}, "check")
     prob, _, _ = _affine_problem(cfg, "check")
-    order = args.order if args.order is not None else \
-        _integer(cfg, "order", "check", default=10)
+    order = _order(cfg, args, "check")
     rep = _singular.check_admissibility(prob, order)
     out = {"kind": "singular"}
     out.update(_admissibility_dict(rep))

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -440,9 +441,9 @@ def _traces(fam: MetricFamily, t: float, rho: float, second: bool):
         return drift + fam.weight * fam.alpha_dot_at(t), V, V2
     K = _FLOAT_SERIES_ORDER
     a_s = _series.constant(rho / t, K)
-    D, V = (float(_series.eval_truncated(s, t).value) / t
+    D, V = (float(_series.eval_truncated(s, t)) / t
             for s in (_tdrift_series(fam, K), _tpot_series(fam, a_s, K)))
-    V2 = (float(_series.eval_truncated(_zpot_series(fam, a_s, K), t).value)
+    V2 = (float(_series.eval_truncated(_zpot_series(fam, a_s, K), t))
           / (t * t) if second else None)
     return D, V, V2
 
@@ -495,10 +496,10 @@ def _profile_reg(fam: MetricFamily, t, y) -> np.ndarray:
     else:
         s = [_series.constant(v, K) for v in y]
         w = _w_series(fam, s[0], s[1], K)
-        out = [u, float(_series.eval_truncated(w, t).value)]
+        out = [u, float(_series.eval_truncated(w, t))]
         if coupled:
             w = _wf_series(fam, s[0], s[2], s[3], K)
-            out += [y[3], float(_series.eval_truncated(w, t).value)]
+            out += [y[3], float(_series.eval_truncated(w, t))]
     if coupled:
         out[1] += y[2]
     return np.array(out)
@@ -738,17 +739,21 @@ def build_metric_family(cfg: dict) -> MetricFamily:
         if not isinstance(cfg["alpha"], str):
             raise ConfigError("'alpha' must be an expression string")
         kw["alpha"] = cfg["alpha"]
+    # JSON reads NaN, Infinity and integers past the float range; each
+    # fails a comparison with the largest float
+    top = sys.float_info.max
     if "weight" in cfg:
-        if not isinstance(cfg["weight"], int) or isinstance(
-                cfg["weight"], bool):
-            raise ConfigError("'weight' must be an integer")
-        kw["weight"] = cfg["weight"]
+        w = cfg["weight"]
+        if isinstance(w, bool) or not isinstance(w, int) or abs(w) > top:
+            raise ConfigError("'weight' must be an integer in float range")
+        kw["weight"] = w
     for key in ("t_validate", "t_switch"):
         if key in cfg:
-            if not isinstance(cfg[key], (int, float)) or isinstance(
-                    cfg[key], bool) or cfg[key] <= 0:
-                raise ConfigError(f"'{key}' must be a positive number")
-            kw[key] = float(cfg[key])
+            v = cfg[key]
+            if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                    or not 0 < v <= top:
+                raise ConfigError(f"'{key}' must be a positive finite number")
+            kw[key] = float(v)
     try:
         if "diagonal" in cfg:
             if not isinstance(cfg["diagonal"], list) or not cfg["diagonal"]:

@@ -160,16 +160,23 @@ def integrate_adaptive(f, t0, y0, t1, tol, check_defect=False):
 
     Raises
     ------
+    ValidationError
+        Unless ``tol`` is finite and positive.
     NumericalError
-        On step size underflow or step budget exhaustion; the exception
-        message reports the last reachable time.
+        On a span, start value or slope that is not finite, step size
+        underflow or step budget exhaustion (the message says where).
     """
     t0 = float(t0)
     t1 = float(t1)
-    if not t1 > t0:
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
+    if not -math.inf < t0 < t1 < math.inf:
         raise NumericalError(f"integration span is empty: [{t0}, {t1}]")
     y0 = np.atleast_1d(np.asarray(y0))
     f0 = np.atleast_1d(np.asarray(f(t0, y0)))
+    if not (np.isfinite(y0).all() and np.isfinite(f0).all()):
+        raise NumericalError(
+            f"start value or slope is not finite at t = {t0!r}")
     dtype = np.result_type(y0.dtype, f0.dtype, np.float64)
     y = y0.astype(dtype)
     k = np.empty((7, y.size), dtype=dtype)
@@ -194,7 +201,7 @@ def integrate_adaptive(f, t0, y0, t1, tol, check_defect=False):
         is_last = h >= t1 - t
         if is_last:
             h = t1 - t
-        if h < 1e-14 * max(abs(t), 1.0):
+        if not h >= 1e-14 * max(abs(t), 1.0):     # a nan h fails here too
             raise NumericalError(
                 f"step size underflow at t = {t!r} (h = {h!r}); "
                 "problem may be stiff or blowing up")

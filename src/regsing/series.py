@@ -13,6 +13,10 @@ arguments instead of floats.  All recurrences propagate from the constant
 term, i.e. the expansion is around the argument's own base value, not
 around zero.
 
+:func:`eval_truncated` is the one evaluator for truncated power series in
+the package: a Horner sum at an offset from the expansion point, of a
+Series or of coefficient rows, that returns the value.
+
 ``Series(...)`` validates and copies its coefficients.  Results computed
 inside this package (ring operations, ``truncate``/``pad``, ``constant``,
 ``identity``, ``compose`` and the elementary-function recurrences) come
@@ -205,7 +209,7 @@ class Series:
     # -- evaluation ---------------------------------------------------------
 
     def __call__(self, t: float):
-        return eval_truncated(self, t - self.t0).value
+        return eval_truncated(self, t - self.t0)
 
 
 def constant(value, order: int, t0: float = 0.0) -> Series:
@@ -268,33 +272,19 @@ def compose(outer: Series, inner: Series) -> Series:
     return Series._new(acc, inner.t0)
 
 
-class SeriesValue:
-    """Result of :func:`eval_truncated`: value plus a remainder heuristic."""
+def eval_truncated(a, dt):
+    """Horner sum of a truncated power series at offset ``dt`` from its
+    expansion point; every series sum in the package goes through here.
 
-    __slots__ = ("value", "remainder")
-
-    def __init__(self, value, remainder):
-        self.value = value
-        self.remainder = remainder
-
-    def __iter__(self):
-        return iter((self.value, self.remainder))
-
-    def __repr__(self):
-        return f"SeriesValue(value={self.value!r}, remainder={self.remainder!r})"
-
-
-def eval_truncated(a: Series, dt) -> SeriesValue:
-    """Horner evaluation at offset ``dt`` from the expansion point.
-
-    The remainder estimate ``|c_K| * |dt|**K`` is a heuristic for the first
-    omitted contribution, not a bound.
+    ``a`` is a :class:`Series`, whose value is a scalar, or an array of
+    coefficient rows with the power on the first axis (row ``h``
+    multiplies ``dt**h``), whose value is one row.
     """
-    acc = a.coeffs[-1]
-    for c in a.coeffs[-2:: -1]:
-        acc = acc * dt + c
-    rem = abs(a.coeffs[-1]) * abs(dt) ** a.order
-    return SeriesValue(acc, rem)
+    c = a.coeffs if isinstance(a, Series) else np.asarray(a)
+    acc = c[-1].copy()      # a one-row sum must not hand out a view of a
+    for row in c[-2::-1]:
+        acc = acc * dt + row
+    return acc
 
 
 # -- elementary functions -------------------------------------------------

@@ -11,7 +11,9 @@ Solving proceeds in two phases.  A series bootstrap turns the ODE into a
 triangular linear recursion for Taylor coefficients ``y_h`` at 0; once the
 truncation remainder is believed to be below tolerance at some handoff
 time ``t0``, an adaptive Runge-Kutta integrator carries the solution from
-``t0`` to ``t_end``.
+``t0`` to ``t_end``.  Every sum of those coefficients (the series part of
+a trajectory, its derivative, the handoff state) and of the other series
+here is :func:`regsing.series.eval_truncated`, which returns the value.
 
 User-supplied maps are plain callables on numpy vectors.  If they also
 accept vectors of :class:`~regsing.series.Series` (use the elementary
@@ -102,14 +104,10 @@ def _time_jet_order(tj: Series) -> int:
 
 def _poly_jets(coeffs: np.ndarray, order: int) -> np.ndarray:
     """Vector jet whose i-th entry is sum_h coeffs[h, i] t^h, zero padded."""
-    kdim = coeffs.shape[1]
-    out = np.empty(kdim, dtype=object)
-    for i in range(kdim):
-        c = np.zeros(order + 1)
-        m = min(order + 1, coeffs.shape[0])
-        c[:m] = coeffs[:m, i]
-        out[i] = Series._new(c, 0.0)
-    return out
+    c = np.zeros((coeffs.shape[1], order + 1))
+    m = min(order + 1, coeffs.shape[0])
+    c[:, :m] = coeffs[:m].T
+    return np.array([Series._new(row, 0.0) for row in c], dtype=object)
 
 
 # What a map that cannot take Series arguments is expected to raise; any
@@ -156,8 +154,9 @@ class SingularIVP:
         if self.k == 0:
             raise ValidationError("empty state vector")
         self.t_end = float(self.t_end)
-        if not self.t_end > 0:
-            raise ValidationError(f"t_end must be positive, got {self.t_end}")
+        if not 0 < self.t_end < math.inf:
+            raise ValidationError(
+                f"t_end must be finite and positive, got {self.t_end}")
         if self.jet_capable is None:
             yj = _const_jets(self.y0, 2)
             self.jet_probe_error = _probe_jets(
@@ -261,6 +260,11 @@ def _fd_taylor_coeff(phi, order: int) -> np.ndarray:
     return acc / (h ** order * math.factorial(order))
 
 
+def _check_order(order: int):
+    if not 1 <= order <= MAX_ORDER:
+        raise ValidationError(f"order must be in 1..{MAX_ORDER}, got {order}")
+
+
 def bootstrap_series(p: SingularIVP, order: int = DEFAULT_ORDER
                      ) -> np.ndarray:
     """Taylor coefficients ``y_0 .. y_order`` of the solution at 0.
@@ -271,8 +275,7 @@ def bootstrap_series(p: SingularIVP, order: int = DEFAULT_ORDER
     coefficients through both maps (series composition in Taylor mode,
     finite differences for black-box maps).
     """
-    if not 1 <= order <= MAX_ORDER:
-        raise ValidationError(f"order must be in 1..{MAX_ORDER}, got {order}")
+    _check_order(order)
     if not p.jet_capable and order > BLACKBOX_MAX_ORDER:
         raise ValidationError(
             f"black-box maps support bootstrap order <= {BLACKBOX_MAX_ORDER}")
@@ -292,11 +295,8 @@ def bootstrap_series(p: SingularIVP, order: int = DEFAULT_ORDER
             b = b + _jet_coeffs(
                 np.asarray(p.m_reg(tj, yj2), dtype=object), h - 1)
         else:
-            part = coeffs[:h]
-
-            def y_of(t, _part=part):
-                return (_part * (t ** np.arange(_part.shape[0]))[:, None]
-                        ).sum(axis=0)
+            def y_of(t, _part=coeffs[:h]):
+                return _series.eval_truncated(_part, t)
 
             b = _fd_taylor_coeff(lambda s: p.m_sing(y_of(s)), h)
             b = b + _fd_taylor_coeff(lambda s: p.m_reg(s, y_of(s)), h - 1)
@@ -318,28 +318,16 @@ def bootstrap_series(p: SingularIVP, order: int = DEFAULT_ORDER
     return coeffs
 
 
-def _series_value(coeffs: np.ndarray, t: float) -> np.ndarray:
-    acc = coeffs[-1].astype(float).copy()
-    for row in coeffs[-2::-1]:
-        acc = acc * t + row
-    return acc
-
-
-def _series_derivative(coeffs: np.ndarray, t: float) -> np.ndarray:
-    if coeffs.shape[0] == 1:
-        return np.zeros_like(coeffs[0])
-    return _series_value(np.arange(1, coeffs.shape[0])[:, None] * coeffs[1:],
-                         t)
-
-
 def choose_handoff(coeffs: np.ndarray, tol: float, t_max: float,
                    t_end: float):
     """Largest safe series-to-integrator switch time and the state there.
 
     The truncation heuristic bounds the first omitted contribution
     componentwise by ``|y_K| t0^K < tol`` and caps the result by
-    ``min(t_max, t_end / 2)``.
+    ``min(t_max, t_end / 2)``.  ``tol`` must be finite and positive.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
     coeffs = np.asarray(coeffs, dtype=float)
     order = coeffs.shape[0] - 1
     cap = min(float(t_max), float(t_end) / 2.0)
@@ -353,7 +341,7 @@ def choose_handoff(coeffs: np.ndarray, tol: float, t_max: float,
             f"no admissible handoff above {T_FLOOR}: series tail "
             f"|y_{order}| = {top:.3e} is too large for tol = {tol:.1e}; "
             "raise the series order")
-    return t0, _series_value(coeffs, t0)
+    return t0, _series.eval_truncated(coeffs, t0)
 
 
 # -- integration and trajectories -------------------------------------------
@@ -399,7 +387,7 @@ class Trajectory:
     def value(self, t: float) -> np.ndarray:
         t = float(t)
         if self._on_series(t):
-            return _series_value(self.coeffs, t)
+            return _series.eval_truncated(self.coeffs, t)
         return self.result.value(t)
 
     __call__ = value
@@ -407,7 +395,9 @@ class Trajectory:
     def derivative(self, t: float) -> np.ndarray:
         t = float(t)
         if self._on_series(t):
-            return _series_derivative(self.coeffs, t)
+            c = self.coeffs
+            return _series.eval_truncated(
+                np.arange(1, len(c))[:, None] * c[1:], t)
         return self.result.derivative(t)
 
     def residual(self, t: float) -> float:
@@ -454,6 +444,7 @@ def solve(p: SingularIVP, *, tol: float = 1e-10, order: int = DEFAULT_ORDER,
             f"black-box maps: bootstrap order capped at {BLACKBOX_MAX_ORDER}",
             RuntimeWarning, stacklevel=2)
         order = BLACKBOX_MAX_ORDER
+    _check_order(order)     # before the admissibility scan over 1..order
     report = check_admissibility(p, order)
     if not report.verdict:
         raise AdmissibilityError(
@@ -465,7 +456,7 @@ def solve(p: SingularIVP, *, tol: float = 1e-10, order: int = DEFAULT_ORDER,
         t0 = float(handoff)
         if not 0 < t0 < p.t_end:
             raise ValidationError(f"handoff {t0} outside (0, {p.t_end})")
-        y_t0 = _series_value(coeffs, t0)
+        y_t0 = _series.eval_truncated(coeffs, t0)
     else:
         t0, y_t0 = choose_handoff(coeffs, tol, t_max, p.t_end)
     traj = integrate(p, t0, y_t0, tol)
@@ -688,9 +679,8 @@ def reduce_hat(f: Callable, Y0, t_end: float = 1.0) -> SingularIVP:
         order = _time_jet_order(xi_jet)
         w = np.asarray(w, dtype=object).reshape(-1)
         sj = _series.identity(order + 1)
-        warg = np.empty(k, dtype=object)
-        for i in range(k):
-            warg[i] = Y0[i] + sj * _as_jet(w[i], order + 1)
+        warg = np.array([Y0[i] + sj * _as_jet(w[i], order + 1)
+                         for i in range(k)], dtype=object)
         psi = np.asarray(f(sj, warg), dtype=object).reshape(-1)
         out = np.empty(k, dtype=object)
         for i in range(k):
@@ -713,18 +703,16 @@ def reduce_hat(f: Callable, Y0, t_end: float = 1.0) -> SingularIVP:
             w_pad = np.array([_as_jet(v, n + 1) for v in y], dtype=object)
             jet = fhat_jet(_series.identity(n + 1), w_pad)
             aff = a0 + B @ w_pad
-            out = np.empty(k, dtype=object)
-            for i in range(k):
-                diff = jet[i] - aff[i]
-                out[i] = -Series(diff.coeffs[1:], 0.0)
-            return out
+            return np.array([-Series((j - a).coeffs[1:], 0.0)
+                             for j, a in zip(jet, aff)], dtype=object)
         y = np.asarray(y, dtype=float).reshape(-1)
         if abs(t) >= _HAT_SWITCH:
             val = np.asarray(f(t, Y0 + t * y), dtype=float).reshape(-1)
             return -((y + val / t) - (a0 + B @ y)) / t
         if jet_capable:     # the jet branch above, summed at t
             jet = m_reg(_series.identity(_HAT_ORDER - 1), y)
-            return np.array([_series.eval_truncated(s, t).value for s in jet])
+            return _series.eval_truncated(
+                np.stack([s.coeffs for s in jet], axis=1), t)
         # black box near 0: m_reg(t, y) = -(psi_2 + psi_3 t + psi_4 t^2 +
         # ...) where psi(s) = f(s, Y0 + s y); moderate-step stencils avoid
         # the 1/t^2 cancellation of the direct form
@@ -732,10 +720,8 @@ def reduce_hat(f: Callable, Y0, t_end: float = 1.0) -> SingularIVP:
         def phi(s, _y=y):
             return np.asarray(f(s, Y0 + s * _y), dtype=float).reshape(-1)
 
-        acc = np.zeros(k)
-        for m in (2, 3, 4):
-            acc = acc + _fd_taylor_coeff(phi, m) * t ** (m - 2)
-        return -acc
+        return -_series.eval_truncated(
+            [_fd_taylor_coeff(phi, m) for m in (2, 3, 4)], t)
 
     meta = {"kind": "hat_reduction", "a0": a0, "A0": A0, "Y0": Y0}
     prob = SingularIVP(m_sing, m_reg, y_hat0, t_end,

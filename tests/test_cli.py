@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from regsing import cli, geometry
+from regsing import cli, geometry, linear, rk, singular
 
 
 FLAT = {"diagonal": ["t^2", "t^2", "1 + t^2"], "dim_p": 2}
@@ -384,3 +384,94 @@ def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, command,
     args = cli._build_parser().parse_args(
         [command, "--config", cfg, kept, "5", "--quiet"])
     assert getattr(args, kept[2:]) == 5
+
+
+# -- bad numbers end in a config error (exit 3) before any solve --------------
+
+HUGE = 10 ** 400        # json writes it as digits; float() cannot take it
+AFFINE = {"C": [[-2.0]], "g": ["1"], "y0": [0.0], "t_end": 1.0}
+MONODROMY = {"A": [["0", "t"], ["0", "1"]], "rho": 2.0, "sigma": 1.0}
+
+
+@pytest.fixture
+def no_solve(monkeypatch):
+    """Fail the test if a config reaches the integrator or the pole check."""
+    def reached(*args, **kwargs):
+        raise AssertionError("a bad config reached the solver")
+
+    monkeypatch.setattr(rk, "integrate_adaptive", reached)
+    monkeypatch.setattr(linear, "integrate_adaptive", reached)
+    monkeypatch.setattr(singular, "check_admissibility", reached)
+
+
+@pytest.mark.parametrize("command, cfg, extra", [
+    ("solve-singular", AFFINE, ["--tol=-1e-8"]),     # was a TypeError
+    ("solve-singular", AFFINE, ["--tol", "nan"]),    # was exit 4
+    ("solve-singular", AFFINE, ["--tol", "inf"]),
+    ("solve-singular", AFFINE, ["--order", str(HUGE)]),
+    ("monodromy", MONODROMY, ["--tol", "0"]),
+    ("fundamental", {"A": [["0"]], "rho": 1.0, "z0": [1.0, 0.0],
+                     "z1": [2.0, 0.0]}, ["--tol", "nan"]),
+    ("solve-singular", {**AFFINE, "tol": math.nan}, []),   # ran 20 s
+    ("solve-singular", {**AFFINE, "t_end": math.inf}, []),  # 200 000 steps
+    ("solve-singular", {**AFFINE, "t_end": HUGE}, []),     # OverflowError
+    ("solve-singular", {**AFFINE, "samples": HUGE}, []),
+    ("solve-singular", {**AFFINE, "y0": [HUGE]}, []),
+    ("solve-singular", {**AFFINE, "C": [[math.nan]]}, []),
+    ("solve-harmonic", {"metric": {**FLAT, "t_validate": HUGE}, "v": 1.0,
+                        "t_end": 1.0}, []),
+    ("solve-harmonic", {"metric": {**FLAT, "t_switch": math.inf},
+                        "v": 1.0, "t_end": 1.0}, []),
+    ("solve-harmonic", {"metric": {**FLAT, "weight": HUGE}, "v": 1.0,
+                        "t_end": 1.0}, []),
+    ("solve-harmonic", {"metric": FLAT, "v": HUGE, "t_end": 1.0}, []),
+    ("monodromy", {**MONODROMY, "sigma": HUGE}, []),
+    ("monodromy", {**MONODROMY, "sigma": [0.5, math.nan]}, []),
+    ("fundamental", {"A": [["0"]], "rho": 1.0, "z0": [1.0, 0.0],
+                     "z1": [HUGE, 0.0]}, []),
+], ids=[
+    "tol-flag-negative",
+    "tol-flag-nan",
+    "tol-flag-inf",
+    "order-flag-huge",
+    "monodromy-tol-flag-zero",
+    "fundamental-tol-flag-nan",
+    "tol-nan",
+    "t_end-infinity",
+    "t_end-huge",
+    "samples-huge",
+    "y0-huge",
+    "C-nan",
+    "t_validate-huge",
+    "t_switch-infinity",
+    "weight-huge",
+    "sweep-huge",
+    "sigma-huge",
+    "sigma-list-nan",
+    "z1-huge",
+])
+def test_bad_numbers_are_config_errors(tmp_path, capsys, no_solve, command,
+                                       cfg, extra):
+    path = write_cfg(tmp_path, "bad.json", cfg)
+    assert cli.run([command, "--config", path, "--quiet", *extra]) == 3
+    assert "config error" in capsys.readouterr().err
+
+
+def test_a_flag_replaces_its_config_key_before_the_check(tmp_path):
+    # a bad key is fine when a good flag overrides it, and the reverse not
+    path = write_cfg(tmp_path, "a.json", {**AFFINE, "tol": -1.0,
+                                          "samples": 3})
+    assert cli.run(["solve-singular", "--config", path, "--quiet",
+                    "--tol", "1e-8"]) == 0
+    path = write_cfg(tmp_path, "b.json", {**AFFINE, "tol": 1e-8})
+    assert cli.run(["solve-singular", "--config", path, "--quiet",
+                    "--tol", "-1"]) == 3
+
+
+def test_an_order_out_of_range_is_rejected_before_the_pole_scan(
+        tmp_path, no_solve):
+    # the admissibility scan runs over h = 1..order; an order of 10^9 made
+    # the solve commands spin there before the bootstrap rejected it
+    path = write_cfg(tmp_path, "o.json", AFFINE)
+    assert cli.run(["solve-singular", "--config", path, "--quiet",
+                    "--order", str(10 ** 9)]) == 2

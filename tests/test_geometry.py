@@ -425,6 +425,13 @@ def ref_as_series(x, order):
     return series.constant(float(x), order)
 
 
+def ref_horner(s, t):
+    acc = s.coeffs[-1]
+    for c in s.coeffs[-2::-1]:
+        acc = acc * t + c
+    return acc
+
+
 def ref_peel2(w, where):
     scale = 1.0 + float(np.abs(w.coeffs).max())
     if abs(w.coeffs[0]) > geometry._STRUCT_TOL * scale or \
@@ -502,7 +509,7 @@ def ref_harmonic_reg(fam, t, y):
     a_s = series.constant(a, K)
     u_s = series.constant(u, K)
     reg = ref_peel2(ref_w_series(fam, a_s, u_s, K), "harmonic reduction")
-    return np.array([u, float(series.eval_truncated(reg, t).value)])
+    return np.array([u, float(ref_horner(reg, t))])
 
 
 def ref_biharmonic_reg(fam, t, y):
@@ -528,8 +535,8 @@ def ref_biharmonic_reg(fam, t, y):
     w_a = ref_peel2(ref_w_series(fam, a_s, ua_s, K), "harmonic reduction")
     w_b = ref_peel2(ref_wf_series(fam, a_s, b_s, ub_s, K),
                     "tension linearization")
-    return np.array([ua, float(series.eval_truncated(w_a, t).value) + b,
-                     ub, float(series.eval_truncated(w_b, t).value)])
+    return np.array([ua, float(ref_horner(w_a, t)) + b,
+                     ub, float(ref_horner(w_b, t))])
 
 
 def ref_sing(p, y):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from regsing import rk
-from regsing.errors import NumericalError
+from regsing.errors import NumericalError, ValidationError
 
 
 def test_exponential_decay_accuracy():
@@ -119,3 +119,50 @@ def test_rms_norm_matches_the_numpy_mean_form_bytewise():
             got = rk._rms_norm(x)
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _counted(f):
+    def g(t, y):
+        g.calls += 1
+        return f(t, y)
+    g.calls = 0
+    return g
+
+
+@pytest.mark.parametrize("tol", [math.nan, 0.0, -1e-10, math.inf])
+def test_a_tolerance_that_is_not_finite_and_positive_is_rejected(tol):
+    # a nan tol used to give a nan step that passed the underflow guard
+    # and spun through the 200 000-step budget
+    f = _counted(lambda t, y: -y)
+    with pytest.raises(ValidationError, match="tol"):
+        rk.integrate_adaptive(f, 0.0, np.array([1.0]), 1.0, tol)
+    assert f.calls == 0
+
+
+@pytest.mark.parametrize("y0, slope", [
+    (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf),
+    (1.0 + 1j * math.nan, 1.0)])
+def test_a_start_that_is_not_finite_raises_at_once(y0, slope):
+    # an infinite slope used to escape as a ZeroDivisionError, a nan one
+    # to spin through the step budget
+    f = _counted(lambda t, y: np.array([slope]) if t == 0.0 else -y)
+    with pytest.raises(NumericalError, match="not finite at t = 0.0"):
+        rk.integrate_adaptive(f, 0.0, np.array([y0]), 1.0, 1e-10)
+    assert f.calls == 1
+
+
+@pytest.mark.parametrize("t1", [math.inf, math.nan])
+def test_an_end_that_is_not_finite_raises_at_once(t1):
+    f = _counted(lambda t, y: -y)
+    with pytest.raises(NumericalError, match="span"):
+        rk.integrate_adaptive(f, 0.0, np.array([1.0]), t1, 1e-10)
+    assert f.calls == 0
+
+
+def test_a_nan_step_size_fails_the_underflow_guard(monkeypatch):
+    # planted fault: the initial step guess comes back nan
+    monkeypatch.setattr(rk, "_initial_step", lambda *args: math.nan)
+    f = _counted(lambda t, y: -y)
+    with pytest.raises(NumericalError, match="underflow at t = 0.0"):
+        rk.integrate_adaptive(f, 0.0, np.array([1.0]), 1.0, 1e-10)
+    assert f.calls == 1

@@ -131,21 +131,21 @@ def test_compose():
     outer = series.exp(series.identity(12))         # exp around 0
     inner = series.sin(series.identity(12))         # sin t, value 0 at 0
     comp = series.compose(outer, inner)
-    got = series.eval_truncated(comp, 0.1).value
+    got = series.eval_truncated(comp, 0.1)
     assert got == pytest.approx(math.exp(math.sin(0.1)), rel=1e-12)
     # inner value must sit at the outer expansion point
     with pytest.raises(SeriesError):
         series.compose(outer, Series([1.0, 1.0]))
 
 
-def test_eval_truncated_remainder():
-    s = Series([1.0, 1.0, 0.5, 1 / 6, 1 / 24])    # exp through order 4
-    out = series.eval_truncated(s, 0.1)
-    assert out.value == pytest.approx(math.exp(0.1), abs=1e-7)
-    assert out.remainder == pytest.approx(abs(s.coeffs[4]) * 0.1 ** 4)
-    # remainder really bounds the next omitted term magnitude ordering
-    tight = series.eval_truncated(s, 0.01)
-    assert tight.remainder < out.remainder
+def test_eval_truncated_sums_rows_as_it_sums_a_series():
+    rows = np.array([[1.0, -2.0], [0.5, 3.0], [0.25, -1.0]])
+    got = series.eval_truncated(rows, 0.3)
+    assert got.tolist() == [series.eval_truncated(Series(rows[:, i]), 0.3)
+                            for i in range(2)]
+    one = series.eval_truncated(rows[:1], 0.3)
+    one[:] = 0.0
+    assert rows[0].tolist() == [1.0, -2.0]      # a copy, not a view
 
 
 def test_identity_order_zero():

@@ -1,7 +1,9 @@
 """Singular initial value problems: admissibility, bootstrap, handoff."""
 
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,7 +350,7 @@ def test_defect_check_catches_a_planted_interpolant_fault(monkeypatch):
     # step's error estimate cannot see it, only the dense output's slope
     tol = 1e-12
     p = _ROWS["sphere"]()
-    y0 = singular._series_value(singular.bootstrap_series(p), 0.1)
+    y0 = series.eval_truncated(singular.bootstrap_series(p), 0.1)
     clean = singular.integrate(p, 0.1, y0, tol)
     monkeypatch.setattr(rk, "_D", rk._D * 1.01)
     res = rk.integrate_adaptive(p.rhs, 0.1, y0, p.t_end, tol)
@@ -415,6 +417,67 @@ def test_handoff_residual_reads_the_series_at_the_handoff():
     for row in ("sphere", "affine", "flat3"):
         d = singular.solve(_ROWS[row](), tol=1e-10).diagnostics
         assert d["handoff_residual"] <= 0.1 * 1e-10
+
+
+@pytest.mark.parametrize("tol", [-1e-10, 0.0, math.nan, math.inf])
+def test_solve_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
+    # tol = -1e-10 made every defect ratio negative, so the defect check
+    # passed every step, and the solve ran out its step budget at t = 0.112
+    calls = {"n": 0}
+
+    def forcing(t, y):
+        calls["n"] += 1
+        return y * 0.0 + 1.0
+
+    p = linear_forced(forcing)
+    with pytest.raises(ValidationError, match="tol"):
+        singular.solve(p, tol=tol)
+    assert calls["n"] <= 20         # the jet probe and the bootstrap
+    coeffs = singular.bootstrap_series(p)
+    with pytest.raises(ValidationError, match="tol"):
+        singular.choose_handoff(coeffs, tol, 0.1, p.t_end)
+
+
+def test_an_infinite_t_end_is_rejected():
+    with pytest.raises(ValidationError, match="finite"):
+        linear_forced(lambda t, y: y * 0.0 + 1.0, t_end=math.inf)
+
+
+_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+
+
+def _config_problem(name):
+    cfg = json.loads((_CONFIGS / f"{name}.json").read_text())
+    if "C" in cfg:
+        maps = singular.AffineSingularMaps(cfg["C"], S=cfg["S"], g=cfg["g"])
+        return maps.problem(cfg["y0"], cfg["t_end"])
+    fam = geometry.build_metric_family(cfg["metric"])
+    if "w" in cfg:
+        return geometry.assemble_biharmonic(fam, cfg["v"], cfg["w"],
+                                            cfg["t_end"])
+    return geometry.assemble_harmonic(fam, cfg["v"], cfg["t_end"])
+
+
+def _ref_horner(rows, t):
+    # row h multiplies t^h
+    acc = rows[-1].astype(float).copy()
+    for row in rows[-2::-1]:
+        acc = acc * t + row
+    return acc
+
+
+@pytest.mark.parametrize(
+    "name", ["sphere_identity", "biharmonic_flat", "affine_singular"])
+def test_series_part_reads_match_a_horner_sum_bit_for_bit(name):
+    traj = singular.solve(_config_problem(name), tol=1e-10)
+    c, t0 = traj.coeffs, traj.handoff
+    dc = np.arange(1, len(c))[:, None] * c[1:]
+    for t in (0.0, 1e-3, 0.37 * t0, t0):
+        y, dy = traj.value(t), traj.derivative(t)
+        assert y.tobytes() == _ref_horner(c, t).tobytes()
+        assert dy.tobytes() == _ref_horner(dc, t).tobytes()
+        y[:] = dy[:] = math.nan      # reads are fresh arrays
+    assert np.isfinite(traj.coeffs).all()
 
 
 def test_affine_jets_are_truncations_of_one_expansion():
