@@ -6,9 +6,9 @@ set -ex
 
 regsing solve-harmonic --config demos/configs/sphere_identity.json --quiet
 regsing solve-harmonic --config demos/configs/flat_sweep.json --quiet
-regsing solve-biharmonic --config demos/configs/biharmonic_flat.json --quiet
+regsing solve-biharmonic --config demos/configs/biharmonic_flat.json
 regsing monodromy --config demos/configs/nilpotent_monodromy.json
-regsing solve-singular --config demos/configs/affine_singular.json --quiet
+regsing solve-singular --config demos/configs/affine_singular.json
 regsing check --config demos/configs/check_sphere.json
 
 # this one exits 2 on purpose: the problem is resonant at the pole and

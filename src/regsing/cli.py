@@ -4,9 +4,15 @@ Subcommands consume a JSON config file and emit either a CSV table (the
 solve commands) or a JSON report (monodromy, fundamental, check).  A solve
 command with ``--out`` that solves for one parameter value also writes a
 ``*.summary.json`` sidecar echoing the config and the run diagnostics,
-enough to reproduce the run; a sweep writes none.  Config keys
-are validated strictly: unknown keys are errors, so typos fail loudly
-instead of silently using defaults.
+enough to reproduce the run; a sweep writes none.  The three
+single-parameter solves share one output path (:func:`_emit_samples`):
+CSV, sidecar and one progress note format.
+
+This module is the package's one config reader: the ``metric`` block,
+the affine singular problem and the linear system are each read and
+checked here, with the same number checks.  Config keys are validated
+strictly: unknown keys are errors, so typos fail loudly instead of
+silently using defaults.
 
 Exit codes: 0 success, 2 admissibility or validation rejection (reports
 are still written), 3 config or expression parse errors, 4 numerical
@@ -95,27 +101,6 @@ def _admissibility_dict(report) -> dict:
         "tail_certified": report.tail_certified,
         "order": report.order,
     }
-
-
-def _write_summary(args, cfg, effective, traj, residuals):
-    """Sidecar JSON next to the CSV; skipped when writing to stdout.
-
-    ``residuals`` holds every residual entry of the CSV rows.
-    """
-    if args.out is None:
-        return
-    diag = dict(traj.diagnostics)
-    summary = {
-        "command": args.command,
-        "config": cfg,
-        "effective": effective,
-        "diagnostics": {k: v for k, v in diag.items()
-                        if k != "admissibility"},
-        "admissibility": _admissibility_dict(diag["admissibility"]),
-        # np.max, not builtin max, so that a nan entry shows
-        "residual_max": float(np.max(np.abs(np.asarray(residuals, float)))),
-    }
-    _emit_json(summary, _summary_path(args.out))
 
 
 def _load_config(path) -> dict:
@@ -243,13 +228,77 @@ def _sample_grid(t_end: float, samples: int) -> np.ndarray:
 
 
 def _solver_options(cfg, args, where):
-    """The solve keywords ``tol``, ``order`` and ``t_max``, and ``samples``."""
+    """The solve keywords ``tol`` and ``order``, and ``samples``."""
     opts = {"tol": _tol(cfg, args, where), "order": _order(cfg, args, where)}
     samples = _integer(cfg, "samples", where, default=33)
     if samples < 1:
         raise ConfigError(f"{where}: 'samples' must be >= 1")
-    opts["t_max"] = _number(cfg, "t_max", where, default=0.1, positive=True)
     return opts, samples
+
+
+def _emit_samples(args, cfg, opts, samples, traj, header, row,
+                  residuals=1) -> int:
+    """The one output path of a single-parameter solve: ``row(t)`` on the
+    sample grid as CSV, whose last ``residuals`` columns are residuals;
+    with ``--out`` the ``*.summary.json`` sidecar echoing the config and
+    the run diagnostics; and the progress note unless ``--quiet``."""
+    rows = [row(t) for t in _sample_grid(traj.problem.t_end, samples)]
+    _emit_csv(header, rows, args.out)
+    d = traj.diagnostics
+    if args.out is not None:
+        _emit_json({
+            "command": args.command,
+            "config": cfg,
+            "effective": {**opts, "samples": samples},
+            "diagnostics": {k: v for k, v in d.items()
+                            if k != "admissibility"},
+            "admissibility": _admissibility_dict(d["admissibility"]),
+            # np.max, not builtin max, so that a nan entry shows
+            "residual_max": float(np.max(np.abs(np.asarray(
+                [r[-residuals:] for r in rows], float)))),
+        }, _summary_path(args.out))
+    if not args.quiet:
+        print(f"handoff {d['handoff']:.6g}, {d['steps_accepted']} steps, "
+              f"max residual {d['max_residual']:.3e}", file=sys.stderr)
+    return EXIT_OK
+
+
+_METRIC_KEYS = {"diagonal", "entries", "dim_p", "alpha", "weight",
+                "t_validate", "name"}
+
+
+def _metric_family(cfg, where) -> _geo.MetricFamily:
+    """The ``metric`` block: ``dim_p`` and exactly one of ``diagonal`` (a
+    list of entry expressions) or ``entries`` (a square nested list)."""
+    m = cfg["metric"]
+    where = f"{where}: metric"
+    if not isinstance(m, dict):
+        raise ConfigError(f"{where} must be an object")
+    _check_keys(m, _METRIC_KEYS, {"dim_p"}, where)
+    if ("diagonal" in m) == ("entries" in m):
+        raise ConfigError(
+            f"{where}: give exactly one of 'diagonal' or 'entries'")
+    alpha = m.get("alpha")
+    if alpha is not None and not isinstance(alpha, str):
+        raise ConfigError(f"{where}: 'alpha' must be an expression string")
+    kw = {"alpha": alpha, "weight": _integer(m, "weight", where, default=1),
+          "t_validate": _number(m, "t_validate", where, default=1.0,
+                                positive=True)}
+    dim_p = _integer(m, "dim_p", where)
+    try:
+        if "diagonal" in m:
+            if not isinstance(m["diagonal"], list) or not m["diagonal"]:
+                raise ConfigError(f"{where}: 'diagonal' must be a non-empty "
+                                  "list")
+            return _geo.MetricFamily.from_diagonal(m["diagonal"], dim_p, **kw)
+        rows = m["entries"]
+        if not isinstance(rows, list) or not all(
+                isinstance(r, list) and len(r) == len(rows) for r in rows):
+            raise ConfigError(f"{where}: 'entries' must be a square nested "
+                              "list")
+        return _geo.MetricFamily.from_entries(rows, dim_p, **kw)
+    except (ParseError, ValidationError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 # -- solve commands ----------------------------------------------------------
@@ -261,23 +310,18 @@ def _cmd_solve_harmonic(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, _HARMONIC_KEYS, {"metric", "v", "t_end"},
                 "solve-harmonic")
-    fam = _geo.build_metric_family(cfg["metric"])
+    fam = _metric_family(cfg, "solve-harmonic")
     t_end = _number(cfg, "t_end", "solve-harmonic", positive=True)
     opts, samples = _solver_options(cfg, args, "solve-harmonic")
+    opts["t_max"] = _number(cfg, "t_max", "solve-harmonic", default=0.1,
+                            positive=True)
     vs = _parse_sweep(cfg["v"], "solve-harmonic")
     if len(vs) == 1:
         sol = _geo.solve_harmonic(fam, float(vs[0]), t_end, **opts)
-        rows = [(t, sol.r(t), sol.rdot(t), sol.residual(t))
-                for t in _sample_grid(t_end, samples)]
-        _emit_csv(["t", "r", "r_dot", "residual"], rows, args.out)
-        _write_summary(args, cfg, {**opts, "samples": samples}, sol.traj,
-                       [r[-1] for r in rows])
-        if not args.quiet:
-            d = sol.traj.diagnostics
-            print(f"handoff {d['handoff']:.6g}, "
-                  f"{d['steps_accepted']} steps, "
-                  f"max residual {d['max_residual']:.3e}", file=sys.stderr)
-        return EXIT_OK
+        return _emit_samples(
+            args, cfg, opts, samples, sol.traj,
+            ["t", "r", "r_dot", "residual"],
+            lambda t: (t, sol.r(t), sol.rdot(t), sol.residual(t)))
     # family sweep: one row per v, plus a finite difference slope of r(T)
     ends = []
     for v in vs:
@@ -299,28 +343,21 @@ def _cmd_solve_biharmonic(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, _BIHARMONIC_KEYS, {"metric", "v", "w", "t_end"},
                 "solve-biharmonic")
-    fam = _geo.build_metric_family(cfg["metric"])
+    fam = _metric_family(cfg, "solve-biharmonic")
     t_end = _number(cfg, "t_end", "solve-biharmonic", positive=True)
     opts, samples = _solver_options(cfg, args, "solve-biharmonic")
+    opts["t_max"] = _number(cfg, "t_max", "solve-biharmonic", default=0.1,
+                            positive=True)
     vs = _parse_sweep(cfg["v"], "solve-biharmonic")
     ws = _parse_sweep(cfg["w"], "solve-biharmonic")
     if len(vs) == 1 and len(ws) == 1:
         sol = _geo.solve_biharmonic(fam, float(vs[0]), float(ws[0]), t_end,
                                     **opts)
-        rows = []
-        for t in _sample_grid(t_end, samples):
-            res_r, res_f = sol.residuals(t)
-            rows.append((t, sol.r(t), sol.rdot(t), sol.F(t), sol.Fdot(t),
-                         res_r, res_f))
-        _emit_csv(["t", "r", "r_dot", "F", "F_dot", "res_def", "res_eq"],
-                  rows, args.out)
-        _write_summary(args, cfg, {**opts, "samples": samples}, sol.traj,
-                       [x for r in rows for x in r[-2:]])
-        if not args.quiet:
-            d = sol.traj.diagnostics
-            print(f"handoff {d['handoff']:.6g}, {d['steps_accepted']} steps",
-                  file=sys.stderr)
-        return EXIT_OK
+        return _emit_samples(
+            args, cfg, opts, samples, sol.traj,
+            ["t", "r", "r_dot", "F", "F_dot", "res_def", "res_eq"],
+            lambda t: (t, sol.r(t), sol.rdot(t), sol.F(t), sol.Fdot(t),
+                       *sol.residuals(t)), residuals=2)
     # (v, w) grid, v-major ordering; slope of r(T) in v at fixed w
     rows = []
     for w in ws:
@@ -360,29 +397,19 @@ def _affine_problem(cfg, where):
                                             g=cfg.get("g"))
     except ExprError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    return maps.problem(y0, t_end), k, t_end
+    return maps.problem(y0, t_end), k
 
 
 def _cmd_solve_singular(args) -> int:
     cfg = _load_config(args.config)
     _check_keys(cfg, _SINGULAR_KEYS, {"C", "y0", "t_end"}, "solve-singular")
-    prob, k, t_end = _affine_problem(cfg, "solve-singular")
+    prob, k = _affine_problem(cfg, "solve-singular")
     opts, samples = _solver_options(cfg, args, "solve-singular")
-    del opts["t_max"]       # not a solve-singular key
     traj = _singular.solve(prob, **opts)
-    header = ["t"] + [f"y{i + 1}" for i in range(k)] + ["residual"]
-    rows = []
-    for t in _sample_grid(t_end, samples):
-        y = traj.value(t)
-        rows.append((t, *y, traj.residual(t)))
-    _emit_csv(header, rows, args.out)
-    _write_summary(args, cfg, {**opts, "samples": samples}, traj,
-                   [r[-1] for r in rows])
-    if not args.quiet:
-        d = traj.diagnostics
-        print(f"handoff {d['handoff']:.6g}, {d['steps_accepted']} steps, "
-              f"max residual {d['max_residual']:.3e}", file=sys.stderr)
-    return EXIT_OK
+    return _emit_samples(
+        args, cfg, opts, samples, traj,
+        ["t"] + [f"y{i + 1}" for i in range(k)] + ["residual"],
+        lambda t: (t, *traj.value(t), traj.residual(t)))
 
 
 # -- linear commands ---------------------------------------------------------
@@ -394,9 +421,7 @@ def _linear_system(cfg, where) -> _linear.LinearRSSystem:
     A = cfg.get("A")
     if not isinstance(A, list) or not all(isinstance(r, list) for r in A):
         raise ConfigError(f"{where}: 'A' must be a nested list")
-    rho = _number(cfg, "rho", where, default=None, positive=True)
-    if rho is None:
-        raise ConfigError(f"{where}: missing 'rho'")
+    rho = _number(cfg, "rho", where, positive=True)    # a required key
     try:
         return _linear.LinearRSSystem(A, h=cfg.get("h"), rho=rho)
     except ParseError as exc:
@@ -458,7 +483,7 @@ _CHECK_SINGULAR_KEYS = {"C", "c", "S", "g", "y0", "t_end", "order"}
 
 def _check_metric(cfg, args) -> int:
     _check_keys(cfg, _CHECK_METRIC_KEYS, {"metric"}, "check")
-    fam = _geo.build_metric_family(cfg["metric"])
+    fam = _metric_family(cfg, "check")
     rep = _geo.validate_metric(fam)
     structure_ok = None
     if rep.series_available:
@@ -484,7 +509,7 @@ def _check_metric(cfg, args) -> int:
 
 def _check_singular(cfg, args) -> int:
     _check_keys(cfg, _CHECK_SINGULAR_KEYS, {"C", "y0", "t_end"}, "check")
-    prob, _, _ = _affine_problem(cfg, "check")
+    prob, _ = _affine_problem(cfg, "check")
     order = _order(cfg, args, "check")
     rep = _singular.check_admissibility(prob, order)
     out = {"kind": "singular"}

@@ -35,13 +35,15 @@ its maps run on floats and on series jets, so the bootstrap there is exact.
 Metrics whose odd low-order data does not cancel the order-one residue (for
 example ``alpha'(0) != 0``) have no analytic reduction; their series paths
 raise StructureError.
+
+Families are built in code (:class:`MetricFamily`); the JSON ``metric``
+block of a config is read and checked by :mod:`regsing.cli`.
 """
 
 from __future__ import annotations
 
 import functools
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,13 +51,12 @@ import numpy as np
 from . import expr as _expr
 from . import series as _series
 from .series import Series
-from .errors import (ConfigError, NumericalError, StructureError,
-                     ValidationError)
+from .errors import NumericalError, StructureError, ValidationError
 from .singular import (SingularIVP, _as_jet, _time_jet_order,
                        solve as _solve_singular)
 
 __all__ = [
-    "MetricFamily", "MetricReport", "build_metric_family", "validate_metric",
+    "MetricFamily", "MetricReport", "validate_metric",
     "trace_drift", "trace_potential", "trace_potential2",
     "assemble_harmonic", "assemble_biharmonic",
     "tension_residual", "biharmonic_residual",
@@ -93,9 +94,10 @@ class MetricFamily:
         Dimension carried by ``alpha`` in the drift term.
     t_validate : float
         Right end of the interval used by :func:`validate_metric`.
-    t_switch : float or None
-        The only branch switch: the traces take the direct branch from
-        ``t_switch`` on, the series branch below (default ``1e-2``).
+
+    The class attribute ``t_switch`` (``1e-2``) is the only branch switch:
+    the traces take the direct branch from ``t_switch`` on and the series
+    branch below; a test picks a branch by setting it on an instance.
 
     Construction is lenient: pole structure is only enforced when a series
     path is actually used, so families that fail validation can still be
@@ -105,7 +107,7 @@ class MetricFamily:
     t_switch = 1e-2
 
     def __init__(self, entries, dim_p: int, alpha=None, weight: int = 1,
-                 t_validate: float = 1.0, t_switch: float | None = None):
+                 t_validate: float = 1.0):
         entries = np.asarray(entries, dtype=object)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise ValidationError("metric entries must form a square matrix")
@@ -121,8 +123,6 @@ class MetricFamily:
         self.alpha = alpha = None if alpha is None else _parse(alpha)
         self.weight = int(weight)
         self.t_validate = float(t_validate)
-        if t_switch is not None:
-            self.t_switch = float(t_switch)
         self._dentries = _differentiate(entries)
         self._dalpha = None if alpha is None else _expr.differentiate(alpha)
         self.diagonal = all(
@@ -471,8 +471,8 @@ def _profile_reg(fam: MetricFamily, t, y) -> np.ndarray:
     """``m_reg`` of both profile problems, for the harmonic state ``(a, u)``
     or the biharmonic one ``(a, u, b, u_b)``, at a time jet or a float
     ``t``; the tension ``F = t b`` forces the profile row.  A float ``t``
-    reads the direct traces at ``rho = t a`` from ``t_switch`` on and the
-    pole-peeled series below."""
+    reads :func:`_traces` at ``rho = t a`` from ``t_switch`` on and sums
+    the pole-peeled series of the reduction below."""
     coupled = len(y) == 4
     if isinstance(t, Series):
         n = _time_jet_order(t)
@@ -487,8 +487,8 @@ def _profile_reg(fam: MetricFamily, t, y) -> np.ndarray:
     y = [float(v) for v in y]
     a, u = y[0], y[1]
     if t >= fam.t_switch:
-        V, drift, V2 = _direct_traces(fam, t, t * a, coupled)
-        d = drift + fam.weight * fam.alpha_dot_at(t) - p / t
+        D, V, V2 = _traces(fam, t, t * a, coupled)
+        d = D - p / t
         out = [u, (V - p * a / t - d * (a + t * u)) / t]
         if coupled:
             b, ub = y[2:]
@@ -707,64 +707,3 @@ def validate_metric(fam: MetricFamily) -> MetricReport:
         series_ok = False
     return MetricReport(sym_ok, spd_ok, failures, pole_ok, measured,
                         series_ok, sym_ok and spd_ok and pole_ok)
-
-
-# -- config construction --------------------------------------------------------
-
-_METRIC_KEYS = {"diagonal", "entries", "dim_p", "alpha", "weight",
-                "t_validate", "t_switch", "name"}
-
-
-def build_metric_family(cfg: dict) -> MetricFamily:
-    """Build a family from a plain dict (the JSON config shape).
-
-    Exactly one of ``diagonal`` (list of entry expressions) or ``entries``
-    (full nested matrix) is required, together with ``dim_p``.  Unknown
-    keys are rejected.
-    """
-    if not isinstance(cfg, dict):
-        raise ConfigError("metric section must be an object")
-    unknown = set(cfg) - _METRIC_KEYS
-    if unknown:
-        raise ConfigError(f"unknown metric keys: {sorted(unknown)}")
-    if ("diagonal" in cfg) == ("entries" in cfg):
-        raise ConfigError("give exactly one of 'diagonal' or 'entries'")
-    if "dim_p" not in cfg:
-        raise ConfigError("metric needs 'dim_p'")
-    dim_p = cfg["dim_p"]
-    if not isinstance(dim_p, int) or isinstance(dim_p, bool):
-        raise ConfigError("'dim_p' must be an integer")
-    kw = {}
-    if "alpha" in cfg and cfg["alpha"] is not None:
-        if not isinstance(cfg["alpha"], str):
-            raise ConfigError("'alpha' must be an expression string")
-        kw["alpha"] = cfg["alpha"]
-    # JSON reads NaN, Infinity and integers past the float range; each
-    # fails a comparison with the largest float
-    top = sys.float_info.max
-    if "weight" in cfg:
-        w = cfg["weight"]
-        if isinstance(w, bool) or not isinstance(w, int) or abs(w) > top:
-            raise ConfigError("'weight' must be an integer in float range")
-        kw["weight"] = w
-    for key in ("t_validate", "t_switch"):
-        if key in cfg:
-            v = cfg[key]
-            if isinstance(v, bool) or not isinstance(v, (int, float)) \
-                    or not 0 < v <= top:
-                raise ConfigError(f"'{key}' must be a positive finite number")
-            kw[key] = float(v)
-    try:
-        if "diagonal" in cfg:
-            if not isinstance(cfg["diagonal"], list) or not cfg["diagonal"]:
-                raise ConfigError("'diagonal' must be a non-empty list")
-            return MetricFamily.from_diagonal(cfg["diagonal"], dim_p, **kw)
-        rows = cfg["entries"]
-        if not isinstance(rows, list) or not all(
-                isinstance(r, list) and len(r) == len(rows) for r in rows):
-            raise ConfigError("'entries' must be a square nested list")
-        return MetricFamily.from_entries(rows, dim_p, **kw)
-    except (_expr.ParseError,) as exc:
-        raise ConfigError(f"bad metric expression: {exc}") from exc
-    except ValidationError as exc:
-        raise ConfigError(str(exc)) from exc

@@ -223,14 +223,28 @@ class AdmissibilityReport:
 
 def check_admissibility(p: SingularIVP, order: int = DEFAULT_ORDER
                         ) -> AdmissibilityReport:
-    """Evaluate both admissibility conditions, never raising on failure."""
+    """Evaluate both admissibility conditions; a failed condition is
+    reported, not raised.
+
+    Raises ValidationError for ``order < 1`` and NumericalError when the
+    Jacobian at ``y0`` is not finite.  The scan over ``h`` stops where
+    ``sigma_min(h I - J) >= h - |J|_2`` clears the singularity threshold
+    twice over, since no larger ``h`` can then be offending; the margin
+    covers the rounding of the computed singular values.
+    """
+    if order < 1:
+        raise ValidationError(f"order must be >= 1, got {order}")
     resid = np.asarray(p.m_sing(p.y0), dtype=float).reshape(-1)
     residual_norm = float(np.linalg.norm(resid, np.inf))
     J = _jacobian(p.m_sing, p.y0, p.jet_capable)
+    if not np.isfinite(J).all():
+        raise NumericalError("Jacobian of m_sing at y0 is not finite")
     normJ = float(np.linalg.norm(J, 2))
     eye = np.eye(p.k)
     offending = []
     for h in range(1, order + 1):
+        if h - normJ > 2.0 * EPS_INVERTIBLE * (h + normJ):
+            break
         smin = float(np.linalg.svd(h * eye - J, compute_uv=False)[-1])
         if smin < EPS_INVERTIBLE * (h + normJ):
             offending.append(h)

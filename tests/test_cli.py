@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -475,3 +476,98 @@ def test_an_order_out_of_range_is_rejected_before_the_pole_scan(
     path = write_cfg(tmp_path, "o.json", AFFINE)
     assert cli.run(["solve-singular", "--config", path, "--quiet",
                     "--order", str(10 ** 9)]) == 2
+
+
+# -- one exit code per malformed config, on paths no other test reaches -------
+
+BIHARMONIC = {"metric": {"diagonal": ["t^2", "t^2"], "dim_p": 2}, "v": 1.0,
+              "w": 1.0, "t_end": 1.0, "samples": 2}
+FUNDAMENTAL = {"A": [["0"]], "rho": 1.0, "z0": [1.0, 0.0], "z1": [2.0, 0.0]}
+
+
+@pytest.mark.parametrize("command, cfg, extra, rc, note", [
+    ("solve-harmonic", [FLAT], [], 3, "root must be an object"),
+    ("solve-harmonic", {"metric": FLAT, "v": 1.0}, [], 3, "missing keys"),
+    ("solve-harmonic", {"metric": FLAT, "v": 1.0, "t_end": "1"}, [], 3,
+     "'t_end' must be a number"),
+    ("solve-harmonic", {"metric": FLAT, "v": 1.0, "t_end": 1.0,
+                        "samples": 2.5}, [], 3, "must be an integer"),
+    ("solve-harmonic", {"metric": FLAT, "v": "1:2", "t_end": 1.0}, [], 3,
+     "start:stop:count"),
+    ("solve-harmonic", {"metric": FLAT, "v": "a:b:3", "t_end": 1.0}, [], 3,
+     "bad sweep"),
+    ("solve-harmonic", {"metric": FLAT, "v": [0.5, 1.0], "t_end": 1.0}, [],
+     3, "sweep string"),
+    ("solve-singular", {**AFFINE, "samples": 0}, [], 3, "'samples'"),
+    ("solve-singular", {**AFFINE, "C": [[-2.0, 0.0]]}, [], 3, "square"),
+    ("solve-singular", {**AFFINE, "y0": [0.0, 1.0]}, [], 3, "'y0'"),
+    ("check", {**AFFINE, "c": [1.0, 2.0]}, [], 3, "'c'"),
+    ("solve-singular", {**AFFINE, "S": [["sin(t"]]}, [], 3, "config error"),
+    ("monodromy", {**MONODROMY, "A": [["0", "t +"], ["0", "1"]]}, [], 3,
+     "config error"),
+    ("monodromy", {**MONODROMY, "A": ["0", "t"]}, [], 3, "nested list"),
+    ("fundamental", {"A": [["0"]], "z0": [1.0, 0.0], "z1": [2.0, 0.0]}, [],
+     3, "'rho'"),
+    ("fundamental", {**FUNDAMENTAL, "z0": [1.0]}, [], 3, "[re, im] pair"),
+    ("check", {"A": [["0"]], "rho": 1.0}, [], 3, "'metric' block"),
+    ("solve-harmonic", {"metric": FLAT, "v": 1.0, "t_end": 1.0,
+                        "samples": 2}, ["--out", "{tmp}/no-dir/h.csv"], 5,
+     "i/o error"),
+    ("solve-biharmonic", BIHARMONIC, [], 0, "handoff"),
+    ("solve-singular", {**AFFINE, "samples": 2}, [], 0, "handoff"),
+], ids=[
+    "root-not-object",
+    "missing-keys",
+    "t_end-not-a-number",
+    "samples-not-an-integer",
+    "sweep-two-fields",
+    "sweep-not-numbers",
+    "sweep-list",
+    "samples-zero",
+    "C-not-square",
+    "y0-wrong-length",
+    "c-wrong-length",
+    "S-bad-expression",
+    "A-bad-expression",
+    "A-not-nested",
+    "rho-missing",
+    "z0-not-a-pair",
+    "check-neither-block",
+    "out-unwritable",
+    "biharmonic-note",
+    "singular-note",
+])
+def test_each_cli_path_ends_in_its_exit_code(tmp_path, capsys, command, cfg,
+                                             extra, rc, note):
+    path = write_cfg(tmp_path, "c.json", cfg)
+    extra = [a.format(tmp=tmp_path) for a in extra]
+    assert cli.run([command, "--config", path, *extra]) == rc
+    assert note in capsys.readouterr().err
+
+
+def test_every_single_solve_prints_the_same_note(tmp_path, capsys):
+    runs = [("solve-harmonic", {"metric": SPHERE, "v": 1.0, "t_end": 1.0,
+                                "samples": 2}),
+            ("solve-biharmonic", BIHARMONIC),
+            ("solve-singular", {**AFFINE, "samples": 2})]
+    for command, cfg in runs:
+        path = write_cfg(tmp_path, "c.json", cfg)
+        assert cli.run([command, "--config", path]) == 0
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"handoff \S+, \d+ steps, max residual \S+\n",
+                            err), (command, err)
+
+
+def test_t_switch_is_a_class_attribute_not_a_metric_key(tmp_path, capsys):
+    path = write_cfg(tmp_path, "c.json",
+                     {"metric": {**SPHERE, "t_switch": 0.05}})
+    assert cli.run(["check", "--config", path]) == 3
+    assert "unknown keys ['t_switch']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("order", ["0", "-3"])
+def test_check_rejects_an_order_below_one(tmp_path, capsys, order):
+    # resonant at h = 3: an order that scans no h used to read verdict true
+    path = write_cfg(tmp_path, "c.json", {**AFFINE, "C": [[3.0]]})
+    assert cli.run(["check", "--config", path, "--order", order]) == 2
+    assert "order must be >= 1" in capsys.readouterr().err

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regsing import expr, geometry, linear, series, singular
+from regsing import cli, expr, geometry, linear, series, singular
 from regsing.errors import (EvalDomainError, ExprError, ParseError,
                             ValidationError)
 from regsing.series import Series
@@ -426,7 +426,7 @@ def _config(name):
 
 def test_matrix_paths_byte_identical_on_demo_configs():
     for name in ("sphere_identity", "flat_sweep", "biharmonic_flat"):
-        fam = geometry.build_metric_family(_config(name)["metric"])
+        fam = cli._metric_family(_config(name), name)
         n = fam.n
         d1 = [[expr.differentiate(fam.entries[i, j]) for j in range(n)]
               for i in range(n)]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from regsing import expr, geometry, series, singular
+from regsing import cli, expr, geometry, series, singular
 from regsing.errors import (ConfigError, EvalDomainError, NumericalError,
                             StructureError, ValidationError)
 from regsing.series import Series
@@ -377,14 +377,19 @@ def test_tension_residual_signed():
         pytest.approx(want, rel=1e-12)
 
 
+# the config reader of the metric block lives in cli; these cases pin it
+
+def _metric_family(block):
+    return cli._metric_family({"metric": block}, "test")
+
+
 def test_build_metric_family_from_config():
-    fam = geometry.build_metric_family(
+    fam = _metric_family(
         {"diagonal": ["sin(t)^2", "sin(t)^2"], "dim_p": 2,
-         "t_switch": 0.05, "t_validate": 0.8})
+         "t_validate": 0.8})
     assert fam.dim_p == 2
-    assert fam.t_switch == 0.05
     assert fam.t_validate == 0.8
-    fam2 = geometry.build_metric_family(
+    fam2 = _metric_family(
         {"entries": [["t^2", "0"], ["0", "1"]], "dim_p": 1,
          "alpha": "t^2", "weight": 2})
     assert fam2.weight == 2
@@ -402,13 +407,12 @@ def test_build_metric_family_from_config():
 ])
 def test_build_metric_family_rejects(cfg):
     with pytest.raises(ConfigError):
-        geometry.build_metric_family(cfg)
+        _metric_family(cfg)
 
 
 def test_config_expression_errors_are_config_errors():
     with pytest.raises((ConfigError, ValidationError)):
-        geometry.build_metric_family(
-            {"diagonal": ["sin(t", "1"], "dim_p": 1})
+        _metric_family({"diagonal": ["sin(t", "1"], "dim_p": 1})
 
 
 # -- the shared reduction core against the code it replaced -------------------

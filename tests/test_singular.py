@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from regsing import geometry, rk, series, singular
+from regsing import cli, geometry, rk, series, singular
 from regsing.errors import (AdmissibilityError, NumericalError,
                             ValidationError)
 from regsing.series import Series
@@ -108,6 +108,68 @@ def test_tail_not_certified_for_large_jacobian():
     rep = singular.check_admissibility(p, order=10)
     assert rep.verdict            # no resonance: spectrum is negative
     assert not rep.tail_certified  # |J| = 40 >= 10
+
+
+def _resonant_at_3():
+    maps = singular.AffineSingularMaps([[3.0]], g=["-1"])
+    return maps.problem([0.0], 1.0)
+
+
+@pytest.mark.parametrize("order", [0, -3])
+def test_admissibility_rejects_an_order_that_scans_nothing(order):
+    # with no h scanned the resonance at h = 3 went unseen: verdict True
+    with pytest.raises(ValidationError, match="order"):
+        singular.check_admissibility(_resonant_at_3(), order)
+
+
+def test_admissibility_scan_stops_where_the_norm_bound_clears(monkeypatch):
+    # sigma_min(h I - J) >= h - |J|_2 = h - 3, so no h past 3 can be
+    # singular; the scan used to run one SVD per h up to the order
+    real, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rep = singular.check_admissibility(_resonant_at_3(), 10 ** 9)
+    assert rep.offending_h == [3]
+    assert not rep.verdict and rep.tail_certified
+    assert rep.order == 10 ** 9
+    assert len(calls) == 3
+
+
+def _full_scan(J, order):
+    # the scan over every h in 1..order that the early stop replaces
+    normJ = np.linalg.norm(J, 2)
+    return [h for h in range(1, order + 1)
+            if np.linalg.svd(h * np.eye(len(J)) - J, compute_uv=False)[-1]
+            < singular.EPS_INVERTIBLE * (h + normJ)]
+
+
+@pytest.mark.parametrize("C", [
+    [[5.0, 0.0], [0.0, 2.0]],              # top eigenvalue is the norm
+    [[4.0, 30.0], [0.0, 1.0]],             # non-normal: |J|_2 >> spectrum
+    [[3.0 + 1e-9, 0.0], [0.0, -1.0]],      # within the singularity margin
+    [[6.0, 1.0], [0.0, 6.0]],              # Jordan block at h = 6
+    [[-0.5, 0.0], [0.0, 0.25]],            # nothing offending
+])
+@pytest.mark.parametrize("order", [1, 4, 7, 40])
+def test_admissibility_scan_matches_the_full_scan(C, order):
+    rep = singular.check_admissibility(
+        singular.AffineSingularMaps(C).problem([0.0, 0.0], 1.0), order)
+    assert rep.offending_h == _full_scan(np.array(C), order)
+    assert rep.tail_certified == (np.linalg.norm(C, 2) < order)
+
+
+def test_a_jacobian_that_is_not_finite_is_a_numerical_error():
+    # it escaped as numpy's LinAlgError ("SVD did not converge")
+    p = singular.AffineSingularMaps([[math.nan]], g=["-1"]).problem(
+        [0.0], 1.0)
+    with pytest.raises(NumericalError, match="not finite"):
+        singular.check_admissibility(p)
+    with pytest.raises(NumericalError, match="not finite"):
+        singular.solve(p)
 
 
 def test_bootstrap_linear_exact():
@@ -451,7 +513,7 @@ def _config_problem(name):
     if "C" in cfg:
         maps = singular.AffineSingularMaps(cfg["C"], S=cfg["S"], g=cfg["g"])
         return maps.problem(cfg["y0"], cfg["t_end"])
-    fam = geometry.build_metric_family(cfg["metric"])
+    fam = cli._metric_family(cfg, name)
     if "w" in cfg:
         return geometry.assemble_biharmonic(fam, cfg["v"], cfg["w"],
                                             cfg["t_end"])
