@@ -269,7 +269,8 @@ _METRIC_KEYS = {"diagonal", "entries", "dim_p", "alpha", "weight",
 
 def _metric_family(cfg, where) -> _geo.MetricFamily:
     """The ``metric`` block: ``dim_p`` and exactly one of ``diagonal`` (a
-    list of entry expressions) or ``entries`` (a square nested list)."""
+    list of entries) or ``entries`` (a square nested list); an entry is an
+    expression string or a finite number."""
     m = cfg["metric"]
     where = f"{where}: metric"
     if not isinstance(m, dict):
@@ -285,18 +286,29 @@ def _metric_family(cfg, where) -> _geo.MetricFamily:
           "t_validate": _number(m, "t_validate", where, default=1.0,
                                 positive=True)}
     dim_p = _integer(m, "dim_p", where)
+
+    def entry(e):
+        if isinstance(e, str):
+            return e
+        if isinstance(e, bool) or not isinstance(e, (int, float)):
+            raise ConfigError(f"{where}: each entry must be an expression "
+                              f"string or a number, got {e!r:.40}")
+        return _finite(e, f"{where}: entry")
+
     try:
         if "diagonal" in m:
             if not isinstance(m["diagonal"], list) or not m["diagonal"]:
                 raise ConfigError(f"{where}: 'diagonal' must be a non-empty "
                                   "list")
-            return _geo.MetricFamily.from_diagonal(m["diagonal"], dim_p, **kw)
+            return _geo.MetricFamily.from_diagonal(
+                [entry(e) for e in m["diagonal"]], dim_p, **kw)
         rows = m["entries"]
         if not isinstance(rows, list) or not all(
                 isinstance(r, list) and len(r) == len(rows) for r in rows):
             raise ConfigError(f"{where}: 'entries' must be a square nested "
                               "list")
-        return _geo.MetricFamily.from_entries(rows, dim_p, **kw)
+        return _geo.MetricFamily.from_entries(
+            [[entry(e) for e in r] for r in rows], dim_p, **kw)
     except (ParseError, ValidationError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 

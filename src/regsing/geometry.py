@@ -26,6 +26,13 @@ branches, for the assembled maps and the public trace functions alike.  A
 residual sample evaluates the traces once and reads ``r''`` (and ``F''``)
 from the computed trajectory, so it measures that trajectory's defect.
 
+The series come from :meth:`MetricFamily.pack`, which holds float
+coefficient stacks: ``P'`` and ``P''`` of the entries and the series of
+``t^2 P^-1``, whose ``R^-1`` is built once per pack by a block recursion.
+Along a profile ``rho = t a(t)`` each evaluation builds one table of the
+powers of ``t a``; one product with it composes every entry of ``P'`` (and
+``P''``), and each trace is one contraction with the pack's inverse series.
+
 Both reductions have a simple pole at ``t = 0``.  Substituting ``r = t a``
 (and ``F = t b``) produces problems in the class handled by
 :mod:`regsing.singular`, with singular part ``(0, -(p+2) u)`` and free
@@ -69,14 +76,6 @@ _SHIFT_TOL = 1e-9
 _STRUCT_TOL = 5e-7
 _FLOAT_SERIES_ORDER = 12
 _differentiate = np.frompyfunc(_expr.differentiate, 1, 1)   # entrywise
-
-
-def _sderiv(s: Series) -> Series:
-    """Coefficientwise derivative, one order lower."""
-    if s.order == 0:
-        return Series._new(np.array([0.0 * s.coeffs[0]]), s.t0)
-    k = np.arange(1, s.order + 1)
-    return Series._new(s.coeffs[1:] * k, s.t0)
 
 
 class MetricFamily:
@@ -192,47 +191,64 @@ class MetricFamily:
     # -- series data ---------------------------------------------------------
 
     def pack(self, order: int) -> dict:
-        """Cached sandwich series at the origin up to ``order``.
+        """Cached series data at the origin up to ``order``.
+
+        Float coefficient stacks with ``M = order + 2`` rows, row ``k`` the
+        coefficient of ``t^k``: ``dP``, the series of ``P'`` and of ``P''``
+        side by side, each entry flattened (an entry's coefficients below
+        its vanishing order count as zero); ``W``, the series of ``t^2
+        P^-1 = t^(2-s) R^-1`` entrywise, transposed and flattened.  Also
+        ``drift_analytic``, the Series of ``Tr(R^-1 R')/2`` (``+ weight
+        alpha'``) to ``order``.  ``R^-1`` comes from one block recursion
+        against ``R(0)``; ``R'`` and ``P''`` from ``R`` by coefficient
+        scaling.
 
         Raises ValidationError when an entry fails to vanish to the order
-        its block position requires.
+        its block position requires or ``R(0)`` is not positive definite.
         """
         if order in self._packs:
             return self._packs[order]
-        n = self.n
-        R = np.empty((n, n), dtype=object)
+        n, M = self.n, order + 2
+        R = np.empty((M, n, n))
+        full = np.zeros((M + 2, n, n))      # P's entries, low terms zeroed
         for i in range(n):
             for j in range(n):
-                shift = (i < self.dim_p) + (j < self.dim_p)
-                full = _expr.taylor(self.entries[i, j], 0.0, order + 1 + shift)
-                c = full.coeffs
+                s = (i < self.dim_p) + (j < self.dim_p)
+                c = _expr.taylor(self.entries[i, j], 0.0, M - 1 + s).coeffs
                 scale = 1.0 + float(np.abs(c).max())
-                for k in range(shift):
+                for k in range(s):
                     if abs(c[k]) > _SHIFT_TOL * scale:
                         raise ValidationError(
-                            f"entry ({i},{j}) must vanish to order {shift} "
+                            f"entry ({i},{j}) must vanish to order {s} "
                             f"at 0; found coefficient {c[k]:.3e} at t^{k}")
-                R[i, j] = Series._new(c[shift:], 0.0)   # order + 1
-        R0 = np.array([[float(R[i, j].coeffs[0]) for j in range(n)]
-                       for i in range(n)])
+                R[:, i, j] = full[s:M + s, i, j] = c[s:]
         try:
-            np.linalg.cholesky(0.5 * (R0 + R0.T))
+            np.linalg.cholesky(0.5 * (R[0] + R[0].T))
         except np.linalg.LinAlgError as exc:
             raise ValidationError(
                 "reduced matrix R(0) is not positive definite") from exc
-        pack = {"R": R, "R0": R0}
-        pack["Rdot"] = np.array([[_sderiv(R[i, j]) for j in range(n)]
-                                 for i in range(n)], dtype=object)
-        if self.diagonal:
-            pack["recip"] = [
-                _series.reciprocal(R[i, i].truncate(order))
-                for i in range(n)]
-        # analytic drift part: Tr(R^-1 R')/2 (+ weight * alpha')
-        drift = _trace_solve(R, pack["Rdot"], order) * 0.5
+        # R^-1 by the block recursion R(0) X_k = -sum_j R_j X_(k-j)
+        Rinv = np.empty_like(R)
+        Rinv[0] = np.linalg.inv(R[0])
+        for k in range(1, M):
+            Rinv[k] = -Rinv[0] @ (R[1:k + 1] @ Rinv[k - 1::-1]).sum(0)
+        ks = np.arange(1.0, M + 2)[:, None, None]
+        Rdot = (R[1:] * ks[:M - 1]).reshape(M - 1, n * n)
+        drift = Series._new(0.5 * _trace_series(
+            Rinv[:M - 1].transpose(0, 2, 1).reshape(M - 1, n * n), Rdot), 0.0)
         if self._dalpha is not None:
             drift = drift + _expr.taylor(self._dalpha, 0.0, order) * \
                 float(self.weight)
-        pack["drift_analytic"] = drift
+        # t^2 P^-1 = t^(2-s) R^-1 entrywise
+        W = np.zeros((M, n, n))
+        for i in range(n):
+            for j in range(n):
+                s = (i < self.dim_p) + (j < self.dim_p)
+                W[2 - s:, i, j] = Rinv[:M - 2 + s, j, i]
+        dP = np.stack((full[1:M + 1] * ks[:M],
+                       full[2:] * (ks[:M] * ks[1:M + 1])), axis=1)
+        pack = {"dP": dP.reshape(M, 2 * n * n), "W": W.reshape(M, n * n),
+                "drift_analytic": drift}
         self._packs[order] = pack
         return pack
 
@@ -245,31 +261,40 @@ def _parse(e):
     return e
 
 
-# -- matrix series helpers ---------------------------------------------------
+# -- series kernels -----------------------------------------------------------
 
-def _mat_coeff_stack(M: np.ndarray, order: int) -> np.ndarray:
-    n = M.shape[0]
-    out = np.zeros((order + 1, n, n))
-    for i in range(n):
-        for j in range(n):
-            m = min(order, M[i, j].order)
-            out[: m + 1, i, j] = M[i, j].coeffs[: m + 1].real
-    return out
+def _powers(a_s: Series, order: int) -> np.ndarray:
+    """Table of the powers of ``u = t a(t)``: row ``j`` holds the ``M =
+    order + 2`` coefficients of ``u^j``, ``j < M``; ``a_s`` has at least
+    ``M - 1`` coefficients.  Each step multiplies the rows known so far by
+    the upper Toeplitz matrix of the top power: ``log2 M`` products."""
+    M = order + 2
+    T = np.zeros((M, M))
+    T[0, 0] = 1.0
+    T[1, 1:] = a_s.coeffs[:M - 1]
+    top = np.zeros(2 * M - 1)
+    # U[i, k] = top[M - 1 + k - i], coefficient k - i of the top power
+    U = np.lib.stride_tricks.as_strided(
+        top[M - 1:], shape=(M, M), strides=(-top.itemsize, top.itemsize))
+    m = 1
+    while m + 1 < M:
+        span = min(m, M - 1 - m)
+        top[M - 1:] = T[m]
+        np.matmul(T[1:span + 1], U, out=T[m + 1:m + span + 1])
+        m += span
+    return T
 
 
-def _trace_solve(A: np.ndarray, B: np.ndarray, order: int) -> Series:
-    """Trace of ``A(t)^-1 B(t)`` as a series, by coefficient recursion."""
-    Ac = _mat_coeff_stack(A, order)
-    Bc = _mat_coeff_stack(B, order)
-    n = Ac.shape[1]
-    X = np.zeros_like(Bc)
-    for k in range(order + 1):
-        rhs = Bc[k].copy()
-        for j in range(1, k + 1):
-            rhs -= Ac[j] @ X[k - j]
-        X[k] = np.linalg.solve(Ac[0], rhs)
-    return Series._new(np.array([np.trace(X[k]) for k in range(order + 1)]),
-                       0.0)
+def _trace_series(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """``sum_(l+k=j) A[l] . B[k]`` for ``j`` below ``len(A)``: with ``A``
+    the transposed and ``B`` the plain coefficient rows of two flattened
+    matrix series, ``Tr(A B)`` as a series, summed along the anti-diagonals
+    of one contraction."""
+    L = len(A)
+    Z = np.zeros((L, 2 * L))
+    Z[:, :L] = A @ B[:L].T
+    # row l of the view is row l of Z shifted right by l
+    return Z.ravel()[:L * (2 * L - 1)].reshape(L, 2 * L - 1)[:, :L].sum(0)
 
 
 # -- reduced series of the trace quantities ----------------------------------
@@ -284,65 +309,30 @@ def _tdrift_series(fam: MetricFamily, order: int) -> Series:
     return Series._new(c, 0.0)
 
 
-def _tpot_series(fam: MetricFamily, a_s: Series, order: int) -> Series:
-    """``t * V(t, t a(t))`` as a series; constant term ``dim_p * a(0)``."""
+def _tpot_series(fam: MetricFamily, a_s: Series, order: int,
+                 T: np.ndarray | None = None) -> Series:
+    """``t * V(t, u)`` along ``u = t a(t)`` as a series to ``order``;
+    constant term ``dim_p * a(0)`` for a diagonal family.
+
+    ``t V = Tr(t^2 P^-1 P'(u)) / (2 t)``: the power table ``T`` of ``u``
+    (built here unless given) composes every entry of ``P'`` in one
+    product, and the trace is one contraction with the pack's ``t^2
+    P^-1``, whose constant term vanishes."""
     pack = fam.pack(order)
-    t_s = _series.identity(order)
-    ta = (t_s * a_s).truncate(order)
-    n, p = fam.n, fam.dim_p
-    if fam.diagonal:
-        acc = _series.constant(0.0, order)
-        for i in range(n):
-            Ri = pack["R"][i, i]
-            Ridot = pack["Rdot"][i, i].truncate(order)
-            comp = _series.compose(Ri.truncate(order), ta)
-            comp_dot = _series.compose(Ridot, ta)
-            if i < p:
-                q = 2.0 * a_s * comp + t_s * a_s * a_s * comp_dot
-            else:
-                q = t_s * comp_dot
-            acc = acc + q * pack["recip"][i]
-        return 0.5 * acc
-    # block family: Qtilde = t * D^-1 P'(ta) D^-1, then Tr(R^-1 Qtilde)
-    Q = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            comp = _series.compose(pack["R"][i, j].truncate(order), ta)
-            comp_dot = _series.compose(
-                pack["Rdot"][i, j].truncate(order), ta)
-            npp = (i < p) + (j < p)
-            if npp == 2:
-                Q[i, j] = 2.0 * a_s * comp + t_s * a_s * a_s * comp_dot
-            elif npp == 1:
-                Q[i, j] = comp + t_s * a_s * comp_dot
-            else:
-                Q[i, j] = t_s * comp_dot
-    return 0.5 * _trace_solve(pack["R"], Q, order)
+    T = _powers(a_s, order) if T is None else T
+    X = T.T @ pack["dP"][:, :fam.n * fam.n]
+    return Series._new(0.5 * _trace_series(pack["W"], X)[1:], 0.0)
 
 
-def _zpot_series(fam: MetricFamily, a_s: Series, order: int) -> Series:
-    """``t^2 * V2(t, t a(t))`` for diagonal families; constant ``dim_p``."""
-    # one extra order so the second derivative is exact through `order`
-    pack = fam.pack(order + 1)
-    a_s = a_s.truncate(order)
-    t_s = _series.identity(order)
-    ta = (t_s * a_s).truncate(order)
-    n, p = fam.n, fam.dim_p
-    acc = _series.constant(0.0, order)
-    for i in range(n):
-        Ri = pack["R"][i, i]
-        Ridot = pack["Rdot"][i, i]
-        Riddot = _sderiv(Ridot).truncate(order)
-        comp = _series.compose(Ri.truncate(order), ta)
-        comp_d = _series.compose(Ridot.truncate(order), ta)
-        comp_dd = _series.compose(Riddot, ta)
-        if i < p:
-            q = 2.0 * comp + 4.0 * t_s * a_s * comp_d + \
-                t_s * t_s * a_s * a_s * comp_dd
-        else:
-            q = t_s * t_s * comp_dd
-        acc = acc + q * pack["recip"][i].truncate(order)
-    return 0.5 * acc
+def _zpot_series(fam: MetricFamily, a_s: Series, order: int,
+                 T: np.ndarray | None = None) -> Series:
+    """``t^2 * V2(t, u) = Tr(t^2 P^-1 P''(u)) / 2`` along ``u = t a(t)``
+    to ``order``, as :func:`_tpot_series` builds ``t V``; constant term
+    ``dim_p`` for the diagonal families it is used on."""
+    pack = fam.pack(order)
+    T = _powers(a_s, order) if T is None else T
+    X = T.T @ pack["dP"][:, fam.n * fam.n:]
+    return Series._new(0.5 * _trace_series(pack["W"][:-1], X), 0.0)
 
 
 def _peel2(w: Series, where: str) -> Series:
@@ -357,28 +347,23 @@ def _peel2(w: Series, where: str) -> Series:
     return Series._new(w.coeffs[2:], 0.0)
 
 
-def _w_series(fam: MetricFamily, a_s: Series, u_s: Series,
-              order: int) -> Series:
-    """``u' + (p+2) u / t`` of the harmonic reduction, to ``order - 2``."""
+def _w_series(fam: MetricFamily, s, order: int) -> list:
+    """``u' + (p+2) u / t`` of the harmonic reduction for the state jets
+    ``s = (a, u)``, to ``order - 2``; for ``s = (a, u, b, u_b)`` also
+    ``u_b' + (p+2) u_b / t`` of the tension linearization along ``a``
+    (diagonal families only).  Both rows share one power table."""
     p = fam.dim_p
     t_s = _series.identity(order)
-    tpot = _tpot_series(fam, a_s, order)
-    tdrift = _tdrift_series(fam, order)
-    return _peel2((tpot - float(p) * a_s)
-                  - (tdrift - float(p)) * (a_s + t_s * u_s),
-                  "harmonic reduction")
-
-
-def _wf_series(fam: MetricFamily, a_s: Series, b_s: Series, ub_s: Series,
-               order: int) -> Series:
-    """``u_b' + (p+2) u_b / t`` of the tension linearization along ``a``;
-    diagonal families only."""
-    p = fam.dim_p
-    t_s = _series.identity(order)
-    z = _zpot_series(fam, a_s, order)
+    T = _powers(s[0], order)
     td = _tdrift_series(fam, order)
-    return _peel2((z - float(p)) * b_s - (td - float(p)) * (b_s + t_s * ub_s),
-                  "tension linearization")
+    w = [_peel2((_tpot_series(fam, s[0], order, T) - float(p) * s[0])
+                - (td - float(p)) * (s[0] + t_s * s[1]),
+                "harmonic reduction")]
+    if len(s) == 4:
+        w.append(_peel2((_zpot_series(fam, s[0], order, T) - float(p)) * s[2]
+                        - (td - float(p)) * (s[2] + t_s * s[3]),
+                        "tension linearization"))
+    return w
 
 
 def check_structure(fam: MetricFamily):
@@ -395,7 +380,7 @@ def check_structure(fam: MetricFamily):
     if fam._structure_ok:
         return
     for a0, u0 in ((0.83, 0.41), (-0.37, 0.9), (1.61, -0.23)):
-        _w_series(fam, _series.constant(a0, 8), _series.constant(u0, 8), 8)
+        _w_series(fam, [_series.constant(a0, 8), _series.constant(u0, 8)], 8)
     fam._structure_ok = True
 
 
@@ -441,9 +426,10 @@ def _traces(fam: MetricFamily, t: float, rho: float, second: bool):
         return drift + fam.weight * fam.alpha_dot_at(t), V, V2
     K = _FLOAT_SERIES_ORDER
     a_s = _series.constant(rho / t, K)
+    T = _powers(a_s, K)
     D, V = (float(_series.eval_truncated(s, t)) / t
-            for s in (_tdrift_series(fam, K), _tpot_series(fam, a_s, K)))
-    V2 = (float(_series.eval_truncated(_zpot_series(fam, a_s, K), t))
+            for s in (_tdrift_series(fam, K), _tpot_series(fam, a_s, K, T)))
+    V2 = (float(_series.eval_truncated(_zpot_series(fam, a_s, K, T), t))
           / (t * t) if second else None)
     return D, V, V2
 
@@ -477,11 +463,11 @@ def _profile_reg(fam: MetricFamily, t, y) -> np.ndarray:
     if isinstance(t, Series):
         n = _time_jet_order(t)
         s = [_as_jet(v, n + 2) for v in y]
-        out = [s[1].truncate(n), _w_series(fam, s[0], s[1], n + 2)]
+        w = _w_series(fam, s, n + 2)
+        out = [s[1].truncate(n), w[0]]
         if coupled:
             out[1] = out[1] + s[2].truncate(n)
-            out += [s[3].truncate(n),
-                    _wf_series(fam, s[0], s[2], s[3], n + 2)]
+            out += [s[3].truncate(n), w[1]]
         return np.array(out, dtype=object)
     p, K = fam.dim_p, _FLOAT_SERIES_ORDER
     y = [float(v) for v in y]
@@ -494,12 +480,10 @@ def _profile_reg(fam: MetricFamily, t, y) -> np.ndarray:
             b, ub = y[2:]
             out += [ub, ((V2 - p / (t * t)) * t * b - d * (b + t * ub)) / t]
     else:
-        s = [_series.constant(v, K) for v in y]
-        w = _w_series(fam, s[0], s[1], K)
-        out = [u, float(_series.eval_truncated(w, t))]
+        w = _w_series(fam, [_series.constant(v, K) for v in y], K)
+        out = [u, float(_series.eval_truncated(w[0], t))]
         if coupled:
-            w = _wf_series(fam, s[0], s[2], s[3], K)
-            out += [y[3], float(_series.eval_truncated(w, t))]
+            out += [y[3], float(_series.eval_truncated(w[1], t))]
     if coupled:
         out[1] += y[2]
     return np.array(out)

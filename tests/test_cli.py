@@ -458,6 +458,28 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, no_solve, command,
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["solve-harmonic", "check"])
+@pytest.mark.parametrize("metric", [
+    {"diagonal": [["t^2"], "1"], "dim_p": 1},          # was exit 4
+    {"diagonal": ["t^2", None], "dim_p": 1},           # was exit 4
+    {"diagonal": [{"e": "t^2"}, "1"], "dim_p": 1},     # was exit 4
+    {"diagonal": ["t^2", math.nan], "dim_p": 1},       # was exit 2
+    {"diagonal": ["t^2", True], "dim_p": 1},           # was exit 2
+    {"diagonal": ["t^2", HUGE], "dim_p": 1},
+    {"entries": [["t^2", None], [0, "1"]], "dim_p": 1},
+    {"entries": [["t^2", 0], [0, math.inf]], "dim_p": 1},
+], ids=["list", "null", "object", "nan", "bool", "huge", "entries-null",
+        "entries-inf"])
+def test_metric_entries_must_be_strings_or_finite_numbers(
+        tmp_path, capsys, no_solve, command, metric):
+    cfg = {"metric": metric}
+    if command == "solve-harmonic":
+        cfg.update(v=1.0, t_end=1.0)
+    path = write_cfg(tmp_path, "m.json", cfg)
+    assert cli.run([command, "--config", path, "--quiet"]) == 3
+    assert "config error" in capsys.readouterr().err
+
+
 def test_a_flag_replaces_its_config_key_before_the_check(tmp_path):
     # a bad key is fine when a good flag overrides it, and the reverse not
     path = write_cfg(tmp_path, "a.json", {**AFFINE, "tol": -1.0,

@@ -813,3 +813,123 @@ def test_structure_errors_match_reference_message():
     assert outcome(geometry.assemble_harmonic, bad(), 1.0, 1.0) == want
     assert outcome(geometry.assemble_biharmonic, bad(), 1.0, 0.5, 1.0) == \
         outcome(ref_check_structure, bad(), True)
+
+
+# The potential kernels compose every metric entry through one power table
+# and take each trace against a cached inverse series.  The reference below
+# is the per-entry algorithm they replaced: `series.compose` per entry of R
+# and R', then the block recursion R(0) X_k = B_k - sum_j R_j X_(k-j).  With
+# `mag` it runs on absolute values (and |R(0)^-1|), which bounds the sum of
+# the magnitudes of the terms behind each coefficient.
+
+EPS = np.finfo(float).eps
+
+
+def ref_R_entries(fam, order, mag):
+    """R(t) and its derivatives to ``order`` as (n, n) object arrays."""
+    n = fam.n
+    out = [np.empty((n, n), dtype=object) for _ in range(3)]
+    for i in range(n):
+        for j in range(n):
+            shift = (i < fam.dim_p) + (j < fam.dim_p)
+            c = expr.taylor(fam.entries[i, j], 0.0, order + 2 + shift).coeffs
+            c = np.abs(c[shift:]) if mag else c[shift:]
+            k = np.arange(1, order + 3)
+            out[0][i, j] = Series(c[:order + 1])
+            out[1][i, j] = Series(c[1:order + 2] * k[:order + 1])
+            out[2][i, j] = Series(c[2:] * (k * (k + 1))[:order + 1])
+    return out
+
+
+def ref_trace_solve(A, B, order, mag):
+    """``Tr(A^-1 B)`` by the coefficient recursion against ``A(0)``."""
+    def stack(M):
+        return np.array([[M[i, j].coeffs[:order + 1] for j in range(n)]
+                         for i in range(n)]).transpose(2, 0, 1)
+
+    n = A.shape[0]
+    Ac, Bc = stack(A), stack(B)
+    X = np.zeros_like(Bc)
+    inv0 = np.abs(np.linalg.inv(Ac[0])) if mag else None
+    for k in range(order + 1):
+        rhs = Bc[k].copy()
+        for j in range(1, k + 1):
+            rhs = rhs + Ac[j] @ X[k - j] if mag else rhs - Ac[j] @ X[k - j]
+        X[k] = inv0 @ rhs if mag else np.linalg.solve(Ac[0], rhs)
+    return Series([np.trace(x) for x in X])
+
+
+def ref_pot_series(fam, a_s, order, second, mag=False):
+    """``t V`` (``second``: ``t^2 V2``) along ``u = t a`` by composition
+    per entry; ``second`` covers the diagonal families it is used on."""
+    if mag:
+        a_s = Series(np.abs(a_s.coeffs))
+    a_s = a_s.truncate(order)
+    R, Rd, Rdd = ref_R_entries(fam, order, mag)
+    t_s = series.identity(order)
+    ta = (t_s * a_s).truncate(order)
+    n, p = fam.n, fam.dim_p
+    Q = np.empty((n, n), dtype=object)
+    for i in range(n):
+        for j in range(n):
+            c, cd, cdd = (series.compose(S[i, j], ta) for S in (R, Rd, Rdd))
+            npp = (i < p) + (j < p)
+            if second:
+                Q[i, j] = (2.0 * c + 4.0 * t_s * a_s * cd
+                           + t_s * t_s * a_s * a_s * cdd if npp == 2
+                           else t_s * t_s * cdd)
+            elif npp == 2:
+                Q[i, j] = 2.0 * a_s * c + t_s * a_s * a_s * cd
+            elif npp == 1:
+                Q[i, j] = c + t_s * a_s * cd
+            else:
+                Q[i, j] = t_s * cd
+    return 0.5 * ref_trace_solve(R, Q, order, mag)
+
+
+def ref_tdrift_series(fam, order):
+    R, Rd, _ = ref_R_entries(fam, order, False)
+    d = 0.5 * ref_trace_solve(R, Rd, order, False)
+    if fam.alpha is not None:
+        d = d + expr.taylor(expr.differentiate(fam.alpha), 0.0,
+                            order) * float(fam.weight)
+    return Series(np.concatenate(([float(fam.dim_p)], d.coeffs[:order])))
+
+
+@pytest.mark.parametrize("name", sorted(PROBE_FAMILIES))
+def test_potential_kernels_match_per_entry_composition(name):
+    fam = PROBE_FAMILIES[name]()
+    rng = np.random.default_rng(71 + sorted(PROBE_FAMILIES).index(name))
+    kernels = [(geometry._tpot_series, False)]
+    if fam.diagonal:
+        kernels.append((geometry._zpot_series, True))
+    for order in range(3, 34):
+        a_s = Series(rng.normal(scale=0.8, size=order + 1 + order % 3))
+        for kernel, second in kernels:
+            got = kernel(fam, a_s, order).coeffs
+            want = ref_pot_series(fam, a_s, order, second).coeffs
+            mag = ref_pot_series(fam, a_s, order, second, mag=True).coeffs
+            assert got.shape == want.shape
+            err = np.abs(got - want)
+            assert np.all(err <= 8 * EPS * mag), (order, second, err / mag)
+        got = geometry._tdrift_series(fam, order).coeffs
+        want = ref_tdrift_series(fam, order).coeffs
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("which", ["sphere", "block", "biharmonic sphere"])
+def test_bootstrap_matches_per_entry_composition(which, monkeypatch):
+    fam = (PROBE_FAMILIES["block"] if which == "block" else sphere)()
+    prob = (geometry.assemble_biharmonic(fam, 0.9, -0.4, 1.0)
+            if which.startswith("bi") else
+            geometry.assemble_harmonic(fam, 0.9, 1.0))
+    got = singular.bootstrap_series(prob, 30)
+    monkeypatch.setattr(geometry, "_tpot_series",
+                        lambda f, a_s, order, T=None:
+                        ref_pot_series(f, a_s, order, False))
+    monkeypatch.setattr(geometry, "_zpot_series",
+                        lambda f, a_s, order, T=None:
+                        ref_pot_series(f, a_s, order, True))
+    monkeypatch.setattr(geometry, "_tdrift_series", ref_tdrift_series)
+    want = singular.bootstrap_series(prob, 30)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
