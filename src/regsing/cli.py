@@ -315,7 +315,7 @@ def _metric_family(cfg, where) -> _geo.MetricFamily:
 
 # -- solve commands ----------------------------------------------------------
 
-_HARMONIC_KEYS = {"metric", "v", "t_end", "tol", "order", "samples", "t_max"}
+_HARMONIC_KEYS = {"metric", "v", "t_end", "tol", "order", "samples"}
 
 
 def _cmd_solve_harmonic(args) -> int:
@@ -325,8 +325,6 @@ def _cmd_solve_harmonic(args) -> int:
     fam = _metric_family(cfg, "solve-harmonic")
     t_end = _number(cfg, "t_end", "solve-harmonic", positive=True)
     opts, samples = _solver_options(cfg, args, "solve-harmonic")
-    opts["t_max"] = _number(cfg, "t_max", "solve-harmonic", default=0.1,
-                            positive=True)
     vs = _parse_sweep(cfg["v"], "solve-harmonic")
     if len(vs) == 1:
         sol = _geo.solve_harmonic(fam, float(vs[0]), t_end, **opts)
@@ -347,8 +345,7 @@ def _cmd_solve_harmonic(args) -> int:
     return EXIT_OK
 
 
-_BIHARMONIC_KEYS = {"metric", "v", "w", "t_end", "tol", "order", "samples",
-                    "t_max"}
+_BIHARMONIC_KEYS = {"metric", "v", "w", "t_end", "tol", "order", "samples"}
 
 
 def _cmd_solve_biharmonic(args) -> int:
@@ -358,8 +355,6 @@ def _cmd_solve_biharmonic(args) -> int:
     fam = _metric_family(cfg, "solve-biharmonic")
     t_end = _number(cfg, "t_end", "solve-biharmonic", positive=True)
     opts, samples = _solver_options(cfg, args, "solve-biharmonic")
-    opts["t_max"] = _number(cfg, "t_max", "solve-biharmonic", default=0.1,
-                            positive=True)
     vs = _parse_sweep(cfg["v"], "solve-biharmonic")
     ws = _parse_sweep(cfg["w"], "solve-biharmonic")
     if len(vs) == 1 and len(ws) == 1:

@@ -603,22 +603,20 @@ class BiharmonicSolution(HarmonicSolution):
 
 
 def _solve(fam: MetricFamily, v: float, w: float | None, t_end: float,
-           tol: float, order: int, t_max: float) -> HarmonicSolution:
-    traj = _solve_singular(_assemble(fam, v, w, t_end), tol=tol, order=order,
-                           t_max=t_max)
+           tol: float, order: int) -> HarmonicSolution:
+    traj = _solve_singular(_assemble(fam, v, w, t_end), tol=tol, order=order)
     return (HarmonicSolution if w is None else BiharmonicSolution)(fam, traj)
 
 
 def solve_harmonic(fam: MetricFamily, v: float, t_end: float, *,
-                   tol: float = 1e-10, order: int = 10,
-                   t_max: float = 0.1) -> HarmonicSolution:
-    return _solve(fam, v, None, t_end, tol, order, t_max)
+                   tol: float = 1e-10, order: int = 10) -> HarmonicSolution:
+    return _solve(fam, v, None, t_end, tol, order)
 
 
 def solve_biharmonic(fam: MetricFamily, v: float, w: float, t_end: float, *,
-                     tol: float = 1e-10, order: int = 10,
-                     t_max: float = 0.1) -> BiharmonicSolution:
-    return _solve(fam, v, w, t_end, tol, order, t_max)
+                     tol: float = 1e-10, order: int = 10
+                     ) -> BiharmonicSolution:
+    return _solve(fam, v, w, t_end, tol, order)
 
 # -- residual measurements -----------------------------------------------------
 

@@ -8,11 +8,11 @@ for every positive integer ``h``, where ``J`` is the Jacobian of
 ``M_sing`` at ``y0``.
 
 Solving proceeds in two phases.  A series bootstrap turns the ODE into a
-triangular linear recursion for Taylor coefficients ``y_h`` at 0; once the
-truncation remainder is believed to be below tolerance at some handoff
-time ``t0``, an adaptive Runge-Kutta integrator carries the solution from
-``t0`` to ``t_end``.  Every sum of those coefficients (the series part of
-a trajectory, its derivative, the handoff state) and of the other series
+triangular linear recursion for Taylor coefficients ``y_h`` at 0; from a
+handoff ``t0 <= min(0.1, t_end / 2)`` where the series is checked to hold
+the ODE, an adaptive Runge-Kutta integrator carries the solution to
+``t_end``.  Every sum of those coefficients (the series part of a
+trajectory, its derivative, the handoff state) and of the other series
 here is :func:`regsing.series.eval_truncated`, which returns the value.
 
 User-supplied maps are plain callables on numpy vectors.  If they also
@@ -56,6 +56,7 @@ __all__ = [
 EPS_ADMISSIBLE = 1e-10
 EPS_INVERTIBLE = 1e-8
 T_FLOOR = 1e-8
+_HANDOFF_CAP = 0.1
 DEFAULT_ORDER = 10
 MAX_ORDER = 30
 BLACKBOX_MAX_ORDER = 4
@@ -332,19 +333,16 @@ def bootstrap_series(p: SingularIVP, order: int = DEFAULT_ORDER
     return coeffs
 
 
-def choose_handoff(coeffs: np.ndarray, tol: float, t_max: float,
-                   t_end: float):
-    """Largest safe series-to-integrator switch time and the state there.
-
-    The truncation heuristic bounds the first omitted contribution
-    componentwise by ``|y_K| t0^K < tol`` and caps the result by
-    ``min(t_max, t_end / 2)``.  ``tol`` must be finite and positive.
+def choose_handoff(coeffs: np.ndarray, tol: float, t_end: float):
+    """Candidate switch time ``|y_K| t0^K < tol`` (max norm), capped at
+    ``min(0.1, t_end / 2)``, and the series state there; :func:`solve`
+    checks it, since the last coefficient alone can miss the tail.
     """
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be finite and positive, got {tol}")
     coeffs = np.asarray(coeffs, dtype=float)
     order = coeffs.shape[0] - 1
-    cap = min(float(t_max), float(t_end) / 2.0)
+    cap = min(_HANDOFF_CAP, float(t_end) / 2.0)
     top = float(np.linalg.norm(coeffs[order], np.inf))
     if top == 0.0:
         t0 = cap
@@ -353,7 +351,7 @@ def choose_handoff(coeffs: np.ndarray, tol: float, t_max: float,
     if t0 < T_FLOOR:
         raise NumericalError(
             f"no admissible handoff above {T_FLOOR}: series tail "
-            f"|y_{order}| = {top:.3e} is too large for tol = {tol:.1e}; "
+            f"|y_{order}| = {top:.3e}, tol = {tol:.1e}, t_end = {t_end}; "
             "raise the series order")
     return t0, _series.eval_truncated(coeffs, t0)
 
@@ -444,8 +442,14 @@ def integrate(p: SingularIVP, t0: float, y_t0,
 
 
 def solve(p: SingularIVP, *, tol: float = 1e-10, order: int = DEFAULT_ORDER,
-          t_max: float = 0.1, handoff: float | None = None) -> Trajectory:
+          handoff: float | None = None) -> Trajectory:
     """Admissibility check, series bootstrap, handoff, then integration.
+
+    :func:`choose_handoff`'s candidate shrinks by 0.8 until the series
+    residual ``r = y' - rhs`` meets ``t0 |r| <= (K + 1) tol (1 + |y|)`` (max
+    norms, order ``K``).  ``handoff_residual`` is the last ``|r|`` and
+    ``handoff_tries`` the number of checks, 0 for an explicit ``handoff``
+    (used as given).
 
     Raises
     ------
@@ -459,6 +463,9 @@ def solve(p: SingularIVP, *, tol: float = 1e-10, order: int = DEFAULT_ORDER,
             RuntimeWarning, stacklevel=2)
         order = BLACKBOX_MAX_ORDER
     _check_order(order)     # before the admissibility scan over 1..order
+    if handoff is None and not p.t_end > 2.0 * T_FLOOR:
+        raise ValidationError(f"t_end = {p.t_end} leaves no handoff above "
+                              f"T_FLOOR = {T_FLOOR}")
     report = check_admissibility(p, order)
     if not report.verdict:
         raise AdmissibilityError(
@@ -466,18 +473,25 @@ def solve(p: SingularIVP, *, tol: float = 1e-10, order: int = DEFAULT_ORDER,
             f"{report.residual_norm:.3e}, offending indices "
             f"{report.offending_h}", report)
     coeffs = bootstrap_series(p, order)
-    if handoff is not None:
-        t0 = float(handoff)
-        if not 0 < t0 < p.t_end:
-            raise ValidationError(f"handoff {t0} outside (0, {p.t_end})")
-        y_t0 = _series.eval_truncated(coeffs, t0)
-    else:
-        t0, y_t0 = choose_handoff(coeffs, tol, t_max, p.t_end)
+    t0 = (choose_handoff(coeffs, tol, p.t_end)[0] if handoff is None
+          else float(handoff))
+    if not 0 < t0 < p.t_end:
+        raise ValidationError(f"handoff {t0} outside (0, {p.t_end})")
+    # the integrator's residual cannot see an error in its initial state;
+    # reads at or below the handoff never touch the missing RK result
+    series, tries = Trajectory(p, coeffs, t0, None, tol), int(handoff is None)
+    y_t0, r = series.value(t0), series.residual(t0)
+    while handoff is None and not t0 * r <= (order + 1) * tol * (
+            1.0 + np.linalg.norm(y_t0, np.inf)):
+        t0 = series.handoff = 0.8 * t0
+        if t0 < T_FLOOR:
+            raise NumericalError(f"the order-{order} series holds the ODE to "
+                                 f"tol = {tol:.1e} nowhere above {T_FLOOR}")
+        y_t0, r, tries = series.value(t0), series.residual(t0), tries + 1
     traj = integrate(p, t0, y_t0, tol)
     traj.coeffs = coeffs
-    # the integrator's residual cannot see an error in its initial state
     traj.diagnostics.update(admissibility=report, handoff=t0,
-                            handoff_residual=traj.residual(t0),
+                            handoff_residual=r, handoff_tries=tries,
                             series_order=order,
                             jet_probe_error=p.jet_probe_error)
     return traj

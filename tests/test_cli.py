@@ -587,6 +587,32 @@ def test_t_switch_is_a_class_attribute_not_a_metric_key(tmp_path, capsys):
     assert "unknown keys ['t_switch']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, cfg", [
+    ("solve-harmonic", {"metric": SPHERE, "v": 1.0, "t_end": 1.0}),
+    ("solve-biharmonic", BIHARMONIC),
+])
+def test_t_max_is_not_a_solve_key(tmp_path, capsys, command, cfg):
+    path = write_cfg(tmp_path, "c.json", {**cfg, "t_max": 0.1})
+    assert cli.run([command, "--config", path]) == 3
+    assert "unknown keys ['t_max']" in capsys.readouterr().err
+
+
+def test_singular_sidecar_counts_the_handoff_checks(tmp_path, capsys):
+    # y' = cosh(10 t) from 0: y_10 = 0, so the first candidate fails
+    cfg = {"C": [[0.0]], "g": ["cosh(10*t)"], "y0": [0.0], "t_end": 1.0,
+           "samples": 2}
+    out = tmp_path / "p.csv"
+    assert cli.run(["solve-singular", "--config",
+                    write_cfg(tmp_path, "p.json", cfg), "--out", str(out),
+                    "--quiet"]) == 0
+    d = json.loads((tmp_path / "p.summary.json").read_text())["diagnostics"]
+    assert d["handoff_tries"] > 1 and d["handoff"] < 0.1
+    # a t_end that leaves no handoff above the floor is a rejected input
+    path = write_cfg(tmp_path, "short.json", {**cfg, "t_end": 1e-8})
+    assert cli.run(["solve-singular", "--config", path]) == 2
+    assert "t_end" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("order", ["0", "-3"])
 def test_check_rejects_an_order_below_one(tmp_path, capsys, order):
     # resonant at h = 3: an order that scans no h used to read verdict true

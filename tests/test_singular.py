@@ -221,13 +221,13 @@ def test_choose_handoff_cases():
     # |y_10| = 1 and tol = 1e-10 puts the switch exactly at 0.1
     coeffs = np.zeros((11, 1))
     coeffs[10, 0] = 1.0
-    t0, y = singular.choose_handoff(coeffs, 1e-10, t_max=1.0, t_end=4.0)
+    t0, y = singular.choose_handoff(coeffs, 1e-10, t_end=4.0)
     assert t0 == pytest.approx(0.1)
     assert y[0] == pytest.approx(0.1 ** 10)
 
     # geometric growth 2^h: t0 = (tol / 2^10)^(1/10), value is partial sum
     geo = (2.0 ** np.arange(11))[:, None]
-    t0, y = singular.choose_handoff(geo, 1e-10, 1.0, 4.0)
+    t0, y = singular.choose_handoff(geo, 1e-10, 4.0)
     assert t0 == pytest.approx((1e-10 / 2 ** 10) ** 0.1)
     part = sum((2 * t0) ** h for h in range(11))
     assert y[0] == pytest.approx(part, rel=1e-14)
@@ -235,15 +235,15 @@ def test_choose_handoff_cases():
     # zero top coefficient: cap wins, including the t_end/2 clamp
     flat = np.zeros((11, 1))
     flat[0, 0] = 5.0
-    t0, y = singular.choose_handoff(flat, 1e-10, 1.0, 0.4)
-    assert t0 == pytest.approx(0.2)
+    t0, y = singular.choose_handoff(flat, 1e-10, 0.1)
+    assert t0 == pytest.approx(0.05)
     assert y[0] == pytest.approx(5.0)
 
     # hopeless tail underflows the floor
     bad = np.zeros((2, 1))
     bad[1, 0] = 1e20
     with pytest.raises(NumericalError):
-        singular.choose_handoff(bad, 1e-12, 1.0, 4.0)
+        singular.choose_handoff(bad, 1e-12, 4.0)
 
 
 def test_integrate_from_a_state_at_t0():
@@ -459,11 +459,12 @@ def test_integrate_reads_the_residual_only_inside_the_step_loop(
 
 
 def test_handoff_residual_reads_the_series_at_the_handoff():
-    # the order-9 series of y' = -y/t + sinh t hands off at t = 1 with a
-    # state error of ~2.5e-7; the integrator's residual cannot see it
+    # an explicit handoff is not checked: the order-9 series of y' = -y/t
+    # + sinh t at t = 1 has a state error of ~2.5e-7, which the
+    # integrator's residual cannot see
     aff = singular.AffineSingularMaps([[-1.0]], g=["sinh(t)"])
     p = aff.problem([0.0], 2.0)
-    traj = singular.solve(p, tol=1e-10, order=9, t_max=1.0)
+    traj = singular.solve(p, tol=1e-10, order=9, handoff=1.0)
     d = traj.diagnostics
     t0 = d["handoff"]
     assert t0 == 1.0
@@ -479,6 +480,45 @@ def test_handoff_residual_reads_the_series_at_the_handoff():
     for row in ("sphere", "affine", "flat3"):
         d = singular.solve(_ROWS[row](), tol=1e-10).diagnostics
         assert d["handoff_residual"] <= 0.1 * 1e-10
+
+
+def _parity_fault():
+    # y' = cosh(10 t), exact y = sinh(10 t)/10: odd, so y_10 = 0 and the
+    # last coefficient sees no tail at all
+    aff = singular.AffineSingularMaps([[0.0]], g=["cosh(10*t)"])
+    return aff.problem([0.0], 1.0)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_handoff_check_catches_a_series_whose_last_coefficient_is_zero(tol):
+    # planted fault: the tail estimate alone hands off at the cap, 0.1,
+    # with a state error of 2.5e-9 at every tol
+    traj = singular.solve(_parity_fault(), tol=tol, order=10)
+    t0 = traj.diagnostics["handoff"]
+    assert t0 < 0.1
+    exact = math.sinh(10.0 * t0) / 10.0
+    assert abs(traj.value(t0)[0] - exact) <= tol * (1.0 + abs(exact))
+    if tol == 1e-12:
+        exact = math.sinh(10.0) / 10.0
+        assert abs(traj.value(1.0)[0] - exact) <= tol * (1.0 + abs(exact))
+
+
+def test_handoff_tries_counts_the_candidates_the_check_read():
+    assert singular.solve(_parity_fault(), tol=1e-10,
+                          order=10).diagnostics["handoff_tries"] > 1
+    for row in sorted(_ROWS):
+        d = singular.solve(_ROWS[row](), tol=1e-10).diagnostics
+        assert d["handoff_tries"] == 1, row
+    d = singular.solve(_parity_fault(), handoff=0.1).diagnostics
+    assert d["handoff_tries"] == 0 and d["handoff"] == 0.1
+
+
+def test_a_t_end_below_twice_the_floor_is_blamed_on_t_end():
+    # the cap t_end / 2 falls below T_FLOOR; this used to read as a series
+    # tail too large for tol
+    aff = singular.AffineSingularMaps([[-1.0]], g=["sinh(t)"])
+    with pytest.raises(ValidationError, match="t_end"):
+        singular.solve(aff.problem([0.0], 1e-8), tol=1e-10)
 
 
 @pytest.mark.parametrize("tol", [-1e-10, 0.0, math.nan, math.inf])
@@ -497,7 +537,7 @@ def test_solve_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
     assert calls["n"] <= 20         # the jet probe and the bootstrap
     coeffs = singular.bootstrap_series(p)
     with pytest.raises(ValidationError, match="tol"):
-        singular.choose_handoff(coeffs, tol, 0.1, p.t_end)
+        singular.choose_handoff(coeffs, tol, p.t_end)
 
 
 def test_an_infinite_t_end_is_rejected():
