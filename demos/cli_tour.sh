@@ -8,6 +8,7 @@ regsing solve-harmonic --config demos/configs/sphere_identity.json --quiet
 regsing solve-harmonic --config demos/configs/flat_sweep.json --quiet
 regsing solve-biharmonic --config demos/configs/biharmonic_flat.json
 regsing monodromy --config demos/configs/nilpotent_monodromy.json
+regsing fundamental --config demos/configs/fundamental_loop.json
 regsing solve-singular --config demos/configs/affine_singular.json
 regsing check --config demos/configs/check_sphere.json
 

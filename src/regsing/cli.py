@@ -12,10 +12,12 @@ This module is the package's one config reader: the ``metric`` block,
 the affine singular problem and the linear system are each read and
 checked here, with the same number checks.  Config keys are validated
 strictly: unknown keys are errors, so typos fail loudly instead of
-silently using defaults.
+silently using defaults.  An expression entry (metric, ``A``/``h``,
+``S``/``g``) is read by :func:`regsing.expr.as_expr`, and one with no
+Taylor expansion at 0 is a validation rejection naming it.
 
 Exit codes: 0 success, 2 admissibility or validation rejection (reports
-are still written), 3 config or expression parse errors, 4 numerical
+are still written), 3 config or expression errors, 4 numerical
 failures, 5 output I/O errors.
 """
 
@@ -31,12 +33,13 @@ import sys
 
 import numpy as np
 
+from . import expr as _expr
 from . import geometry as _geo
 from . import linear as _linear
 from . import singular as _singular
 from .errors import (AdmissibilityError, ConfigError, EvalDomainError,
-                     ExprError, NumericalError, ParseError, RegsingError,
-                     SeriesError, StructureError, ValidationError)
+                     ExprError, NumericalError, RegsingError, SeriesError,
+                     StructureError, ValidationError)
 
 EXIT_OK = 0
 EXIT_REJECTED = 2
@@ -182,6 +185,24 @@ def _numbers(values, key, where) -> np.ndarray:
     return arr
 
 
+def _expressions(v, key, where, n=None, matrix=False) -> list:
+    """The expression block ``v`` as trees (:func:`regsing.expr.as_expr`):
+    a list of ``n`` entries (default: its length), or with ``matrix`` ``n``
+    such lists; a wrong shape or an ExprError is a config error."""
+    size = len(v) if n is None and isinstance(v, list) else n
+    rows = v if matrix else [v]
+    if not (isinstance(v, list) and len(v) == size and all(
+            isinstance(r, list) and len(r) == size for r in rows)):
+        shape = "square nested list" if matrix else "list"
+        raise ConfigError(f"{where}: '{key}' must be a {shape}"
+                          + ("" if n is None else f" of size {n}"))
+    try:
+        trees = [[_expr.as_expr(e) for e in r] for r in rows]
+    except ExprError as exc:
+        raise ConfigError(f"{where}: '{key}': {exc}") from exc
+    return trees if matrix else trees[0]
+
+
 def _parse_sweep(spec, where: str) -> np.ndarray:
     """Accept a number or a 'start:stop:count' range string; the span
     ``stop - start`` must be finite, and nonzero when the count is above
@@ -269,8 +290,8 @@ _METRIC_KEYS = {"diagonal", "entries", "dim_p", "alpha", "weight",
 
 def _metric_family(cfg, where) -> _geo.MetricFamily:
     """The ``metric`` block: ``dim_p`` and exactly one of ``diagonal`` (a
-    list of entries) or ``entries`` (a square nested list); an entry is an
-    expression string or a finite number."""
+    list of entries) or ``entries`` (a square nested list); an entry, and
+    ``alpha``, is an expression string or a finite number."""
     m = cfg["metric"]
     where = f"{where}: metric"
     if not isinstance(m, dict):
@@ -279,108 +300,77 @@ def _metric_family(cfg, where) -> _geo.MetricFamily:
     if ("diagonal" in m) == ("entries" in m):
         raise ConfigError(
             f"{where}: give exactly one of 'diagonal' or 'entries'")
-    alpha = m.get("alpha")
-    if alpha is not None and not isinstance(alpha, str):
-        raise ConfigError(f"{where}: 'alpha' must be an expression string")
-    kw = {"alpha": alpha, "weight": _integer(m, "weight", where, default=1),
+    kw = {"alpha": m.get("alpha"),
+          "weight": _integer(m, "weight", where, default=1),
           "t_validate": _number(m, "t_validate", where, default=1.0,
                                 positive=True)}
     dim_p = _integer(m, "dim_p", where)
-
-    def entry(e):
-        if isinstance(e, str):
-            return e
-        if isinstance(e, bool) or not isinstance(e, (int, float)):
-            raise ConfigError(f"{where}: each entry must be an expression "
-                              f"string or a number, got {e!r:.40}")
-        return _finite(e, f"{where}: entry")
-
     try:
         if "diagonal" in m:
-            if not isinstance(m["diagonal"], list) or not m["diagonal"]:
-                raise ConfigError(f"{where}: 'diagonal' must be a non-empty "
-                                  "list")
             return _geo.MetricFamily.from_diagonal(
-                [entry(e) for e in m["diagonal"]], dim_p, **kw)
-        rows = m["entries"]
-        if not isinstance(rows, list) or not all(
-                isinstance(r, list) and len(r) == len(rows) for r in rows):
-            raise ConfigError(f"{where}: 'entries' must be a square nested "
-                              "list")
+                _expressions(m["diagonal"], "diagonal", where), dim_p, **kw)
         return _geo.MetricFamily.from_entries(
-            [[entry(e) for e in r] for r in rows], dim_p, **kw)
-    except (ParseError, ValidationError) as exc:
+            _expressions(m["entries"], "entries", where, matrix=True), dim_p,
+            **kw)
+    except (ExprError, ValidationError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 # -- solve commands ----------------------------------------------------------
 
-_HARMONIC_KEYS = {"metric", "v", "t_end", "tol", "order", "samples"}
+_PROFILE_KEYS = {"metric", "v", "t_end", "tol", "order", "samples"}
 
 
-def _cmd_solve_harmonic(args) -> int:
+def _cmd_solve_profile(args) -> int:
+    """``solve-harmonic`` and, with the tension slope ``w``,
+    ``solve-biharmonic``: one solve sampled on the grid, or a sweep with
+    one row of endpoint data per ``v`` (per ``(v, w)``, sorted v-major)
+    and the slope of ``r(T)`` in ``v`` at fixed ``w``."""
+    where = args.command
+    coupled = where == "solve-biharmonic"
+    params = ["v", "w"] if coupled else ["v"]
     cfg = _load_config(args.config)
-    _check_keys(cfg, _HARMONIC_KEYS, {"metric", "v", "t_end"},
-                "solve-harmonic")
-    fam = _metric_family(cfg, "solve-harmonic")
-    t_end = _number(cfg, "t_end", "solve-harmonic", positive=True)
-    opts, samples = _solver_options(cfg, args, "solve-harmonic")
-    vs = _parse_sweep(cfg["v"], "solve-harmonic")
-    if len(vs) == 1:
-        sol = _geo.solve_harmonic(fam, float(vs[0]), t_end, **opts)
-        return _emit_samples(
-            args, cfg, opts, samples, sol.traj,
-            ["t", "r", "r_dot", "residual"],
-            lambda t: (t, sol.r(t), sol.rdot(t), sol.residual(t)))
-    # family sweep: one row per v, plus a finite difference slope of r(T)
-    ends = []
-    for v in vs:
-        sol = _geo.solve_harmonic(fam, float(v), t_end, **opts)
-        ends.append((sol.r(t_end), sol.rdot(t_end),
-                     sol.traj.diagnostics["max_residual"]))
-    slopes = _fd_slopes(vs, [e[0] for e in ends])
-    rows = [(v, *end, s) for v, end, s in zip(vs, ends, slopes)]
-    _emit_csv(["v", "r_T", "r_dot_T", "max_residual", "dr_T_dv"],
-              rows, args.out)
-    return EXIT_OK
+    _check_keys(cfg, _PROFILE_KEYS.union(params), {"metric", "t_end", *params},
+                where)
+    fam = _metric_family(cfg, where)
+    t_end = _number(cfg, "t_end", where, positive=True)
+    opts, samples = _solver_options(cfg, args, where)
+    vs, *ws = (_parse_sweep(cfg[p], where) for p in params)
+    ws = ws[0] if coupled else [None]
+    # r, r' and, coupled, F, F' (the CSV columns before the residuals)
+    columns = ["r", "r_dot", "F", "F_dot"] if coupled else ["r", "r_dot"]
 
+    def solve(v, w):
+        if w is None:
+            return _geo.solve_harmonic(fam, float(v), t_end, **opts)
+        return _geo.solve_biharmonic(fam, float(v), float(w), t_end, **opts)
 
-_BIHARMONIC_KEYS = {"metric", "v", "w", "t_end", "tol", "order", "samples"}
+    def values(sol, t):
+        return (sol.r(t), sol.rdot(t)) + ((sol.F(t), sol.Fdot(t)) if coupled
+                                          else ())
 
-
-def _cmd_solve_biharmonic(args) -> int:
-    cfg = _load_config(args.config)
-    _check_keys(cfg, _BIHARMONIC_KEYS, {"metric", "v", "w", "t_end"},
-                "solve-biharmonic")
-    fam = _metric_family(cfg, "solve-biharmonic")
-    t_end = _number(cfg, "t_end", "solve-biharmonic", positive=True)
-    opts, samples = _solver_options(cfg, args, "solve-biharmonic")
-    vs = _parse_sweep(cfg["v"], "solve-biharmonic")
-    ws = _parse_sweep(cfg["w"], "solve-biharmonic")
     if len(vs) == 1 and len(ws) == 1:
-        sol = _geo.solve_biharmonic(fam, float(vs[0]), float(ws[0]), t_end,
-                                    **opts)
+        sol = solve(vs[0], ws[0])
+        residuals = ["res_def", "res_eq"] if coupled else ["residual"]
         return _emit_samples(
-            args, cfg, opts, samples, sol.traj,
-            ["t", "r", "r_dot", "F", "F_dot", "res_def", "res_eq"],
-            lambda t: (t, sol.r(t), sol.rdot(t), sol.F(t), sol.Fdot(t),
-                       *sol.residuals(t)), residuals=2)
-    # (v, w) grid, v-major ordering; slope of r(T) in v at fixed w
+            args, cfg, opts, samples, sol.traj, ["t", *columns, *residuals],
+            lambda t: (t, *values(sol, t), *(sol.residuals(t) if coupled
+                                             else [sol.residual(t)])),
+            residuals=len(residuals))
     rows = []
     for w in ws:
         ends = []
         for v in vs:
-            sol = _geo.solve_biharmonic(fam, float(v), float(w), t_end,
-                                        **opts)
-            ends.append((sol.r(t_end), sol.rdot(t_end), sol.F(t_end),
-                         sol.Fdot(t_end),
+            sol = solve(v, w)
+            ends.append((*values(sol, t_end),
                          sol.traj.diagnostics["max_residual"]))
         slopes = _fd_slopes(vs, [e[0] for e in ends])
-        rows.extend((v, w, *end, s)
+        rows.extend((v, *([w] if coupled else []), *end, s)
                     for v, end, s in zip(vs, ends, slopes))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    _emit_csv(["v", "w", "r_T", "r_dot_T", "F_T", "F_dot_T",
-               "max_residual", "dr_T_dv"], rows, args.out)
+    if coupled:
+        rows.sort(key=lambda r: (r[0], r[1]))
+    _emit_csv([*params, *(f"{c}_T" for c in columns), "max_residual",
+               "dr_T_dv"], rows, args.out)
     return EXIT_OK
 
 
@@ -399,11 +389,15 @@ def _affine_problem(cfg, where):
         if v is not None and v.shape != (k,):
             raise ConfigError(f"{where}: '{key}' must be a list of {k} numbers")
     t_end = _number(cfg, "t_end", where, positive=True)
-    try:
-        maps = _singular.AffineSingularMaps(C, c=c, S=cfg.get("S"),
-                                            g=cfg.get("g"))
-    except ExprError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    S, g = (None if cfg.get(key) is None
+            else _expressions(cfg[key], key, where, k, matrix=key == "S")
+            for key in ("S", "g"))
+    maps = _singular.AffineSingularMaps(C, c=c, S=S, g=g)
+    # the order-4 probe LinearRSSystem makes of A: a pole or branch point
+    # at 0 is a rejection naming the entry, not a failure in the bootstrap
+    for key, trees in (("S", maps.S), ("g", maps.g)):
+        for idx, e in ([] if trees is None else np.ndenumerate(trees)):
+            _expr.taylor_at_zero(e, 4, key + "".join(f"[{i}]" for i in idx))
     return maps.problem(y0, t_end), k
 
 
@@ -425,14 +419,11 @@ _MONODROMY_KEYS = {"A", "h", "rho", "sigma", "tol"}
 
 
 def _linear_system(cfg, where) -> _linear.LinearRSSystem:
-    A = cfg.get("A")
-    if not isinstance(A, list) or not all(isinstance(r, list) for r in A):
-        raise ConfigError(f"{where}: 'A' must be a nested list")
+    A = _expressions(cfg.get("A"), "A", where, matrix=True)
+    h = (None if cfg.get("h") is None
+         else _expressions(cfg["h"], "h", where, len(A)))
     rho = _number(cfg, "rho", where, positive=True)    # a required key
-    try:
-        return _linear.LinearRSSystem(A, h=cfg.get("h"), rho=rho)
-    except ParseError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return _linear.LinearRSSystem(A, h=h, rho=rho)
 
 
 def _cmd_monodromy(args) -> int:
@@ -443,16 +434,8 @@ def _cmd_monodromy(args) -> int:
     single = not isinstance(cfg["sigma"], list)
     sigmas = [_number({"sigma": s}, "sigma", "monodromy")
               for s in ([cfg["sigma"]] if single else cfg["sigma"])]
-    reports = []
-    for s in sigmas:
-        res = _linear.monodromy_at(sys_, s, tol=tol)
-        reports.append({
-            "sigma": res.sigma,
-            "matrix": res.matrix,
-            "charpoly": res.charpoly,
-            "path_steps": res.path_steps,
-            "est_error": res.est_error,
-        })
+    # each report holds the MonodromyResult fields
+    reports = [vars(_linear.monodromy_at(sys_, s, tol=tol)) for s in sigmas]
     _emit_json(reports[0] if single else reports, args.out)
     return EXIT_OK
 
@@ -500,15 +483,11 @@ def _check_metric(cfg, args) -> int:
         except (StructureError, ValidationError):
             structure_ok = False
     out = {
-        "kind": "metric",
-        "symmetric_ok": rep.symmetric_ok,
-        "spd_ok": rep.spd_ok,
-        "spd_failures": rep.spd_failures,
-        "pole_ok": rep.pole_ok,
+        "kind": "metric", **vars(rep),
         "drift_measured": {_fmt(k): v for k, v in rep.drift_measured.items()},
-        "series_available": rep.series_available,
         "structure_ok": structure_ok,
-        "verdict": bool(rep.verdict and structure_ok is not False),
+        # a family without series data fails: every solve would reject it
+        "verdict": bool(rep.verdict and structure_ok),
     }
     _emit_json(out, args.out)
     return EXIT_OK if out["verdict"] else EXIT_REJECTED
@@ -561,9 +540,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
         return p
 
-    add("solve-harmonic", _cmd_solve_harmonic,
+    add("solve-harmonic", _cmd_solve_profile,
         "profile of an equivariant harmonic map (CSV)", tol, order)
-    add("solve-biharmonic", _cmd_solve_biharmonic,
+    add("solve-biharmonic", _cmd_solve_profile,
         "coupled profile/tension system (CSV)", tol, order)
     add("solve-singular", _cmd_solve_singular,
         "affine problem with a simple pole at t=0 (CSV)", tol, order)
@@ -582,7 +561,7 @@ def run(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, ParseError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except AdmissibilityError as exc:

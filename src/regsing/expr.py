@@ -9,6 +9,10 @@ a constant (variable-free) subexpression.
 Expression trees are immutable.  ``differentiate`` is exact and performs
 only trivial constant folding.
 
+:func:`as_expr` is the package's one reading of an expression entry (of a
+metric, ``A``/``h`` or ``S``/``g``), and :func:`taylor_at_zero` the one
+check that an entry is analytic at the origin.
+
 Evaluation goes through one compiler with three modes: real (``math``),
 complex (``cmath``, principal branches) and Taylor (the ``series``
 recurrences, never repeated symbolic differentiation).  It turns a list of
@@ -28,20 +32,24 @@ import builtins
 import cmath
 import functools
 import math
+import numbers
 import re
+import sys
 import types
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import series as _series
-from .errors import ParseError, EvalDomainError, ExprError
+from .errors import (ParseError, EvalDomainError, ExprError, RegsingError,
+                     ValidationError)
 from .series import Series
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
-    "parse", "render", "differentiate", "eval_real", "eval_complex",
-    "taylor", "ExprArray", "HalfTraces", "FUNCTIONS",
+    "parse", "as_expr", "render", "differentiate", "eval_real",
+    "eval_complex", "taylor", "taylor_at_zero", "ExprArray", "HalfTraces",
+    "FUNCTIONS",
 ]
 
 
@@ -264,6 +272,26 @@ def parse(text: str) -> Expr:
         p.fail(f"unexpected token {p.peek().text!r}",
                ("operator", "end of input"))
     return node
+
+
+def as_expr(entry) -> Expr:
+    """An expression entry as a tree: an Expr as it is, a string parsed,
+    and a finite real number that is not a bool as ``Num(float(entry))``,
+    so ``0.5`` and ``"0.5"`` give the same tree.  Anything else, an integer
+    past the float range included, raises ExprError naming the entry."""
+    if isinstance(entry, Expr):
+        return entry
+    if isinstance(entry, str):
+        return parse(entry)
+    if (isinstance(entry, numbers.Real) and not isinstance(entry, bool)
+            and abs(entry) <= sys.float_info.max):      # false for nan too
+        return Num(float(entry))
+    raise ExprError(f"entry {entry!r:.40} is not an expression string or a "
+                    "finite number")
+
+
+# as_expr of every element of an object array, in an array of its shape
+as_exprs = np.frompyfunc(as_expr, 1, 1)
 
 
 def _contains_var(e: Expr) -> bool:
@@ -820,3 +848,13 @@ def taylor(e: Expr, t0: float, order: int) -> Series:
     recurrences), never by repeated symbolic differentiation.
     """
     return _compile([e], "taylor")(t0, order)[0]
+
+
+def taylor_at_zero(e: Expr, order: int, name: str) -> Series:
+    """``taylor(e, 0, order)`` of the entry ``name``; a failed expansion
+    (a pole, a branch point, a domain error at 0) raises ValidationError
+    saying that ``name`` is not analytic at 0."""
+    try:
+        return taylor(e, 0.0, order)
+    except RegsingError as exc:
+        raise ValidationError(f"{name} is not analytic at 0: {exc}") from exc

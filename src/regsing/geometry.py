@@ -43,14 +43,16 @@ Metrics whose odd low-order data does not cancel the order-one residue (for
 example ``alpha'(0) != 0``) have no analytic reduction; their series paths
 raise StructureError.
 
-Families are built in code (:class:`MetricFamily`); the JSON ``metric``
-block of a config is read and checked by :mod:`regsing.cli`.
+Families are built in code (:class:`MetricFamily`), whose entries and
+``alpha`` are read by :func:`regsing.expr.as_expr`; the JSON ``metric``
+block of a config is read and checked by :mod:`regsing.cli`.  An entry, or
+``alpha'``, that has no Taylor expansion at 0 makes :meth:`MetricFamily.pack`
+raise ValidationError naming it, so a series path rejects the family.
 """
 
 from __future__ import annotations
 
 import functools
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,11 +85,12 @@ class MetricFamily:
 
     Parameters
     ----------
-    entries : (n, n) array of Expr
-        Entries of ``P`` as expressions in the radial variable.
+    entries : (n, n) array-like
+        Entries of ``P`` in the radial variable: Expr trees, expression
+        strings or finite numbers (:func:`~regsing.expr.as_expr`).
     dim_p : int
         Number of leading directions collapsing at the origin.
-    alpha : Expr, str or None
+    alpha : entry or None
         Conformal exponent of an optional extra warped factor.
     weight : int
         Dimension carried by ``alpha`` in the drift term.
@@ -115,11 +118,11 @@ class MetricFamily:
             raise ValidationError(f"metric size must be 1..{MAX_METRIC_DIM}")
         if not 1 <= dim_p <= n:
             raise ValidationError(f"dim_p must be in 1..{n}, got {dim_p}")
-        self.entries = entries
+        self.entries = entries = _expr.as_exprs(entries)
         self.n = n
         self.dim_p = int(dim_p)
         self.dim_m = n - self.dim_p
-        self.alpha = alpha = None if alpha is None else _parse(alpha)
+        self.alpha = alpha = None if alpha is None else _expr.as_expr(alpha)
         self.weight = int(weight)
         self.t_validate = float(t_validate)
         self._dentries = _differentiate(entries)
@@ -139,16 +142,13 @@ class MetricFamily:
 
     @classmethod
     def from_diagonal(cls, diag, dim_p: int, **kw) -> "MetricFamily":
-        diag = [_parse(e) for e in diag]
-        entries = np.full((len(diag),) * 2, _expr.Num(0.0), dtype=object)
-        np.fill_diagonal(entries, diag)
-        return cls(entries, dim_p, **kw)
+        n = len(diag)
+        return cls([[diag[i] if i == j else 0.0 for j in range(n)]
+                    for i in range(n)], dim_p, **kw)
 
     @classmethod
     def from_entries(cls, rows, dim_p: int, **kw) -> "MetricFamily":
-        entries = np.array([[_parse(e) for e in row] for row in rows],
-                           dtype=object)
-        return cls(entries, dim_p, **kw)
+        return cls(rows, dim_p, **kw)
 
     # -- pointwise evaluation -----------------------------------------------
 
@@ -203,8 +203,9 @@ class MetricFamily:
         against ``R(0)``; ``R'`` and ``P''`` from ``R`` by coefficient
         scaling.
 
-        Raises ValidationError when an entry fails to vanish to the order
-        its block position requires or ``R(0)`` is not positive definite.
+        Raises ValidationError when an entry or ``alpha'`` has no Taylor
+        expansion at 0, an entry fails to vanish to the order its block
+        position requires, or ``R(0)`` is not positive definite.
         """
         if order in self._packs:
             return self._packs[order]
@@ -214,7 +215,8 @@ class MetricFamily:
         for i in range(n):
             for j in range(n):
                 s = (i < self.dim_p) + (j < self.dim_p)
-                c = _expr.taylor(self.entries[i, j], 0.0, M - 1 + s).coeffs
+                c = _expr.taylor_at_zero(self.entries[i, j], M - 1 + s,
+                                         f"entry ({i},{j})").coeffs
                 scale = 1.0 + float(np.abs(c).max())
                 for k in range(s):
                     if abs(c[k]) > _SHIFT_TOL * scale:
@@ -237,8 +239,8 @@ class MetricFamily:
         drift = Series._new(0.5 * _trace_series(
             Rinv[:M - 1].transpose(0, 2, 1).reshape(M - 1, n * n), Rdot), 0.0)
         if self._dalpha is not None:
-            drift = drift + _expr.taylor(self._dalpha, 0.0, order) * \
-                float(self.weight)
+            drift = drift + _expr.taylor_at_zero(
+                self._dalpha, order, "alpha'") * float(self.weight)
         # t^2 P^-1 = t^(2-s) R^-1 entrywise
         W = np.zeros((M, n, n))
         for i in range(n):
@@ -251,14 +253,6 @@ class MetricFamily:
                 "drift_analytic": drift}
         self._packs[order] = pack
         return pack
-
-
-def _parse(e):
-    if isinstance(e, str):
-        return _expr.parse(e)
-    if isinstance(e, numbers.Number):
-        return _expr.Num(float(e))
-    return e
 
 
 # -- series kernels -----------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as _expr
-from .errors import RegsingError, ValidationError, NumericalError
+from .errors import ValidationError, NumericalError
 from .rk import integrate_adaptive
 
 __all__ = [
@@ -32,16 +32,6 @@ __all__ = [
 MAX_DIM = 64
 
 
-def _parse_entry(entry):
-    if isinstance(entry, str):
-        return _expr.parse(entry)
-    if isinstance(entry, _expr.Expr):
-        return entry
-    if isinstance(entry, (int, float)):
-        return _expr.Num(float(entry))
-    raise ValidationError(f"matrix entry {entry!r} is not an expression")
-
-
 @dataclass
 class LinearRSSystem:
     """Coefficient data for ``dY/ds + (1/s) A(s) Y = h(s)``.
@@ -49,11 +39,14 @@ class LinearRSSystem:
     Parameters
     ----------
     A : array-like of shape (n, n)
-        Entries may be Expr trees, parseable strings, or numbers.  Every
-        entry must be analytic at ``s = 0`` (its Taylor expansion there is
-        probed at construction).
+        Entries are Expr trees, expression strings or finite numbers
+        (:func:`~regsing.expr.as_expr`, which raises ExprError for anything
+        else).  Every entry must be analytic at ``s = 0``: its Taylor
+        expansion there is probed at construction, and a failure is a
+        ValidationError naming the entry.
     h : array-like of shape (n,), optional
-        Inhomogeneity; omitted means the zero vector.
+        Inhomogeneity, its entries read as those of ``A`` but not
+        probed; omitted means the zero vector.
     rho : float
         Radius of validity; ``math.inf`` is allowed.
     """
@@ -72,14 +65,13 @@ class LinearRSSystem:
             raise ValidationError(
                 f"dimension {n} outside supported range 1..{MAX_DIM}")
         self.n = n
-        self.A = np.array([[_parse_entry(A[i, j]) for j in range(n)]
-                           for i in range(n)], dtype=object)
+        self.A = _expr.as_exprs(A)
         if self.h is not None:
             hv = np.asarray(self.h, dtype=object).reshape(-1)
             if hv.shape != (n,):
                 raise ValidationError(
                     f"h must have shape ({n},), got {hv.shape}")
-            self.h = np.array([_parse_entry(e) for e in hv], dtype=object)
+            self.h = _expr.as_exprs(hv)
         # compiled on the first pointwise call, not here
         self._A = _expr.ExprArray(self.A)
         self._h = None if self.h is None else _expr.ExprArray(self.h)
@@ -90,13 +82,8 @@ class LinearRSSystem:
         # Entry by entry: one-tree code is shared by entries of the same
         # shape, while compiling the whole matrix here would cost more
         # than the probe itself.
-        for i in range(n):
-            for j in range(n):
-                try:
-                    _expr.taylor(self.A[i, j], 0.0, 4)
-                except RegsingError as exc:
-                    raise ValidationError(
-                        f"A[{i}][{j}] is not analytic at 0: {exc}") from exc
+        for (i, j), e in np.ndenumerate(self.A):
+            _expr.taylor_at_zero(e, 4, f"A[{i}][{j}]")
 
     # -- pointwise evaluation ------------------------------------------------
 

@@ -503,7 +503,10 @@ class AffineSingularMaps:
     """Maps for ``dy/dt = (C y + c)/t + S(t) y + g(t)``.
 
     ``C`` and ``c`` are constant; ``S`` and ``g`` have expression entries
-    (strings or Expr trees) in the time variable.  Instances expose
+    in the time variable: Expr trees, expression strings or finite numbers
+    (:func:`~regsing.expr.as_expr`, which raises ExprError for anything
+    else).  Nothing is expanded at construction: an entry with no Taylor
+    expansion at 0 fails in the jet branch of ``m_reg``.  Instances expose
     ``m_sing`` and ``m_reg`` working on floats and on jets, which makes
     every problem in this class fully Taylor-capable.
     """
@@ -518,23 +521,19 @@ class AffineSingularMaps:
         self.c = (np.zeros(k) if c is None
                   else np.asarray(c, dtype=float).reshape(k))
 
-        def parse_one(e):
-            return _expr.parse(e) if isinstance(e, str) else e
-
         self.S = None
         if S is not None:
             S = np.asarray(S, dtype=object)
             if S.shape != (k, k):
                 raise ValidationError(f"S must have shape ({k},{k})")
-            self.S = np.array([[parse_one(S[i, j]) for j in range(k)]
-                               for i in range(k)], dtype=object)
+            self.S = _expr.as_exprs(S)
             self._S = _expr.ExprArray(self.S)
         self.g = None
         if g is not None:
             g = np.asarray(g, dtype=object).reshape(-1)
             if g.shape != (k,):
                 raise ValidationError(f"g must have shape ({k},)")
-            self.g = np.array([parse_one(e) for e in g], dtype=object)
+            self.g = _expr.as_exprs(g)
             self._g = _expr.ExprArray(self.g)
         self._expansion = None      # (order, S jets, g jets); see _jets
 

@@ -346,9 +346,10 @@ def test_exit_code_config_errors(tmp_path):
 
 
 def test_exit_code_numerical_failure(tmp_path):
-    # log(t - 2) cannot be expanded at the pole
+    # analytic at the pole, but the integration reaches log(0) at t = 0.5
+    # (log(t - 2), which has no expansion at the pole, is a rejection)
     cfg = write_cfg(tmp_path, "n.json",
-                    {"C": [[-1.0]], "g": ["log(t - 2)"], "y0": [0.0],
+                    {"C": [[-1.0]], "g": ["log(0.5 - t)"], "y0": [0.0],
                      "t_end": 1.0})
     assert cli.run(["solve-singular", "--config", cfg, "--quiet"]) == 4
 
@@ -468,8 +469,15 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, no_solve, command,
     {"diagonal": ["t^2", HUGE], "dim_p": 1},
     {"entries": [["t^2", None], [0, "1"]], "dim_p": 1},
     {"entries": [["t^2", 0], [0, math.inf]], "dim_p": 1},
+    {"diagonal": ["t^2", -HUGE], "dim_p": 1},
+    {"entries": [["t^2", [0]], [0, "1"]], "dim_p": 1},
+    {"diagonal": ["t^2", "1"], "dim_p": 1, "alpha": True},
+    {"diagonal": ["t^2", "1"], "dim_p": 1, "alpha": ["t^2"]},
+    {"diagonal": ["t^2", "1"], "dim_p": 1, "alpha": math.nan},
+    {"diagonal": "t^2", "dim_p": 1},
 ], ids=["list", "null", "object", "nan", "bool", "huge", "entries-null",
-        "entries-inf"])
+        "entries-inf", "minus-huge", "entries-list", "alpha-bool",
+        "alpha-list", "alpha-nan", "diagonal-string"])
 def test_metric_entries_must_be_strings_or_finite_numbers(
         tmp_path, capsys, no_solve, command, metric):
     cfg = {"metric": metric}
@@ -532,6 +540,40 @@ FUNDAMENTAL = {"A": [["0"]], "rho": 1.0, "z0": [1.0, 0.0], "z1": [2.0, 0.0]}
      3, "'rho'"),
     ("fundamental", {**FUNDAMENTAL, "z0": [1.0]}, [], 3, "[re, im] pair"),
     ("check", {"A": [["0"]], "rho": 1.0}, [], 3, "'metric' block"),
+    ("solve-singular", {**AFFINE, "S": [[None]]}, [], 3,
+     "'S': entry None is not an expression"),                   # was 4
+    ("solve-singular", {**AFFINE, "S": [["0"], ["0"]]}, [], 3,
+     "'S' must be a square nested list of size 1"),
+    ("solve-singular", {**AFFINE, "g": [[1, 2]]}, [], 3, "'g': entry [1, 2]"),
+    ("check", {**AFFINE, "g": ["1", "2"]}, [], 3, "'g' must be a list"),
+    ("monodromy", {**MONODROMY, "A": [[None]]}, [], 3, "'A': entry None"),
+    ("monodromy", {**MONODROMY, "A": [[True]]}, [], 3, "'A': entry True"),
+    ("monodromy", {**MONODROMY, "A": [[math.inf]]}, [], 3, "'A': entry inf"),
+    ("monodromy", {**MONODROMY, "A": [[0.5, 1]]}, [], 3,
+     "'A' must be a square nested list"),                       # was 2
+    ("fundamental", {**FUNDAMENTAL, "h": [None]}, [], 3, "'h': entry None"),
+    ("fundamental", {**FUNDAMENTAL, "h": [["1"]]}, [], 3, "'h': entry ['1']"),
+    ("fundamental", {**FUNDAMENTAL, "h": ["1", "2"]}, [], 3,
+     "'h' must be a list of size 1"),
+    ("monodromy", {**MONODROMY, "A": [["1/t"]]}, [], 2,
+     "A[0][0] is not analytic at 0"),
+    ("solve-harmonic", {"metric": {"diagonal": ["t^2", "1/t"], "dim_p": 1},
+                        "v": 1.0, "t_end": 1.0}, [], 2,
+     "entry (1,1) is not analytic at 0: reciprocal"),           # was 4
+    ("solve-harmonic", {"metric": {"diagonal": ["t^2", "1 + sqrt(t)"],
+                                   "dim_p": 1}, "v": 1.0, "t_end": 1.0}, [], 2,
+     "entry (1,1) is not analytic at 0: sqrt"),                 # was 4
+    ("solve-biharmonic", {**BIHARMONIC, "metric": {
+        "diagonal": ["t^2", "t^2"], "dim_p": 2, "alpha": "t*sqrt(t)"}}, [], 2,
+     "alpha' is not analytic at 0"),
+    ("solve-singular", {**AFFINE, "S": [["1/t"]]}, [], 2,
+     "S[0][0] is not analytic at 0"),                           # was 4
+    ("check", {**AFFINE, "S": [["1/t"]]}, [], 2,
+     "S[0][0] is not analytic at 0"),                           # was 0
+    ("solve-singular", {**AFFINE, "g": ["log(t - 2)"]}, [], 2,
+     "g[0] is not analytic at 0"),                              # was 4
+    ("check", {**AFFINE, "g": ["sqrt(t)"]}, [], 2,
+     "g[0] is not analytic at 0"),
     ("solve-harmonic", {"metric": FLAT, "v": 1.0, "t_end": 1.0,
                         "samples": 2}, ["--out", "{tmp}/no-dir/h.csv"], 5,
      "i/o error"),
@@ -555,6 +597,25 @@ FUNDAMENTAL = {"A": [["0"]], "rho": 1.0, "z0": [1.0, 0.0], "z1": [2.0, 0.0]}
     "rho-missing",
     "z0-not-a-pair",
     "check-neither-block",
+    "S-null-entry",
+    "S-wrong-shape",
+    "g-list-entry",
+    "g-wrong-length",
+    "A-null-entry",
+    "A-bool-entry",
+    "A-infinite-entry",
+    "A-not-square",
+    "h-null-entry",
+    "h-nested",
+    "h-wrong-length",
+    "A-pole",
+    "metric-pole",
+    "metric-branch-point",
+    "alpha-branch-point",
+    "S-pole",
+    "check-S-pole",
+    "g-log-of-negative",
+    "check-g-branch-point",
     "out-unwritable",
     "biharmonic-note",
     "singular-note",
@@ -619,3 +680,76 @@ def test_check_rejects_an_order_below_one(tmp_path, capsys, order):
     path = write_cfg(tmp_path, "c.json", {**AFFINE, "C": [[3.0]]})
     assert cli.run(["check", "--config", path, "--order", order]) == 2
     assert "order must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric, was", [
+    ({"diagonal": ["t^2", "1/t"], "dim_p": 1}, 4),
+    ({"diagonal": ["t^2", "1 + sqrt(t)"], "dim_p": 1}, 4),
+    # planted: only the series data sees the t^1 term of the collapsing
+    # entry, so this family passed although every solve rejects it
+    ({"diagonal": ["t^2 + 1e-6*t", "1"], "dim_p": 1}, 0),
+], ids=["pole", "branch-point", "planted-odd-term"])
+def test_check_fails_a_family_without_series_data(tmp_path, capsys, metric,
+                                                  was):
+    path = write_cfg(tmp_path, "c.json", {"metric": metric})
+    assert cli.run(["check", "--config", path]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["series_available"] is False
+    assert rep["structure_ok"] is None
+    assert rep["verdict"] is False
+    # every solve on the family is rejected too
+    path = write_cfg(tmp_path, "h.json", {"metric": metric, "v": 1.0,
+                                          "t_end": 1.0})
+    assert cli.run(["solve-harmonic", "--config", path, "--quiet"]) == 2
+
+
+def test_numeric_and_string_entries_write_the_same_csv(tmp_path):
+    outs = []
+    for name, S, g in (("num", [[0.5]], [1]), ("str", [["0.5"]], ["1"])):
+        path = write_cfg(tmp_path, f"{name}.json",
+                         {**AFFINE, "S": S, "g": g, "samples": 5})
+        out = tmp_path / f"{name}.csv"
+        assert cli.run(["solve-singular", "--config", path, "--out",
+                        str(out), "--quiet"]) == 0     # "S": [[0.5]] was 4
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    outs = []
+    for name, A in (("num", [[0.25, 0], [0, 1]]),
+                    ("str", [["0.25", "0"], ["0", "1"]])):
+        path = write_cfg(tmp_path, f"m{name}.json", {**MONODROMY, "A": A})
+        out = tmp_path / f"m{name}.json.out"
+        assert cli.run(["monodromy", "--config", path, "--out",
+                        str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command, cfg, header", [
+    ("solve-harmonic", {"metric": SPHERE, "v": "1.2:0.2:3", "t_end": 1.0},
+     ["v", "r_T", "r_dot_T", "max_residual", "dr_T_dv"]),
+    ("solve-biharmonic", {"metric": SPHERE, "v": "1.0:0.6:2",
+                          "w": "0.4:-0.2:2", "t_end": 1.0},
+     ["v", "w", "r_T", "r_dot_T", "F_T", "F_dot_T", "max_residual",
+      "dr_T_dv"]),
+])
+def test_descending_sweeps_keep_their_row_order(tmp_path, command, cfg,
+                                                header):
+    # harmonic rows follow the sweep, biharmonic rows are sorted v-major
+    out = tmp_path / "s.csv"
+    assert cli.run([command, "--config", write_cfg(tmp_path, "s.json", cfg),
+                    "--out", str(out), "--quiet"]) == 0
+    got_header, data = read_csv(out)
+    assert got_header == header
+    if command == "solve-harmonic":
+        assert [row[0] for row in data] == [1.2, 0.7, 0.2]
+        slopes = [row[-1] for row in data]
+        assert slopes[0] == (data[1][1] - data[0][1]) / (0.7 - 1.2)
+    else:
+        assert [row[:2] for row in data] == [[0.6, -0.2], [0.6, 0.4],
+                                            [1.0, -0.2], [1.0, 0.4]]
+        for row in data:
+            sol = geometry.solve_biharmonic(
+                geometry.MetricFamily.from_diagonal(SPHERE["diagonal"], 2),
+                row[0], row[1], 1.0)
+            assert row[2:6] == [sol.r(1.0), sol.rdot(1.0), sol.F(1.0),
+                                sol.Fdot(1.0)]

@@ -583,3 +583,85 @@ def test_real_mode_value_error_passes_through():
         fam.P_at(math.inf)
     with pytest.raises(ValueError):
         expr.eval_real(expr.parse("sin(t)"), math.inf)
+
+
+# -- one reading of an expression entry ---------------------------------------
+
+BAD_ENTRIES = [None, True, np.bool_(False), math.nan, math.inf, -math.inf,
+               10 ** 400, ["t"], {"e": "t"}]
+BAD_IDS = ["none", "bool", "numpy-bool", "nan", "inf", "-inf", "huge",
+           "list", "dict"]
+
+
+def test_as_expr_reads_trees_strings_and_finite_numbers():
+    tree = expr.parse("sin(t)")
+    assert expr.as_expr(tree) is tree
+    # a numeric entry and its string give the same tree
+    assert expr.as_expr(0.5) == expr.as_expr("0.5") == expr.Num(0.5)
+    assert expr.as_expr(3) == expr.as_expr("3")
+    for v in (np.float64(-2.5), np.int64(7), 1.7e308):
+        assert expr.as_expr(v) == expr.Num(float(v))
+        assert type(expr.as_expr(v).value) is float
+    with pytest.raises(ParseError):
+        expr.as_expr("sin(t")
+
+
+@pytest.mark.parametrize("bad", BAD_ENTRIES, ids=BAD_IDS)
+def test_as_expr_rejects_every_other_entry(bad):
+    with pytest.raises(ExprError, match="is not an expression string or a "
+                                        "finite number") as ei:
+        expr.as_expr(bad)
+    assert type(ei.value) is ExprError
+
+
+@pytest.mark.parametrize("bad", BAD_ENTRIES, ids=BAD_IDS)
+def test_every_constructor_reads_entries_with_as_expr(bad):
+    builds = [
+        lambda: geometry.MetricFamily.from_diagonal(["t^2", bad], dim_p=1),
+        lambda: geometry.MetricFamily.from_entries(
+            [["t^2", "0"], [bad, "1"]], dim_p=1),
+        lambda: linear.LinearRSSystem([["0", bad], ["0", "1"]]),
+        lambda: linear.LinearRSSystem([["0", "t"], ["0", "1"]],
+                                      h=["1", bad]),
+        lambda: singular.AffineSingularMaps(-np.eye(2),
+                                            S=[["0", bad], ["t", "0"]]),
+        lambda: singular.AffineSingularMaps(-np.eye(2), g=[bad, "1"]),
+    ]
+    if bad is not None:         # alpha=None means no warped factor
+        builds.append(lambda: geometry.MetricFamily.from_diagonal(
+            ["t^2", "1"], dim_p=1, alpha=bad))
+    for build in builds:
+        with pytest.raises(ExprError, match="not an expression string"):
+            build()
+
+
+def test_numeric_S_entries_solve_as_their_strings():
+    trajs = [singular.solve(singular.AffineSingularMaps(
+        [[-1.0]], S=[[S]], g=["1"]).problem([0.0], 1.0))
+        for S in (0.5, "0.5")]
+    assert trajs[0].value(1.0)[0] == trajs[1].value(1.0)[0]
+    assert abs(trajs[0].residual(0.7)) < 1e-8
+
+
+def test_taylor_at_zero_names_a_non_analytic_entry():
+    assert expr.taylor_at_zero(expr.parse("exp(t)"), 3, "x").coeffs[3] == \
+        pytest.approx(1 / 6)
+    for text, reason in (("1/t", "reciprocal"), ("sqrt(t)", "sqrt"),
+                         ("log(t - 2)", "log")):
+        with pytest.raises(ValidationError,
+                           match=rf"^g\[1\] is not analytic at 0: {reason}"):
+            expr.taylor_at_zero(expr.parse(text), 4, "g[1]")
+
+
+@pytest.mark.parametrize("diag, alpha, name", [
+    (["t^2", "1/t"], None, r"entry \(1,1\)"),
+    (["t^2*(1 + sqrt(t))", "1"], None, r"entry \(0,0\)"),
+    (["t^2", "1 + sqrt(t)"], None, r"entry \(1,1\)"),
+    (["t^2", "1"], "sqrt(t)", "alpha'"),
+])
+def test_pack_rejects_a_non_analytic_entry_by_name(diag, alpha, name):
+    fam = geometry.MetricFamily.from_diagonal(diag, dim_p=1, alpha=alpha)
+    with pytest.raises(ValidationError, match=f"^{name} is not analytic at 0"):
+        fam.pack(4)
+    rep = geometry.validate_metric(fam)
+    assert rep.series_available is False
