@@ -12,7 +12,7 @@ This module is the package's one config reader: the ``metric`` block,
 the affine singular problem and the linear system are each read and
 checked here, with the same number checks.  Config keys are validated
 strictly: unknown keys are errors, so typos fail loudly instead of
-silently using defaults.  An expression entry (metric, ``A``/``h``,
+silently using defaults.  An expression entry (metric, ``A``,
 ``S``/``g``) is read by :func:`regsing.expr.as_expr`, and one with no
 Taylor expansion at 0 is a validation rejection naming it.
 
@@ -393,11 +393,10 @@ def _affine_problem(cfg, where):
             else _expressions(cfg[key], key, where, k, matrix=key == "S")
             for key in ("S", "g"))
     maps = _singular.AffineSingularMaps(C, c=c, S=S, g=g)
-    # the order-4 probe LinearRSSystem makes of A: a pole or branch point
-    # at 0 is a rejection naming the entry, not a failure in the bootstrap
-    for key, trees in (("S", maps.S), ("g", maps.g)):
-        for idx, e in ([] if trees is None else np.ndenumerate(trees)):
-            _expr.taylor_at_zero(e, 4, key + "".join(f"[{i}]" for i in idx))
+    # the probe LinearRSSystem makes of A and h: a pole or branch point at
+    # 0 is a rejection naming the entry, not a failure in the bootstrap
+    _expr.probe_at_zero(maps.S, "S")
+    _expr.probe_at_zero(maps.g, "g")
     return maps.problem(y0, t_end), k
 
 
@@ -415,15 +414,14 @@ def _cmd_solve_singular(args) -> int:
 
 # -- linear commands ---------------------------------------------------------
 
-_MONODROMY_KEYS = {"A", "h", "rho", "sigma", "tol"}
+_MONODROMY_KEYS = {"A", "rho", "sigma", "tol"}
 
 
 def _linear_system(cfg, where) -> _linear.LinearRSSystem:
+    # both commands transport the homogeneous system: a config has no h
     A = _expressions(cfg.get("A"), "A", where, matrix=True)
-    h = (None if cfg.get("h") is None
-         else _expressions(cfg["h"], "h", where, len(A)))
     rho = _number(cfg, "rho", where, positive=True)    # a required key
-    return _linear.LinearRSSystem(A, h=h, rho=rho)
+    return _linear.LinearRSSystem(A, rho=rho)
 
 
 def _cmd_monodromy(args) -> int:
@@ -440,7 +438,7 @@ def _cmd_monodromy(args) -> int:
     return EXIT_OK
 
 
-_FUNDAMENTAL_KEYS = {"A", "h", "rho", "z0", "z1", "tol"}
+_FUNDAMENTAL_KEYS = {"A", "rho", "z0", "z1", "tol"}
 
 
 def _complex_pair(cfg, key, where):

@@ -48,8 +48,8 @@ from .series import Series
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Call",
     "parse", "as_expr", "render", "differentiate", "eval_real",
-    "eval_complex", "taylor", "taylor_at_zero", "ExprArray", "HalfTraces",
-    "FUNCTIONS",
+    "eval_complex", "taylor", "taylor_at_zero", "probe_at_zero", "ExprArray",
+    "HalfTraces", "FUNCTIONS",
 ]
 
 
@@ -858,3 +858,15 @@ def taylor_at_zero(e: Expr, order: int, name: str) -> Series:
         return taylor(e, 0.0, order)
     except RegsingError as exc:
         raise ValidationError(f"{name} is not analytic at 0: {exc}") from exc
+
+
+def probe_at_zero(trees, name: str) -> None:
+    """Order-4 :func:`taylor_at_zero` probe of each entry of the object
+    array ``trees`` (None: an absent block, nothing to probe), naming the
+    entries ``name[i]`` or ``name[i][j]``.
+
+    Entry by entry: one-tree code is shared by entries of the same shape,
+    while compiling the whole block would cost more than the probe itself.
+    """
+    for idx, e in ([] if trees is None else np.ndenumerate(trees)):
+        taylor_at_zero(e, 4, name + "".join(f"[{i}]" for i in idx))

@@ -1,12 +1,14 @@
 """Linear systems with a regular singular point at the origin.
 
 The stored object is the system ``dY/ds + (1/s) A(s) Y = h(s)`` on
-``0 < s < rho`` with ``A`` an analytic matrix.  Pulling back along
-``s = e^z`` removes the pole: ``dY/dz + A(e^z) Y = e^z h(e^z)`` is regular
-on the half-plane ``Re z < log(rho)``, which is where all path integration
-happens.  Monodromy matrices are computed by integrating around circles
-``s = sigma * e^{i theta}``; at ``sigma = 0`` the circle degenerates and
-the monodromy is the exponential ``exp(-2 pi i A(0))``.
+``0 < s < rho`` with ``A`` and ``h`` analytic at 0, which is probed when
+the system is built.  Pulling back along ``s = e^z`` removes the pole:
+``dY/dz + A(e^z) Y = e^z h(e^z)`` is regular on the half-plane
+``Re z < log(rho)``.  One transport integrates it along a segment of that
+half-plane, and fundamental solutions, inhomogeneous solves and monodromy
+loops are all calls of it: the loop ``s = sigma * e^{i theta}`` is the
+segment ``[log sigma, log sigma + 2 pi i]``.  At ``sigma = 0`` the loop
+degenerates and the monodromy is the exponential ``exp(-2 pi i A(0))``.
 
 Conjugacy invariants are characteristic polynomial coefficients; the
 library never asserts conjugacy itself, it only reports the invariants.
@@ -14,6 +16,7 @@ library never asserts conjugacy itself, it only reports the invariants.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -45,8 +48,8 @@ class LinearRSSystem:
         expansion there is probed at construction, and a failure is a
         ValidationError naming the entry.
     h : array-like of shape (n,), optional
-        Inhomogeneity, its entries read as those of ``A`` but not
-        probed; omitted means the zero vector.
+        Inhomogeneity, its entries read and probed as those of ``A``;
+        omitted means the zero vector.
     rho : float
         Radius of validity; ``math.inf`` is allowed.
     """
@@ -78,12 +81,9 @@ class LinearRSSystem:
         if not (isinstance(self.rho, (int, float)) and self.rho > 0):
             raise ValidationError(f"rho must be positive, got {self.rho!r}")
         self.rho = float(self.rho)
-        # analyticity probe at the origin; rejects hidden poles like 1/t.
-        # Entry by entry: one-tree code is shared by entries of the same
-        # shape, while compiling the whole matrix here would cost more
-        # than the probe itself.
-        for (i, j), e in np.ndenumerate(self.A):
-            _expr.taylor_at_zero(e, 4, f"A[{i}][{j}]")
+        # analyticity probe at the origin; rejects hidden poles like 1/t
+        _expr.probe_at_zero(self.A, "A")
+        _expr.probe_at_zero(self.h, "h")
 
     # -- pointwise evaluation ------------------------------------------------
 
@@ -189,13 +189,38 @@ def conjugacy_invariants(M) -> np.ndarray:
     return polys[n]
 
 
-def _check_halfplane(sys: LinearRSSystem, *zs):
+def _transport(sys: LinearRSSystem, z0, z1, Y0: np.ndarray, tol: float,
+               source: bool = False):
+    """``(Y(z1), steps, est_error)`` along the segment from ``z0`` to ``z1``.
+
+    The module's one integration of the log-cover system
+    ``dY/dz = -A(e^z) Y`` (plus ``e^z h(e^z)`` with ``source``) from
+    ``Y(z0) = Y0``, a vector or a matrix of columns; an empty segment
+    returns a copy of ``Y0`` after no steps.
+    """
+    z0 = complex(z0)
+    z1 = complex(z1)
     bound = math.log(sys.rho) if math.isfinite(sys.rho) else math.inf
-    for z in zs:
-        if not complex(z).real < bound:
+    for z in (z0, z1):
+        if not z.real < bound:
             raise ValidationError(
                 f"path point {z!r} leaves the half-plane Re z < log(rho) "
                 f"= {bound!r}")
+    if z1 == z0:
+        return Y0.copy(), 0, 0.0
+    dz = z1 - z0
+
+    def rhs(s, y):
+        # cmath on a Python float: rk's np.float64 s times a complex costs
+        # more than the exponential itself
+        ez = cmath.exp(z0 + float(s) * dz)
+        AY = sys.A_at(ez) @ y.reshape(Y0.shape)
+        if source:
+            return dz * (-AY + ez * sys.h_at(ez))
+        return (-dz * AY).ravel()
+
+    res = integrate_adaptive(rhs, 0.0, Y0.ravel(), 1.0, tol)
+    return res.ys[-1].reshape(Y0.shape), res.n_accepted, res.est_error
 
 
 def fundamental_solution(sys: LinearRSSystem, z0, z1, tol: float = 1e-10
@@ -205,50 +230,29 @@ def fundamental_solution(sys: LinearRSSystem, z0, z1, tol: float = 1e-10
     Integrates ``dU/dz + A(e^z) U = 0`` with ``U(z0) = I`` along the
     straight segment from ``z0`` to ``z1`` and returns ``U(z1)``.
     """
-    z0 = complex(z0)
-    z1 = complex(z1)
-    _check_halfplane(sys, z0, z1)
-    n = sys.n
-    if z1 == z0:
-        return np.eye(n, dtype=complex)
-    dz = z1 - z0
-
-    def rhs(s, u):
-        z = z0 + s * dz
-        U = u.reshape(n, n)
-        return (-dz * (sys.A_at(np.exp(z)) @ U)).ravel()
-
-    y0 = np.eye(n, dtype=complex).ravel()
-    res = integrate_adaptive(rhs, 0.0, y0, 1.0, tol)
-    return res.ys[-1].reshape(n, n)
+    return _transport(sys, z0, z1, np.eye(sys.n, dtype=complex), tol)[0]
 
 
 def monodromy_at(sys: LinearRSSystem, sigma: float, tol: float = 1e-10
                  ) -> MonodromyResult:
-    """Monodromy matrix ``U(sigma, 2 pi)`` of the loop ``s = sigma e^{i th}``.
+    """Monodromy matrix of the loop ``s = sigma e^{i theta}``.
 
-    For ``sigma = 0`` the loop degenerates and the result is the matrix
-    exponential of ``-2 pi i A(0)`` (no integration involved).
+    On the log cover the loop is the segment ``[log sigma,
+    log sigma + 2 pi i]``.  For ``sigma = 0`` it degenerates and the
+    result is the matrix exponential of ``-2 pi i A(0)`` (no integration
+    involved).
     """
     sigma = float(sigma)
     if sigma < 0 or not sigma < sys.rho:
         raise ValidationError(
             f"need 0 <= sigma < rho, got sigma={sigma}, rho={sys.rho}")
-    n = sys.n
     if sigma == 0.0:
-        M = monodromy_generator(sys.A_at(0.0))
-        return MonodromyResult(sigma, M, conjugacy_invariants(M), 0, 0.0)
-
-    def rhs(theta, u):
-        U = u.reshape(n, n)
-        s = sigma * np.exp(1j * theta)
-        return (-1j * (sys.A_at(s) @ U)).ravel()
-
-    y0 = np.eye(n, dtype=complex).ravel()
-    res = integrate_adaptive(rhs, 0.0, y0, 2.0 * math.pi, tol)
-    M = res.ys[-1].reshape(n, n)
-    return MonodromyResult(sigma, M, conjugacy_invariants(M),
-                           res.n_accepted, res.est_error)
+        M, steps, err = monodromy_generator(sys.A_at(0.0)), 0, 0.0
+    else:
+        z0 = math.log(sigma)
+        M, steps, err = _transport(sys, z0, z0 + 2j * math.pi,
+                                   np.eye(sys.n, dtype=complex), tol)
+    return MonodromyResult(sigma, M, conjugacy_invariants(M), steps, err)
 
 
 def solve_inhomogeneous(sys: LinearRSSystem, z0, z1, Y0, tol: float = 1e-10
@@ -259,20 +263,7 @@ def solve_inhomogeneous(sys: LinearRSSystem, z0, z1, Y0, tol: float = 1e-10
     the quadrature of the source term rides along in the state, no
     fundamental-matrix inversion is performed.
     """
-    z0 = complex(z0)
-    z1 = complex(z1)
-    _check_halfplane(sys, z0, z1)
     Y0 = np.asarray(Y0, dtype=complex).reshape(-1)
     if Y0.shape != (sys.n,):
         raise ValidationError(f"Y0 must have shape ({sys.n},)")
-    if z1 == z0:
-        return Y0.copy()
-    dz = z1 - z0
-
-    def rhs(s, y):
-        z = z0 + s * dz
-        ez = np.exp(z)
-        return dz * (-(sys.A_at(ez) @ y) + ez * sys.h_at(ez))
-
-    res = integrate_adaptive(rhs, 0.0, Y0, 1.0, tol)
-    return res.ys[-1]
+    return _transport(sys, z0, z1, Y0, tol, source=True)[0]

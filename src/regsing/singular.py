@@ -634,13 +634,8 @@ def _pole_data(f, Y0: np.ndarray):
 
     probe_error = _probe_jets(at_jets)
     jet_capable = probe_error is None
-    if jet_capable:
-        a0 = _jet_coeffs(at_jets(), 1)
-    else:
-        h = (np.finfo(float).eps) ** (1 / 3)
-        fp = np.asarray(f(h, Y0), dtype=float).reshape(-1)
-        fm = np.asarray(f(-h, Y0), dtype=float).reshape(-1)
-        a0 = (fp - fm) / (2 * h)
+    a0 = (_jet_coeffs(at_jets(), 1) if jet_capable
+          else _fd_taylor_coeff(lambda xi: f(xi, Y0), 1))
     xi0 = _series.constant(0.0, 1) if jet_capable else 0.0
     A0 = _jacobian(lambda y: f(xi0, y), Y0, jet_capable)
     B = np.eye(Y0.size) + A0

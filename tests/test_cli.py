@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from regsing import cli, geometry, linear, rk, singular
 
 FLAT = {"diagonal": ["t^2", "t^2", "1 + t^2"], "dim_p": 2}
 SPHERE = {"diagonal": ["sin(t)^2", "sin(t)^2"], "dim_p": 2}
+CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 
 
 def write_cfg(tmp_path, name, obj):
@@ -278,6 +280,18 @@ def test_fundamental_json(tmp_path, capsys):
     assert rep["matrix"][0][0] == pytest.approx([math.exp(-1.0), 0.0],
                                                 abs=1e-9)
     assert rep["condition"] == pytest.approx(1.0, rel=1e-9)
+
+
+def test_fundamental_loop_writes_the_monodromy_matrix(tmp_path, capsys):
+    # demos/configs/fundamental_loop.json transports along
+    # [log 0.5, log 0.5 + 2 pi i], the loop of radius 0.5 on the log cover
+    cfg = json.loads((CONFIGS / "nilpotent_monodromy.json").read_text())
+    path = write_cfg(tmp_path, "m.json", {**cfg, "sigma": 0.5})
+    assert cli.run(["monodromy", "--config", path]) == 0
+    loop = json.loads(capsys.readouterr().out)
+    assert cli.run(["fundamental", "--config",
+                    str(CONFIGS / "fundamental_loop.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["matrix"] == loop["matrix"]
 
 
 def test_check_metric_good(tmp_path, capsys):
@@ -551,10 +565,9 @@ FUNDAMENTAL = {"A": [["0"]], "rho": 1.0, "z0": [1.0, 0.0], "z1": [2.0, 0.0]}
     ("monodromy", {**MONODROMY, "A": [[math.inf]]}, [], 3, "'A': entry inf"),
     ("monodromy", {**MONODROMY, "A": [[0.5, 1]]}, [], 3,
      "'A' must be a square nested list"),                       # was 2
-    ("fundamental", {**FUNDAMENTAL, "h": [None]}, [], 3, "'h': entry None"),
-    ("fundamental", {**FUNDAMENTAL, "h": [["1"]]}, [], 3, "'h': entry ['1']"),
-    ("fundamental", {**FUNDAMENTAL, "h": ["1", "2"]}, [], 3,
-     "'h' must be a list of size 1"),
+    ("monodromy", {**MONODROMY, "h": ["0", "0"]}, [], 3,
+     "unknown keys ['h']"),
+    ("fundamental", {**FUNDAMENTAL, "h": ["1"]}, [], 3, "unknown keys ['h']"),
     ("monodromy", {**MONODROMY, "A": [["1/t"]]}, [], 2,
      "A[0][0] is not analytic at 0"),
     ("solve-harmonic", {"metric": {"diagonal": ["t^2", "1/t"], "dim_p": 1},
@@ -605,9 +618,8 @@ FUNDAMENTAL = {"A": [["0"]], "rho": 1.0, "z0": [1.0, 0.0], "z1": [2.0, 0.0]}
     "A-bool-entry",
     "A-infinite-entry",
     "A-not-square",
-    "h-null-entry",
-    "h-nested",
-    "h-wrong-length",
+    "monodromy-h",
+    "fundamental-h",
     "A-pole",
     "metric-pole",
     "metric-branch-point",

@@ -653,6 +653,19 @@ def test_taylor_at_zero_names_a_non_analytic_entry():
             expr.taylor_at_zero(expr.parse(text), 4, "g[1]")
 
 
+def test_probe_at_zero_names_each_entry_by_its_index():
+    expr.probe_at_zero(None, "h")                   # an absent block
+    expr.probe_at_zero(expr.as_exprs(np.array(["1", "exp(t)"], dtype=object)),
+                       "h")
+    for trees, name in (
+            (np.array(["1", "exp(t)", "1/t"], dtype=object), r"h\[2\]"),
+            (np.array([["0", "t"], ["sqrt(t)", "1"]], dtype=object),
+             r"A\[1\]\[0\]")):
+        with pytest.raises(ValidationError,
+                           match=f"^{name} is not analytic at 0"):
+            expr.probe_at_zero(expr.as_exprs(trees), name[0])
+
+
 @pytest.mark.parametrize("diag, alpha, name", [
     (["t^2", "1/t"], None, r"entry \(1,1\)"),
     (["t^2*(1 + sqrt(t))", "1"], None, r"entry \(0,0\)"),

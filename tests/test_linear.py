@@ -36,6 +36,13 @@ def test_construction_and_entry_kinds():
         linear.LinearRSSystem([[1.0]], rho=-2.0)
 
 
+def test_h_is_probed_like_A():
+    with pytest.raises(ValidationError, match=r"^h\[0\] is not analytic"):
+        linear.LinearRSSystem([["0"]], h=["1/t"])
+    with pytest.raises(ValidationError, match=r"^h\[1\] is not analytic"):
+        linear.LinearRSSystem([["0", "0"], ["0", "1"]], h=["1", "sqrt(t)"])
+
+
 def test_matrix_exponential_against_scipy():
     rng = np.random.default_rng(314)
     for scale in (0.3, 2.0, 9.0):
@@ -120,6 +127,20 @@ def test_charpoly_constant_in_sigma():
     polys = [sys_mono(sys, s).charpoly for s in (0.2, 0.5, 0.9)]
     for p in polys[1:]:
         np.testing.assert_allclose(p, polys[0], atol=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_monodromy_is_the_transport_along_the_loop(n):
+    # the loop of radius sigma is the segment [log sigma, log sigma + 2 pi i]
+    # of the log cover, integrated by the one transport
+    sys = linear.LinearRSSystem(
+        [[f"{0.3 * (i - j) + 0.1} + {0.2 * (j + 1)}*sin(t)" if i <= j
+          else f"{0.1 * i}*t^2" for j in range(n)] for i in range(n)],
+        rho=2.0)
+    for sigma in (0.3, 0.7):
+        z0 = math.log(sigma)
+        U = linear.fundamental_solution(sys, z0, z0 + 2j * math.pi)
+        assert sys_mono(sys, sigma).matrix.tobytes() == U.tobytes()
 
 
 def test_fundamental_constant_coefficient():

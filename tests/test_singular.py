@@ -647,6 +647,23 @@ def test_initial_derivative_singular_linearization():
         singular.initial_derivative(lambda xi, y: -y + xi * 0.0, [0.0])
 
 
+def test_initial_derivative_blackbox_keeps_its_central_difference():
+    # a map that takes no jets gets a0 from the order-1 central difference
+    # at h = eps^(1/3): the bytes of (f(h) - f(-h)) / (2 h)
+    def f(xi, y):
+        xi = float(xi)
+        return np.array([3.0 * y[0] - math.sin(xi) + xi * xi * y[1],
+                         math.expm1(0.7 * xi) - 0.5 * y[1] + xi * y[0]])
+
+    Y0 = np.zeros(2)
+    h = np.finfo(float).eps ** (1 / 3)
+    a0 = (f(h, Y0) - f(-h, Y0)) / (2 * h)
+    _, _, B, _, probe_error = singular._pole_data(f, Y0)
+    assert probe_error is not None
+    assert (singular.initial_derivative(f, Y0).tobytes()
+            == np.linalg.solve(B, -a0).tobytes())
+
+
 def test_normalize_shifts_base_point():
     f = lambda xi, y: y - 3.0 + xi
     g = singular.normalize(f, [3.0])
