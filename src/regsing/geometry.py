@@ -39,6 +39,11 @@ Both reductions have a simple pole at ``t = 0``.  Substituting ``r = t a``
 initial slope.  One assembler builds both: the biharmonic problem is the
 harmonic one with the tension pair ``(b, u_b)`` appended to the state, and
 its maps run on floats and on series jets, so the bootstrap there is exact.
+The assembled problem also carries a float ``field``, the whole
+right-hand side in plain floats: the float rows of ``m_reg`` (one trace
+read from ``t_switch`` on, the peeled series below) with ``0.0/t`` and
+``(-(p+2) u)/t`` added in the order numpy adds the split form, so the
+integrator reads the split form's bytes without its array work.
 Metrics whose odd low-order data does not cancel the order-one residue (for
 example ``alpha'(0) != 0``) have no analytic reduction; their series paths
 raise StructureError.
@@ -447,24 +452,14 @@ def trace_potential2(fam: MetricFamily, t: float, rho: float) -> float:
 
 # -- assembled singular problems ----------------------------------------------
 
-def _profile_reg(fam: MetricFamily, t, y) -> np.ndarray:
-    """``m_reg`` of both profile problems, for the harmonic state ``(a, u)``
-    or the biharmonic one ``(a, u, b, u_b)``, at a time jet or a float
-    ``t``; the tension ``F = t b`` forces the profile row.  A float ``t``
-    reads :func:`_traces` at ``rho = t a`` from ``t_switch`` on and sums
-    the pole-peeled series of the reduction below."""
-    coupled = len(y) == 4
-    if isinstance(t, Series):
-        n = _time_jet_order(t)
-        s = [_as_jet(v, n + 2) for v in y]
-        w = _w_series(fam, s, n + 2)
-        out = [s[1].truncate(n), w[0]]
-        if coupled:
-            out[1] = out[1] + s[2].truncate(n)
-            out += [s[3].truncate(n), w[1]]
-        return np.array(out, dtype=object)
+def _float_rows(fam: MetricFamily, t: float, y: list) -> list:
+    """``m_reg`` of both profile problems at a float ``t`` for the float
+    state list ``y``, as a list: from ``t_switch`` on from one
+    :func:`_traces` read at ``rho = t a``, below by summing the pole-peeled
+    series of the reduction; the tension ``F = t b`` forces the profile
+    row."""
     p, K = fam.dim_p, _FLOAT_SERIES_ORDER
-    y = [float(v) for v in y]
+    coupled = len(y) == 4
     a, u = y[0], y[1]
     if t >= fam.t_switch:
         D, V, V2 = _traces(fam, t, t * a, coupled)
@@ -480,7 +475,23 @@ def _profile_reg(fam: MetricFamily, t, y) -> np.ndarray:
             out += [y[3], float(_series.eval_truncated(w[1], t))]
     if coupled:
         out[1] += y[2]
-    return np.array(out)
+    return out
+
+
+def _profile_reg(fam: MetricFamily, t, y) -> np.ndarray:
+    """``m_reg`` of both profile problems, for the harmonic state ``(a, u)``
+    or the biharmonic one ``(a, u, b, u_b)``, at a time jet or a float
+    ``t`` (:func:`_float_rows`)."""
+    if isinstance(t, Series):
+        n = _time_jet_order(t)
+        s = [_as_jet(v, n + 2) for v in y]
+        w = _w_series(fam, s, n + 2)
+        out = [s[1].truncate(n), w[0]]
+        if len(y) == 4:
+            out[1] = out[1] + s[2].truncate(n)
+            out += [s[3].truncate(n), w[1]]
+        return np.array(out, dtype=object)
+    return np.array(_float_rows(fam, t, [float(v) for v in y]))
 
 
 def _profile_sing(p: int):
@@ -493,6 +504,26 @@ def _profile_sing(p: int):
         return out
 
     return m_sing
+
+
+def _profile_field(fam: MetricFamily):
+    """The whole float field ``m_sing(y)/t + m_reg(t, y)`` of both profile
+    problems in plain floats: each ``(x, u)`` pair of :func:`_float_rows`
+    gets ``0.0/t`` and ``(-(p+2) u)/t`` added as numpy adds the split
+    form's arrays, so the bytes are the split form's on both sides of
+    ``t_switch``."""
+    s = -(fam.dim_p + 2.0)
+
+    def field(t, y):
+        t = float(t)
+        y = np.asarray(y, dtype=float).tolist()
+        out = _float_rows(fam, t, y)
+        for i in range(0, len(y), 2):
+            out[i] = 0.0 / t + out[i]
+            out[i + 1] = s * y[i + 1] / t + out[i + 1]
+        return np.array(out)
+
+    return field
 
 
 def _assemble(fam: MetricFamily, v: float, w: float | None,
@@ -511,7 +542,8 @@ def _assemble(fam: MetricFamily, v: float, w: float | None,
         meta.update(kind="biharmonic", w=float(w))
     return SingularIVP(_profile_sing(fam.dim_p),
                        functools.partial(_profile_reg, fam), y0, t_end,
-                       jet_capable=True, meta=meta)
+                       jet_capable=True, meta=meta,
+                       field=_profile_field(fam))
 
 
 def assemble_harmonic(fam: MetricFamily, v: float,

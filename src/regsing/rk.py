@@ -79,10 +79,11 @@ class IntegrationResult:
     ``rows[i]`` holds the five coefficient rows of the quartic interpolant
     on ``[ts[i], ts[i + 1]]``: endpoint values and slopes plus one extra
     stage combination, so the value error matches the order of the step.
+    ``n_calls`` counts the calls of the right-hand side.
     """
 
     def __init__(self, ts, ys, rows, n_accepted, n_rejected, est_error,
-                 n_defect_rejected, max_defect):
+                 n_defect_rejected, max_defect, n_calls):
         self.ts = np.asarray(ts)
         self._grid = self.ts.tolist()   # plain floats: fast bisection
         self.ys = np.asarray(ys)
@@ -92,6 +93,7 @@ class IntegrationResult:
         self.est_error = est_error
         self.n_defect_rejected = n_defect_rejected
         self.max_defect = max_defect
+        self.n_calls = n_calls
 
     def _local(self, t):
         """Rows, local coordinate in [0, 1] and width of the step at ``t``."""
@@ -183,6 +185,7 @@ def integrate_adaptive(f, t0, y0, t1, tol, check_defect=False):
     k[0] = f0.astype(dtype)
 
     h = max(_initial_step(f, t0, y, k[0], t1, tol), 1e-300)
+    n_calls = 2         # f0 and the initial step's probe
 
     t = t0
     ts = [t0]
@@ -209,6 +212,7 @@ def integrate_adaptive(f, t0, y0, t1, tol, check_defect=False):
         for i in range(1, 7):
             yi = y + h * (_A[i] @ k[:i])
             k[i] = f(t + _C[i] * h, yi)
+        n_calls += 6
         # the last stage argument is the 5th order solution (FSAL)
         err_vec = h * (_E @ k)
         sc = tol + tol * np.maximum(np.abs(y), np.abs(yi))
@@ -230,8 +234,11 @@ def integrate_adaptive(f, t0, y0, t1, tol, check_defect=False):
             row = (y, ydiff, bspl, ydiff - dt * k[6] - bspl, dt * (_D @ k))
         if accept and check_defect:
             p, dp = _AT_THETA @ np.array(row)
+            # outside errstate, so that f's own warnings still show
+            fp = f(t + _THETA * dt, p)
+            n_calls += 1
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                gap = np.abs(dp / dt - f(t + _THETA * dt, p))
+                gap = np.abs(dp / dt - fp)
                 ratio = np.max(gap / sc) / _DEFECT
                 # the slope error goes like h**4; a nan ratio gets the floor
                 dfactor = float(max(_MIN_FACTOR, _SAFETY * ratio ** -0.25))
@@ -265,4 +272,4 @@ def integrate_adaptive(f, t0, y0, t1, tol, check_defect=False):
             f"step budget exhausted after {_MAX_STEPS} steps at t = {t!r}")
 
     return IntegrationResult(ts, ys, rows, n_accepted, n_rejected, est_error,
-                             n_defect_rejected, max_defect)
+                             n_defect_rejected, max_defect, n_calls)

@@ -33,7 +33,8 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from typing import Callable, NamedTuple
 
@@ -138,6 +139,13 @@ class SingularIVP:
     caches the answer; when the probe fails, ``jet_probe_error`` keeps the
     repr of the error that made it fail.  ``meta`` is free-form (the
     geometry layer stores its reduction data there).
+
+    ``field``, when given, is the whole right-hand side as one float
+    callable ``field(t, y)`` equal to ``m_sing(y)/t + m_reg(t, y)``;
+    :meth:`rhs`, which the integrator, the handoff check and
+    :meth:`Trajectory.residual` call, returns it.  Without it :meth:`rhs`
+    sums the two maps.  The maps themselves still serve the admissibility
+    check and the bootstrap.
     """
 
     m_sing: Callable
@@ -145,9 +153,10 @@ class SingularIVP:
     y0: np.ndarray
     t_end: float
     jet_capable: bool | None = None
-    meta: dict = field(default_factory=dict)
-    k: int = field(init=False)
-    jet_probe_error: str | None = field(default=None, init=False)
+    meta: dict = dataclasses.field(default_factory=dict)
+    field: Callable | None = None
+    k: int = dataclasses.field(init=False)
+    jet_probe_error: str | None = dataclasses.field(default=None, init=False)
 
     def __post_init__(self):
         self.y0 = np.asarray(self.y0, dtype=float).reshape(-1)
@@ -166,6 +175,8 @@ class SingularIVP:
             self.jet_capable = self.jet_probe_error is None
 
     def rhs(self, t: float, y: np.ndarray) -> np.ndarray:
+        if self.field is not None:
+            return self.field(t, y)
         sing = np.asarray(self.m_sing(y), dtype=float).reshape(-1)
         reg = np.asarray(self.m_reg(t, y), dtype=float).reshape(-1)
         return sing / t + reg
@@ -425,7 +436,8 @@ def integrate(p: SingularIVP, t0: float, y_t0,
     """Adaptive integration from ``t0 > 0`` to ``t_end``.
 
     Each step holds its defect at theta* to ``10 tol (1 + max|y|)``, with no
-    step cap; ``max_residual`` is the largest accepted defect.
+    step cap; ``max_residual`` is the largest accepted defect and
+    ``rhs_calls`` the number of :meth:`SingularIVP.rhs` calls made.
     """
     t0 = float(t0)
     if not 0 < t0 < p.t_end:
@@ -437,7 +449,7 @@ def integrate(p: SingularIVP, t0: float, y_t0,
     traj.diagnostics = dict(
         steps_accepted=res.n_accepted, steps_rejected=res.n_rejected,
         steps_defect_rejected=res.n_defect_rejected, est_error=res.est_error,
-        max_residual=res.max_defect)
+        max_residual=res.max_defect, rhs_calls=res.n_calls)
     return traj
 
 
@@ -684,12 +696,19 @@ def reduce_hat(f: Callable, Y0, t_end: float = 1.0) -> SingularIVP:
     -(I + A0)^{-1} a0`` filled in.  Like :func:`initial_derivative`, it
     raises NumericalError when ``I + A0`` is numerically singular.
 
+    The problem's float ``field`` is the whole right-hand side in one
+    piece, ``-fhat(xi, w)/xi = -(w + f(xi, Y0 + xi w)/xi)/xi`` for every
+    ``xi > 0``, so the integrator never reads the split below.  Unlike the
+    split's ``m_reg``, it takes no difference of two nearly equal values
+    near the pole.
+
     ``m_reg(xi, w) = -(fhat(xi, w) - fhat(0, w))/xi`` is evaluated in this
     direct form from ``|xi| >= 1e-2`` on.  Closer to the pole the direct
     form cancels, so ``m_reg`` is summed from the Taylor coefficients of
     ``psi(s) = f(s, Y0 + s w)``: for Taylor-capable maps its own jet
     branch at order 11 (``psi`` to order 12) is summed at ``xi``;
-    black-box maps use central-difference stencils of orders 2 to 4.
+    black-box maps use central-difference stencils of orders 2 to 4, which
+    the black-box bootstrap reads near ``s = 0``.
     """
     Y0 = np.asarray(Y0, dtype=float).reshape(-1)
     k = Y0.size
@@ -745,9 +764,14 @@ def reduce_hat(f: Callable, Y0, t_end: float = 1.0) -> SingularIVP:
         return -_series.eval_truncated(
             [_fd_taylor_coeff(phi, m) for m in (2, 3, 4)], t)
 
+    def field(t, y):
+        y = np.asarray(y, dtype=float).reshape(-1)
+        val = np.asarray(f(t, Y0 + t * y), dtype=float).reshape(-1)
+        return -(y + val / t) / t
+
     meta = {"kind": "hat_reduction", "a0": a0, "A0": A0, "Y0": Y0}
     prob = SingularIVP(m_sing, m_reg, y_hat0, t_end,
-                       jet_capable=jet_capable, meta=meta)
+                       jet_capable=jet_capable, meta=meta, field=field)
     prob.jet_probe_error = probe_error
     return prob
 

@@ -75,6 +75,9 @@ def test_summary_sidecar_and_config_roundtrip(tmp_path):
     assert summary["admissibility"]["verdict"] is True
     assert summary["residual_max"] < 1e-8
     assert summary["diagnostics"]["steps_accepted"] > 0
+    # six stages per step at least, all through the integrator's counter
+    assert (summary["diagnostics"]["rhs_calls"]
+            > 6 * summary["diagnostics"]["steps_accepted"])
 
     # echoed config reproduces the run byte for byte
     cfg2 = write_cfg(tmp_path, "echo.json", summary["config"])

@@ -759,6 +759,12 @@ def test_assembled_maps_match_reference_bytes(name):
                 outcome(ref_sing, fam.dim_p, y)
             assert outcome(prob.m_reg, t, y) == \
                 outcome(ref_reg, fam, t, y), (t, y)
+            # the float field has the bytes of the split form
+            split = outcome(lambda: ref_sing(fam.dim_p, y) / t
+                            + ref_reg(fam, t, y))
+            assert split[0] == "A"
+            assert outcome(prob.field, t, y) == split, (t, y)
+            assert outcome(prob.rhs, t, y) == split, (t, y)
         for order in range(13):
             y = np.array(
                 [Series(rng.normal(size=order + 1 + int(rng.integers(3))))
@@ -782,6 +788,35 @@ def test_near_pole_biharmonic_samples_match_reference_bytes():
         y = rng.normal(size=4)
         assert outcome(prob.m_reg, t, y) == \
             outcome(ref_biharmonic_reg, fam, t, y), (t, y)
+
+
+FIELD_SOLVES = {
+    "sphere": (sphere, None, None),
+    "mixed": (PROBE_FAMILIES["mixed"], None, None),
+    "flat": (flat3, None, None),
+    "block": (PROBE_FAMILIES["block"], None, None),
+    "biharmonic-flat": (flat3, 0.3, None),
+    # an explicit handoff below t_switch integrates on both branches
+    "sphere-near-pole": (sphere, None, 4e-3),
+    "biharmonic-sphere-near-pole": (sphere, 0.3, 4e-3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_SOLVES))
+def test_solve_with_the_field_has_the_bytes_of_the_split_solve(name):
+    make, w, handoff = FIELD_SOLVES[name]
+    fam = make()
+    fused, split = (geometry._assemble(fam, 0.7, w, 1.2) for _ in range(2))
+    split.field = None
+    a, b = (singular.solve(p, tol=1e-10, handoff=handoff)
+            for p in (fused, split))
+    assert a.result.ts.tobytes() == b.result.ts.tobytes()
+    assert a.result.rows.tobytes() == b.result.rows.tobytes()
+    for key, value in b.diagnostics.items():
+        if key != "admissibility":
+            assert outcome(lambda: a.diagnostics[key]) == \
+                outcome(lambda: value), key
+    assert a.diagnostics["rhs_calls"] > 6 * a.diagnostics["steps_accepted"]
 
 
 @pytest.mark.parametrize("name", sorted(PROBE_FAMILIES))

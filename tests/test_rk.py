@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,45 @@ def test_defect_check_bounds_and_reports_the_theta_star_residual():
     worst = max(abs(on.derivative(s)[0] - math.cos(s))
                 for s in (a + rk._THETA * (b - a) for a, b in zip(ts, ts[1:])))
     assert on.max_defect == pytest.approx(worst, rel=1e-3)
+
+
+def counted(f):
+    """``f`` and a list whose length is the number of calls made."""
+    calls = []
+
+    def g(t, y):
+        calls.append(t)
+        return f(t, y)
+
+    return g, calls
+
+
+@pytest.mark.parametrize("check_defect", [False, True])
+def test_n_calls_counts_every_call_of_f(check_defect):
+    f, calls = counted(lambda t, y: np.array([math.cos(t) - y[0]]))
+    res = rk.integrate_adaptive(f, 0.0, np.array([0.0]), 3.0, 1e-10,
+                                check_defect=check_defect)
+    assert res.n_calls == len(calls)
+    # two start calls, six stages per tried step, one defect read per
+    # step that passed the error test
+    reads = res.n_accepted + res.n_defect_rejected if check_defect else 0
+    assert res.n_calls == 2 + 6 * (res.n_accepted + res.n_rejected) + reads
+
+
+def test_defect_check_keeps_the_warnings_of_f():
+    # f warns on every call; the defect read runs f outside np.errstate
+    def noisy(t, y):
+        np.divide(1.0, np.zeros(1))         # divide-by-zero RuntimeWarning
+        return -y
+
+    f, calls = counted(noisy)
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        res = rk.integrate_adaptive(f, 0.0, np.array([1.0]), 2.0, 1e-8,
+                                    check_defect=True)
+    warned = [w for w in seen if issubclass(w.category, RuntimeWarning)]
+    assert len(warned) == len(calls)
+    assert res.n_calls == len(calls)
 
 
 def test_complex_state():

@@ -286,6 +286,25 @@ def test_trajectory_reads_before_the_pole_raise():
             read(t)
 
 
+def test_rhs_calls_counts_the_integrator_calls_of_rhs(monkeypatch):
+    calls = []
+    real_rhs = singular.SingularIVP.rhs
+
+    def rhs(self, t, y):
+        calls.append(t)
+        return real_rhs(self, t, y)
+
+    monkeypatch.setattr(singular.SingularIVP, "rhs", rhs)
+    p = linear_forced(lambda t, y: y * 0.0 + 1.0)
+    traj = singular.integrate(p, 0.05, [0.05 / 3.0], tol=1e-10)
+    assert traj.diagnostics["rhs_calls"] == len(calls) > 0
+    # solve's handoff check reads the residual, one rhs call per try
+    calls.clear()
+    traj = singular.solve(p, tol=1e-10)
+    d = traj.diagnostics
+    assert d["rhs_calls"] == len(calls) - d["handoff_tries"]
+
+
 def test_solve_explicit_handoff_and_bounds():
     p = linear_forced(lambda t, y: y * 0.0 + 1.0)
     traj = singular.solve(p, handoff=0.03)
@@ -739,6 +758,52 @@ def test_reduce_hat_near_pole_jet_remainder():
             want = -t / 6 + t ** 3 / 120 - t ** 5 / 5040 + t * y * y
             assert p.m_reg(t, np.array([y]))[0] == \
                 pytest.approx(want, rel=1e-13, abs=1e-300)
+
+
+def sine_hat_maps():
+    """f = 2Y - sin xi - xi Y^2 as a black box and on jets: a0 = -1, A0 =
+    2, and the hat field is (1 - 3 w)/xi + (sin xi - xi)/xi^2 + xi w^2."""
+    def blackbox(xi, y):
+        x, v = float(xi), float(y[0])
+        return np.array([2.0 * v - math.sin(x) - x * v * v])
+
+    def jets(xi, y):
+        return 2.0 * y - series.sin(xi) - xi * y * y
+
+    return blackbox, jets
+
+
+def sine_hat_field(t, w):
+    # (sin t - t)/t^2 by its series below 1e-2, where the difference cancels
+    reg = (math.sin(t) - t) / (t * t) if t >= 1e-2 else \
+        -t / 6 + t ** 3 / 120 - t ** 5 / 5040 + t ** 7 / 362880
+    return (1.0 - 3.0 * w) / t + reg + t * w * w
+
+
+@pytest.mark.parametrize("which", ["blackbox", "jets"])
+def test_hat_rhs_is_the_closed_form_on_both_sides_of_the_switch(which):
+    # the field is -(w + f(xi, xi w)/xi)/xi at every xi; m_sing/t + m_reg
+    # reads m_reg's black-box stencils below 1e-2, 6e-12 off at 1e-3
+    blackbox, jets = sine_hat_maps()
+    f = blackbox if which == "blackbox" else jets
+    p = singular.reduce_hat(f, [0.0])
+    assert p.jet_capable == (which == "jets")
+    for t in (1e-5, 1e-3, 5e-3, 9.9e-3, 1.01e-2, 0.05, 0.5):
+        for w in (0.0, 0.7, -1.3):
+            assert p.rhs(t, np.array([w]))[0] == \
+                pytest.approx(sine_hat_field(t, w), rel=1e-14), (t, w)
+
+
+def test_blackbox_hat_solve_agrees_with_the_jet_capable_one():
+    blackbox, jets = sine_hat_maps()
+    with pytest.warns(RuntimeWarning, match="order capped at 4"):
+        bb = singular.solve(singular.reduce_hat(blackbox, [0.0]), tol=1e-10)
+    jt = singular.solve(singular.reduce_hat(jets, [0.0]), tol=1e-10)
+    ts = np.linspace(0.02, 1.0, 50)
+    gap = max(abs(bb.value(t)[0] - jt.value(t)[0]) for t in ts)
+    assert gap <= 1e-9
+    for traj in (bb, jt):
+        assert max(traj.residual(t) for t in ts) <= 1e-7
 
 
 def test_reduce_hat_solution_satisfies_original():
