@@ -163,15 +163,9 @@ def _integer(cfg, key, where, default=None):
 
 
 def _tol(cfg, args, where):
-    """``--tol`` when given, else the config key, through the key's check
-    (``_order`` likewise for ``--order``)."""
+    """``--tol`` when given, else the config key, through the key's check."""
     cfg = cfg if args.tol is None else {"tol": args.tol}
     return _number(cfg, "tol", where, default=1e-10, positive=True)
-
-
-def _order(cfg, args, where):
-    cfg = cfg if args.order is None else {"order": args.order}
-    return _integer(cfg, "order", where, default=10)
 
 
 def _numbers(values, key, where) -> np.ndarray:
@@ -249,8 +243,8 @@ def _sample_grid(t_end: float, samples: int) -> np.ndarray:
 
 
 def _solver_options(cfg, args, where):
-    """The solve keywords ``tol`` and ``order``, and ``samples``."""
-    opts = {"tol": _tol(cfg, args, where), "order": _order(cfg, args, where)}
+    """The solve keyword ``tol``, and ``samples``."""
+    opts = {"tol": _tol(cfg, args, where)}
     samples = _integer(cfg, "samples", where, default=33)
     if samples < 1:
         raise ConfigError(f"{where}: 'samples' must be >= 1")
@@ -318,7 +312,7 @@ def _metric_family(cfg, where) -> _geo.MetricFamily:
 
 # -- solve commands ----------------------------------------------------------
 
-_PROFILE_KEYS = {"metric", "v", "t_end", "tol", "order", "samples"}
+_PROFILE_KEYS = {"metric", "v", "t_end", "tol", "samples"}
 
 
 def _cmd_solve_profile(args) -> int:
@@ -374,8 +368,7 @@ def _cmd_solve_profile(args) -> int:
     return EXIT_OK
 
 
-_SINGULAR_KEYS = {"C", "c", "S", "g", "y0", "t_end", "tol", "order",
-                  "samples"}
+_SINGULAR_KEYS = {"C", "c", "S", "g", "y0", "t_end", "tol", "samples"}
 
 
 def _affine_problem(cfg, where):
@@ -466,7 +459,7 @@ def _cmd_fundamental(args) -> int:
 # -- check -------------------------------------------------------------------
 
 _CHECK_METRIC_KEYS = {"metric"}
-_CHECK_SINGULAR_KEYS = {"C", "c", "S", "g", "y0", "t_end", "order"}
+_CHECK_SINGULAR_KEYS = {"C", "c", "S", "g", "y0", "t_end"}
 
 
 def _check_metric(cfg, args) -> int:
@@ -494,8 +487,8 @@ def _check_metric(cfg, args) -> int:
 def _check_singular(cfg, args) -> int:
     _check_keys(cfg, _CHECK_SINGULAR_KEYS, {"C", "y0", "t_end"}, "check")
     prob, _ = _affine_problem(cfg, "check")
-    order = _order(cfg, args, "check")
-    rep = _singular.check_admissibility(prob, order)
+    # the order solve-singular scans at, so the two agree on admission
+    rep = _singular.check_admissibility(prob, _singular._solve_order(prob))
     out = {"kind": "singular"}
     out.update(_admissibility_dict(rep))
     out["jacobian"] = rep.jacobian
@@ -523,7 +516,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # each subcommand offers the overrides it reads
     tol = ("--tol", float, "override the config tolerance")
-    order = ("--order", int, "override the series bootstrap order")
 
     def add(name, fn, helptext, *overrides):
         p = sub.add_parser(name, help=helptext)
@@ -539,18 +531,17 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     add("solve-harmonic", _cmd_solve_profile,
-        "profile of an equivariant harmonic map (CSV)", tol, order)
+        "profile of an equivariant harmonic map (CSV)", tol)
     add("solve-biharmonic", _cmd_solve_profile,
-        "coupled profile/tension system (CSV)", tol, order)
+        "coupled profile/tension system (CSV)", tol)
     add("solve-singular", _cmd_solve_singular,
-        "affine problem with a simple pole at t=0 (CSV)", tol, order)
+        "affine problem with a simple pole at t=0 (CSV)", tol)
     add("monodromy", _cmd_monodromy,
         "monodromy matrix of a linear system (JSON)", tol)
     add("fundamental", _cmd_fundamental,
         "fundamental solution on the log cover (JSON)", tol)
     add("check", _cmd_check,
-        "validation report for a metric family or singular problem (JSON)",
-        order)
+        "validation report for a metric family or singular problem (JSON)")
     return ap
 
 

@@ -629,20 +629,25 @@ class BiharmonicSolution(HarmonicSolution):
 
 
 def _solve(fam: MetricFamily, v: float, w: float | None, t_end: float,
-           tol: float, order: int) -> HarmonicSolution:
-    traj = _solve_singular(_assemble(fam, v, w, t_end), tol=tol, order=order)
+           tol: float) -> HarmonicSolution:
+    traj = _solve_singular(_assemble(fam, v, w, t_end), tol=tol)
     return (HarmonicSolution if w is None else BiharmonicSolution)(fam, traj)
 
 
 def solve_harmonic(fam: MetricFamily, v: float, t_end: float, *,
-                   tol: float = 1e-10, order: int = 10) -> HarmonicSolution:
-    return _solve(fam, v, None, t_end, tol, order)
+                   tol: float = 1e-10) -> HarmonicSolution:
+    """The profile with ``r'(0) = v`` on ``(0, t_end]``: the reduction of
+    :func:`assemble_harmonic` solved by :func:`regsing.singular.solve`."""
+    return _solve(fam, v, None, t_end, tol)
 
 
 def solve_biharmonic(fam: MetricFamily, v: float, w: float, t_end: float, *,
-                     tol: float = 1e-10, order: int = 10
-                     ) -> BiharmonicSolution:
-    return _solve(fam, v, w, t_end, tol, order)
+                     tol: float = 1e-10) -> BiharmonicSolution:
+    """The profile and tension with ``r'(0) = v``, ``F'(0) = w`` on ``(0,
+    t_end]``: the system of :func:`assemble_biharmonic` solved by
+    :func:`regsing.singular.solve`."""
+    return _solve(fam, v, w, t_end, tol)
+
 
 # -- residual measurements -----------------------------------------------------
 

@@ -19,7 +19,7 @@ User-supplied maps are plain callables on numpy vectors.  If they also
 accept vectors of :class:`~regsing.series.Series` (use the elementary
 functions from :mod:`regsing.series` instead of ``math``), the bootstrap
 and Jacobians are computed exactly in Taylor mode at any order; otherwise
-finite differences are used and the bootstrap order is capped at 4.
+finite differences are used and :func:`solve` bootstraps at order 4.
 
 The module also ships the first-order reduction toolkit for systems
 written as ``0 = dY/dxi + (1/xi) f(xi, Y)``: the continuation limit check,
@@ -286,11 +286,6 @@ def _fd_taylor_coeff(phi, order: int) -> np.ndarray:
     return acc / (h ** order * math.factorial(order))
 
 
-def _check_order(order: int):
-    if not 1 <= order <= MAX_ORDER:
-        raise ValidationError(f"order must be in 1..{MAX_ORDER}, got {order}")
-
-
 def bootstrap_series(p: SingularIVP, order: int = DEFAULT_ORDER
                      ) -> np.ndarray:
     """Taylor coefficients ``y_0 .. y_order`` of the solution at 0.
@@ -301,7 +296,8 @@ def bootstrap_series(p: SingularIVP, order: int = DEFAULT_ORDER
     coefficients through both maps (series composition in Taylor mode,
     finite differences for black-box maps).
     """
-    _check_order(order)
+    if not 1 <= order <= MAX_ORDER:
+        raise ValidationError(f"order must be in 1..{MAX_ORDER}, got {order}")
     if not p.jet_capable and order > BLACKBOX_MAX_ORDER:
         raise ValidationError(
             f"black-box maps support bootstrap order <= {BLACKBOX_MAX_ORDER}")
@@ -453,15 +449,20 @@ def integrate(p: SingularIVP, t0: float, y_t0,
     return traj
 
 
-def solve(p: SingularIVP, *, tol: float = 1e-10, order: int = DEFAULT_ORDER,
-          handoff: float | None = None) -> Trajectory:
+def _solve_order(p: SingularIVP) -> int:
+    """The series order :func:`solve` bootstraps ``p`` at."""
+    return DEFAULT_ORDER if p.jet_capable else BLACKBOX_MAX_ORDER
+
+
+def solve(p: SingularIVP, *, tol: float = 1e-10) -> Trajectory:
     """Admissibility check, series bootstrap, handoff, then integration.
 
-    :func:`choose_handoff`'s candidate shrinks by 0.8 until the series
-    residual ``r = y' - rhs`` meets ``t0 |r| <= (K + 1) tol (1 + |y|)`` (max
-    norms, order ``K``).  ``handoff_residual`` is the last ``|r|`` and
-    ``handoff_tries`` the number of checks, 0 for an explicit ``handoff``
-    (used as given).
+    The series order ``K`` is ``DEFAULT_ORDER``, or ``BLACKBOX_MAX_ORDER``
+    for black-box maps.  :func:`choose_handoff`'s candidate shrinks by 0.8
+    until the series residual ``r = y' - rhs`` meets ``t0 |r| <= (K + 1) tol
+    (1 + |y|)`` (max norms).  ``handoff_residual`` is the last ``|r|``,
+    ``handoff_tries`` the number of checks and ``series_order`` is ``K``.
+    :func:`integrate` starts the integrator at any other time.
 
     Raises
     ------
@@ -469,15 +470,10 @@ def solve(p: SingularIVP, *, tol: float = 1e-10, order: int = DEFAULT_ORDER,
         If either entry condition fails; the report rides on the
         exception.
     """
-    if not p.jet_capable and order > BLACKBOX_MAX_ORDER:
-        warnings.warn(
-            f"black-box maps: bootstrap order capped at {BLACKBOX_MAX_ORDER}",
-            RuntimeWarning, stacklevel=2)
-        order = BLACKBOX_MAX_ORDER
-    _check_order(order)     # before the admissibility scan over 1..order
-    if handoff is None and not p.t_end > 2.0 * T_FLOOR:
+    if not p.t_end > 2.0 * T_FLOOR:
         raise ValidationError(f"t_end = {p.t_end} leaves no handoff above "
                               f"T_FLOOR = {T_FLOOR}")
+    order = _solve_order(p)
     report = check_admissibility(p, order)
     if not report.verdict:
         raise AdmissibilityError(
@@ -485,15 +481,12 @@ def solve(p: SingularIVP, *, tol: float = 1e-10, order: int = DEFAULT_ORDER,
             f"{report.residual_norm:.3e}, offending indices "
             f"{report.offending_h}", report)
     coeffs = bootstrap_series(p, order)
-    t0 = (choose_handoff(coeffs, tol, p.t_end)[0] if handoff is None
-          else float(handoff))
-    if not 0 < t0 < p.t_end:
-        raise ValidationError(f"handoff {t0} outside (0, {p.t_end})")
+    t0 = choose_handoff(coeffs, tol, p.t_end)[0]
     # the integrator's residual cannot see an error in its initial state;
     # reads at or below the handoff never touch the missing RK result
-    series, tries = Trajectory(p, coeffs, t0, None, tol), int(handoff is None)
+    series, tries = Trajectory(p, coeffs, t0, None, tol), 1
     y_t0, r = series.value(t0), series.residual(t0)
-    while handoff is None and not t0 * r <= (order + 1) * tol * (
+    while not t0 * r <= (order + 1) * tol * (
             1.0 + np.linalg.norm(y_t0, np.inf)):
         t0 = series.handoff = 0.8 * t0
         if t0 < T_FLOOR:

@@ -391,18 +391,23 @@ def test_sweep_rejects_empty_and_non_finite_ranges(tmp_path, capsys, v):
 
 @pytest.mark.parametrize("command, flag", [("monodromy", "--order"),
                                            ("fundamental", "--order"),
-                                           ("check", "--tol")])
+                                           ("check", "--tol"),
+                                           # the solver picks the order
+                                           ("solve-harmonic", "--order"),
+                                           ("solve-biharmonic", "--order"),
+                                           ("solve-singular", "--order"),
+                                           ("check", "--order")])
 def test_flags_a_command_does_not_read_are_usage_errors(tmp_path, command,
                                                         flag):
     cfg = write_cfg(tmp_path, "c.json", {"metric": SPHERE})
     with pytest.raises(SystemExit) as ei:
         cli.run([command, "--config", cfg, flag, "5", "--quiet"])
     assert ei.value.code == 2
-    # the flag each command reads is still offered
-    kept = "--order" if flag == "--tol" else "--tol"
-    args = cli._build_parser().parse_args(
-        [command, "--config", cfg, kept, "5", "--quiet"])
-    assert getattr(args, kept[2:]) == 5
+    # the flag a command reads is still offered; check reads none
+    if command != "check":
+        args = cli._build_parser().parse_args(
+            [command, "--config", cfg, "--tol", "5", "--quiet"])
+        assert args.tol == 5
 
 
 # -- bad numbers end in a config error (exit 3) before any solve --------------
@@ -427,7 +432,6 @@ def no_solve(monkeypatch):
     ("solve-singular", AFFINE, ["--tol=-1e-8"]),     # was a TypeError
     ("solve-singular", AFFINE, ["--tol", "nan"]),    # was exit 4
     ("solve-singular", AFFINE, ["--tol", "inf"]),
-    ("solve-singular", AFFINE, ["--order", str(HUGE)]),
     ("monodromy", MONODROMY, ["--tol", "0"]),
     ("fundamental", {"A": [["0"]], "rho": 1.0, "z0": [1.0, 0.0],
                      "z1": [2.0, 0.0]}, ["--tol", "nan"]),
@@ -452,7 +456,6 @@ def no_solve(monkeypatch):
     "tol-flag-negative",
     "tol-flag-nan",
     "tol-flag-inf",
-    "order-flag-huge",
     "monodromy-tol-flag-zero",
     "fundamental-tol-flag-nan",
     "tol-nan",
@@ -517,12 +520,44 @@ def test_a_flag_replaces_its_config_key_before_the_check(tmp_path):
 
 
 def test_an_order_out_of_range_is_rejected_before_the_pole_scan(
-        tmp_path, no_solve):
+        tmp_path, capsys, no_solve):
     # the admissibility scan runs over h = 1..order; an order of 10^9 made
-    # the solve commands spin there before the bootstrap rejected it
+    # the solve commands spin there before the bootstrap rejected it.  The
+    # solver picks the order itself now, so neither a flag nor a key takes
+    # one
     path = write_cfg(tmp_path, "o.json", AFFINE)
-    assert cli.run(["solve-singular", "--config", path, "--quiet",
-                    "--order", str(10 ** 9)]) == 2
+    with pytest.raises(SystemExit) as ei:
+        cli.run(["solve-singular", "--config", path, "--quiet",
+                 "--order", str(10 ** 9)])
+    assert ei.value.code == 2
+    path = write_cfg(tmp_path, "k.json", {**AFFINE, "order": 10 ** 9})
+    assert cli.run(["solve-singular", "--config", path, "--quiet"]) == 3
+    assert "unknown keys ['order']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("solve-harmonic", {"metric": FLAT, "v": 1.0, "t_end": 1.0}),
+    ("solve-biharmonic", {"metric": FLAT, "v": 1.0, "w": 1.0, "t_end": 1.0}),
+    ("solve-singular", AFFINE),
+    ("check", AFFINE),
+])
+def test_an_order_key_is_an_unknown_key(tmp_path, capsys, no_solve, command,
+                                        cfg):
+    path = write_cfg(tmp_path, "c.json", {**cfg, "order": 10})
+    assert cli.run([command, "--config", path, "--quiet"]) == 3
+    assert "unknown keys ['order']" in capsys.readouterr().err
+
+
+def test_check_and_solve_singular_agree_on_admission(tmp_path):
+    # check scans at the order solve-singular bootstraps at
+    accepted = json.loads((CONFIGS / "affine_singular.json").read_text())
+    del accepted["samples"]     # a key check does not take
+    for path, rc in ((str(CONFIGS / "check_rejected.json"), 2),
+                     (write_cfg(tmp_path, "a.json", accepted), 0)):
+        for command in ("check", "solve-singular"):
+            out = str(tmp_path / f"{command}.out")
+            assert cli.run([command, "--config", path, "--out", out,
+                            "--quiet"]) == rc, (path, command)
 
 
 # -- one exit code per malformed config, on paths no other test reaches -------
@@ -691,10 +726,17 @@ def test_singular_sidecar_counts_the_handoff_checks(tmp_path, capsys):
 
 @pytest.mark.parametrize("order", ["0", "-3"])
 def test_check_rejects_an_order_below_one(tmp_path, capsys, order):
-    # resonant at h = 3: an order that scans no h used to read verdict true
-    path = write_cfg(tmp_path, "c.json", {**AFFINE, "C": [[3.0]]})
-    assert cli.run(["check", "--config", path, "--order", order]) == 2
-    assert "order must be >= 1" in capsys.readouterr().err
+    # resonant at h = 3: an order that scans no h used to read verdict
+    # true; check scans at the solver's own order and takes none
+    resonant = write_cfg(tmp_path, "c.json", {**AFFINE, "C": [[3.0]]})
+    with pytest.raises(SystemExit) as ei:
+        cli.run(["check", "--config", resonant, "--order", order])
+    assert ei.value.code == 2
+    path = write_cfg(tmp_path, "k.json",
+                     {**AFFINE, "C": [[3.0]], "order": int(order)})
+    assert cli.run(["check", "--config", path]) == 3
+    assert "unknown keys ['order']" in capsys.readouterr().err
+    assert cli.run(["check", "--config", resonant]) == 2
 
 
 @pytest.mark.parametrize("metric, was", [

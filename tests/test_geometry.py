@@ -796,19 +796,20 @@ FIELD_SOLVES = {
     "flat": (flat3, None, None),
     "block": (PROBE_FAMILIES["block"], None, None),
     "biharmonic-flat": (flat3, 0.3, None),
-    # an explicit handoff below t_switch integrates on both branches
+    # a start below t_switch integrates on both branches
     "sphere-near-pole": (sphere, None, 4e-3),
     "biharmonic-sphere-near-pole": (sphere, 0.3, 4e-3),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FIELD_SOLVES))
-def test_solve_with_the_field_has_the_bytes_of_the_split_solve(name):
-    make, w, handoff = FIELD_SOLVES[name]
+def test_solve_with_the_field_has_the_bytes_of_the_split_solve(name,
+                                                              start_at):
+    make, w, t0 = FIELD_SOLVES[name]
     fam = make()
     fused, split = (geometry._assemble(fam, 0.7, w, 1.2) for _ in range(2))
     split.field = None
-    a, b = (singular.solve(p, tol=1e-10, handoff=handoff)
+    a, b = (singular.solve(p, tol=1e-10) if t0 is None else start_at(p, t0)
             for p in (fused, split))
     assert a.result.ts.tobytes() == b.result.ts.tobytes()
     assert a.result.rows.tobytes() == b.result.rows.tobytes()

@@ -53,7 +53,8 @@ def test_failed_jet_probe_is_reported_by_solve():
     p = linear_forced(lambda t, y: np.array([math.sin(t)]))
     assert not p.jet_capable
     assert p.jet_probe_error.startswith("TypeError(")
-    with pytest.warns(RuntimeWarning, match="capped"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         traj = singular.solve(p, tol=1e-10)
     assert traj.diagnostics["jet_probe_error"] == p.jet_probe_error
     assert traj.diagnostics["series_order"] == singular.BLACKBOX_MAX_ORDER
@@ -305,13 +306,14 @@ def test_rhs_calls_counts_the_integrator_calls_of_rhs(monkeypatch):
     assert d["rhs_calls"] == len(calls) - d["handoff_tries"]
 
 
-def test_solve_explicit_handoff_and_bounds():
+def test_solve_explicit_handoff_and_bounds(start_at):
+    # solve takes no handoff; the primitives start anywhere in (0, t_end)
     p = linear_forced(lambda t, y: y * 0.0 + 1.0)
-    traj = singular.solve(p, handoff=0.03)
-    assert traj.diagnostics["handoff"] == pytest.approx(0.03)
+    traj = start_at(p, 0.03)
+    assert traj.handoff == pytest.approx(0.03)
     assert traj.value(1.0)[0] == pytest.approx(1.0 / 3.0, abs=1e-9)
     with pytest.raises(ValidationError):
-        singular.solve(p, handoff=5.0)
+        start_at(p, 5.0)
 
 
 def test_solve_blackbox_order_clamp():
@@ -323,11 +325,25 @@ def test_solve_blackbox_order_clamp():
 
     p = singular.SingularIVP(m_sing, m_reg, np.array([0.0]), 1.0,
                              jet_capable=False)
-    with pytest.warns(RuntimeWarning, match="capped"):
-        traj = singular.solve(p, order=10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = singular.solve(p)
     assert traj.diagnostics["series_order"] == 4
     # y' = -2y/t + 1 + t -> y = t/3 + t^2/4
     assert traj.value(0.8)[0] == pytest.approx(0.8 / 3 + 0.16, abs=1e-7)
+
+
+def test_a_default_blackbox_solve_warns_nothing():
+    # black-box maps bootstrap at order 4; solve used to warn "order capped
+    # at 4" about an order the caller never set
+    p = singular.SingularIVP(lambda y: -2.0 * y,
+                             lambda t, y: np.array([math.cos(t)]),
+                             np.array([0.0]), 1.0)
+    assert not p.jet_capable
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = singular.solve(p)
+    assert traj.diagnostics["series_order"] == 4
 
 
 def test_affine_maps_shapes_and_endpoint():
@@ -477,24 +493,27 @@ def test_integrate_reads_the_residual_only_inside_the_step_loop(
     assert traj.diagnostics["steps_accepted"] > 0
 
 
-def test_handoff_residual_reads_the_series_at_the_handoff():
-    # an explicit handoff is not checked: the order-9 series of y' = -y/t
-    # + sinh t at t = 1 has a state error of ~2.5e-7, which the
-    # integrator's residual cannot see
+def test_handoff_residual_reads_the_series_at_the_handoff(start_at):
+    # an unchecked start: the order-9 series of y' = -y/t + sinh t at t = 1
+    # has a state error of ~2.5e-7, which the integrator's residual cannot
+    # see, and the series residual there can
     aff = singular.AffineSingularMaps([[-1.0]], g=["sinh(t)"])
-    p = aff.problem([0.0], 2.0)
-    traj = singular.solve(p, tol=1e-10, order=9, handoff=1.0)
+    traj = start_at(aff.problem([0.0], 2.0), 1.0, order=9)
+    assert traj.diagnostics["max_residual"] <= 100 * 1e-10
+    assert traj.residual(1.0) > 1e4 * 1e-10
+    # solve's handoff_residual is that series residual at the handoff it
+    # chose, here after more than one candidate
+    p = _parity_fault()
+    traj = singular.solve(p, tol=1e-10)
     d = traj.diagnostics
     t0 = d["handoff"]
-    assert t0 == 1.0
+    assert d["handoff_tries"] > 1
     c = traj.coeffs
     powers = np.arange(c.shape[0])
     dy = (powers[1:, None] * c[1:] * t0 ** (powers[1:, None] - 1)).sum(0)
     y = (c * t0 ** powers[:, None]).sum(0)
     assert d["handoff_residual"] == pytest.approx(
         float(np.max(np.abs(dy - p.rhs(t0, y)))), rel=1e-9)
-    assert d["max_residual"] <= 100 * 1e-10
-    assert d["handoff_residual"] > 1e4 * 1e-10
     # a handoff chosen where the series holds reads far below tol
     for row in ("sphere", "affine", "flat3"):
         d = singular.solve(_ROWS[row](), tol=1e-10).diagnostics
@@ -512,7 +531,7 @@ def _parity_fault():
 def test_handoff_check_catches_a_series_whose_last_coefficient_is_zero(tol):
     # planted fault: the tail estimate alone hands off at the cap, 0.1,
     # with a state error of 2.5e-9 at every tol
-    traj = singular.solve(_parity_fault(), tol=tol, order=10)
+    traj = singular.solve(_parity_fault(), tol=tol)
     t0 = traj.diagnostics["handoff"]
     assert t0 < 0.1
     exact = math.sinh(10.0 * t0) / 10.0
@@ -523,13 +542,11 @@ def test_handoff_check_catches_a_series_whose_last_coefficient_is_zero(tol):
 
 
 def test_handoff_tries_counts_the_candidates_the_check_read():
-    assert singular.solve(_parity_fault(), tol=1e-10,
-                          order=10).diagnostics["handoff_tries"] > 1
+    assert singular.solve(_parity_fault(),
+                          tol=1e-10).diagnostics["handoff_tries"] > 1
     for row in sorted(_ROWS):
         d = singular.solve(_ROWS[row](), tol=1e-10).diagnostics
         assert d["handoff_tries"] == 1, row
-    d = singular.solve(_parity_fault(), handoff=0.1).diagnostics
-    assert d["handoff_tries"] == 0 and d["handoff"] == 0.1
 
 
 def test_a_t_end_below_twice_the_floor_is_blamed_on_t_end():
@@ -796,8 +813,10 @@ def test_hat_rhs_is_the_closed_form_on_both_sides_of_the_switch(which):
 
 def test_blackbox_hat_solve_agrees_with_the_jet_capable_one():
     blackbox, jets = sine_hat_maps()
-    with pytest.warns(RuntimeWarning, match="order capped at 4"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         bb = singular.solve(singular.reduce_hat(blackbox, [0.0]), tol=1e-10)
+    assert bb.diagnostics["series_order"] == 4
     jt = singular.solve(singular.reduce_hat(jets, [0.0]), tol=1e-10)
     ts = np.linspace(0.02, 1.0, 50)
     gap = max(abs(bb.value(t)[0] - jt.value(t)[0]) for t in ts)
