@@ -487,7 +487,8 @@ def _check_metric(cfg, args) -> int:
 def _check_singular(cfg, args) -> int:
     _check_keys(cfg, _CHECK_SINGULAR_KEYS, {"C", "y0", "t_end"}, "check")
     prob, _ = _affine_problem(cfg, "check")
-    # the order solve-singular scans at, so the two agree on admission
+    # the order solve-singular bootstraps at first; admission scans every
+    # index whatever the order, so the two commands agree on it
     rep = _singular.check_admissibility(prob, _singular._solve_order(prob))
     out = {"kind": "singular"}
     out.update(_admissibility_dict(rep))

@@ -15,6 +15,10 @@ can be sampled and differentiated anywhere inside the integrated span.
 With ``check_defect`` a step must also hold its defect at theta* = (3 -
 sqrt 3)/6, where the interpolant's slope error th (1 - th) (1 - 2 th) peaks,
 to ``D*tol*(1 + max|y|)``, ``D`` = 10, at one more ``f`` call; no step cap.
+The stages run on the stored width ``t1 - t0``, and the rows hold the
+stage increment ``h sum(b_i k_i)`` rather than ``y1 - y0``, so the
+interpolant's slope, which the check and ``derivative`` read, carries no
+rounding of size ``eps |y| / h`` that a short step could not meet.
 """
 
 from __future__ import annotations
@@ -202,15 +206,16 @@ def integrate_adaptive(f, t0, y0, t1, tol, check_defect=False):
         if t >= t1:
             break
         is_last = h >= t1 - t
-        if is_last:
-            h = t1 - t
+        t_next = t1 if is_last else t + h
+        h = t_next - t      # the width the rows are read over
         if not h >= 1e-14 * max(abs(t), 1.0):     # a nan h fails here too
             raise NumericalError(
                 f"step size underflow at t = {t!r} (h = {h!r}); "
                 "problem may be stiff or blowing up")
 
         for i in range(1, 7):
-            yi = y + h * (_A[i] @ k[:i])
+            dy = h * (_A[i] @ k[:i])
+            yi = y + dy
             k[i] = f(t + _C[i] * h, yi)
         n_calls += 6
         # the last stage argument is the 5th order solution (FSAL)
@@ -227,18 +232,16 @@ def integrate_adaptive(f, t0, y0, t1, tol, check_defect=False):
 
         accept = err <= 1.0
         if accept:
-            t_next = t1 if is_last else t + h
-            dt = t_next - t     # the stored width; may differ from h by 1 ulp
-            ydiff = yi - y
-            bspl = dt * k[0] - ydiff
-            row = (y, ydiff, bspl, ydiff - dt * k[6] - bspl, dt * (_D @ k))
+            # dy, not yi - y: the slope would carry rounding of eps |y| / h
+            bspl = h * k[0] - dy
+            row = (y, dy, bspl, dy - h * k[6] - bspl, h * (_D @ k))
         if accept and check_defect:
             p, dp = _AT_THETA @ np.array(row)
             # outside errstate, so that f's own warnings still show
-            fp = f(t + _THETA * dt, p)
+            fp = f(t + _THETA * h, p)
             n_calls += 1
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                gap = np.abs(dp / dt - fp)
+                gap = np.abs(dp / h - fp)
                 ratio = np.max(gap / sc) / _DEFECT
                 # the slope error goes like h**4; a nan ratio gets the floor
                 dfactor = float(max(_MIN_FACTOR, _SAFETY * ratio ** -0.25))

@@ -9,11 +9,11 @@ for every positive integer ``h``, where ``J`` is the Jacobian of
 
 Solving proceeds in two phases.  A series bootstrap turns the ODE into a
 triangular linear recursion for Taylor coefficients ``y_h`` at 0; from a
-handoff ``t0 <= min(0.1, t_end / 2)`` where the series is checked to hold
-the ODE, an adaptive Runge-Kutta integrator carries the solution to
-``t_end``.  Every sum of those coefficients (the series part of a
-trajectory, its derivative, the handoff state) and of the other series
-here is :func:`regsing.series.eval_truncated`, which returns the value.
+handoff ``t0 <= t_end / 2`` where the series is checked to hold the ODE,
+an adaptive Runge-Kutta integrator carries the solution to ``t_end``.
+Every sum of those coefficients (the series part of a trajectory, its
+derivative, the handoff state) and of the other series here is
+:func:`regsing.series.eval_truncated`, which returns the value.
 
 User-supplied maps are plain callables on numpy vectors.  If they also
 accept vectors of :class:`~regsing.series.Series` (use the elementary
@@ -57,7 +57,7 @@ __all__ = [
 EPS_ADMISSIBLE = 1e-10
 EPS_INVERTIBLE = 1e-8
 T_FLOOR = 1e-8
-_HANDOFF_CAP = 0.1
+MAX_SCAN = 10_000       # the most indices h check_admissibility takes an SVD at
 DEFAULT_ORDER = 10
 MAX_ORDER = 30
 BLACKBOX_MAX_ORDER = 4
@@ -218,11 +218,11 @@ def _jacobian(fn, y0: np.ndarray, jet_capable: bool) -> np.ndarray:
 class AdmissibilityReport:
     """Outcome of the two entry conditions at the pole.
 
-    ``verdict`` is True iff ``residual_norm < 1e-10`` and no ``h`` in
-    ``1..order`` makes ``h I - J`` numerically singular.  Indices beyond
-    ``order`` cannot influence a bootstrap of that order;
-    ``tail_certified`` records whether ``|J| < order`` rules them out
-    globally as well.
+    ``verdict`` is True iff ``residual_norm < 1e-10`` and no positive
+    integer ``h`` makes ``h I - J`` numerically singular; ``offending_h``
+    lists every ``h`` that does, whatever the order.  ``order`` is the
+    bootstrap order the check was made for, and ``tail_certified`` records
+    whether ``|J|_2 < order`` alone rules out every ``h`` above it.
     """
 
     residual_norm: float
@@ -239,10 +239,14 @@ def check_admissibility(p: SingularIVP, order: int = DEFAULT_ORDER
     reported, not raised.
 
     Raises ValidationError for ``order < 1`` and NumericalError when the
-    Jacobian at ``y0`` is not finite.  The scan over ``h`` stops where
-    ``sigma_min(h I - J) >= h - |J|_2`` clears the singularity threshold
-    twice over, since no larger ``h`` can then be offending; the margin
-    covers the rounding of the computed singular values.
+    Jacobian at ``y0`` is not finite, or, before any SVD runs, when
+    ``mu(J)`` would take the scan past ``MAX_SCAN`` indices.  The scan runs
+    over ``h = 1, 2, ...`` and stops where ``sigma_min(h I - J) >= h -
+    mu(J)`` clears the singularity threshold twice over, since no larger
+    ``h`` can then be offending; ``mu(J)``, the largest eigenvalue of ``(J
+    + J^T)/2``, is at most ``|J|_2``, and the margin covers the rounding of
+    the computed singular values.  So the scan does not depend on
+    ``order``, and it takes one SVD per ``h`` up to ``mu(J)``.
     """
     if order < 1:
         raise ValidationError(f"order must be >= 1, got {order}")
@@ -252,10 +256,19 @@ def check_admissibility(p: SingularIVP, order: int = DEFAULT_ORDER
     if not np.isfinite(J).all():
         raise NumericalError("Jacobian of m_sing at y0 is not finite")
     normJ = float(np.linalg.norm(J, 2))
+    mu = float(np.linalg.eigvalsh(0.5 * (J + J.T))[-1])
+
+    def clears(h):
+        return h - mu > 2.0 * EPS_INVERTIBLE * (h + normJ)
+
+    if not clears(MAX_SCAN + 1):
+        raise NumericalError(
+            f"mu(J) = {mu:.3e}: the scan for offending indices would take "
+            f"one SVD per h up to it, past MAX_SCAN = {MAX_SCAN}")
     eye = np.eye(p.k)
     offending = []
-    for h in range(1, order + 1):
-        if h - normJ > 2.0 * EPS_INVERTIBLE * (h + normJ):
+    for h in range(1, MAX_SCAN + 1):
+        if clears(h):
             break
         smin = float(np.linalg.svd(h * eye - J, compute_uv=False)[-1])
         if smin < EPS_INVERTIBLE * (h + normJ):
@@ -301,13 +314,27 @@ def bootstrap_series(p: SingularIVP, order: int = DEFAULT_ORDER
     if not p.jet_capable and order > BLACKBOX_MAX_ORDER:
         raise ValidationError(
             f"black-box maps support bootstrap order <= {BLACKBOX_MAX_ORDER}")
-    k = p.k
-    J = _jacobian(p.m_sing, p.y0, p.jet_capable)
-    eye = np.eye(k)
-    coeffs = np.zeros((order + 1, k))
+    coeffs = np.zeros((order + 1, p.k))
     coeffs[0] = p.y0
+    _bootstrap_stages(p, _jacobian(p.m_sing, p.y0, p.jet_capable), coeffs, 1)
+    tail = float(np.linalg.norm(coeffs[order], np.inf))
+    if tail > 0 and tail ** (1.0 / order) > 1.0 / T_FLOOR:
+        warnings.warn(
+            "bootstrap coefficients grow so fast that the series radius "
+            f"appears below {T_FLOOR}; results are unreliable",
+            RuntimeWarning, stacklevel=2)
+    return coeffs
 
-    for h in range(1, order + 1):
+
+def _bootstrap_stages(p: SingularIVP, J: np.ndarray, coeffs: np.ndarray,
+                      start: int) -> None:
+    """Fill rows ``start..K`` of the ``(K+1, k)`` array ``coeffs`` in place.
+
+    Stage ``h`` reads only the rows below ``h``, so a series continued from
+    order ``start - 1`` has the bytes of a direct bootstrap at ``K``.
+    """
+    eye = np.eye(p.k)
+    for h in range(start, coeffs.shape[0]):
         if p.jet_capable:
             # [t^h] of m_sing along the partial sum (top coefficient zero)
             yj = _poly_jets(coeffs[:h], h)
@@ -331,35 +358,29 @@ def bootstrap_series(p: SingularIVP, order: int = DEFAULT_ORDER
             ) from exc
         coeffs[h] = yh
 
-    tail = float(np.linalg.norm(coeffs[order], np.inf))
-    if tail > 0 and tail ** (1.0 / order) > 1.0 / T_FLOOR:
-        warnings.warn(
-            "bootstrap coefficients grow so fast that the series radius "
-            f"appears below {T_FLOOR}; results are unreliable",
-            RuntimeWarning, stacklevel=2)
-    return coeffs
+
+def _tail_handoff(coeffs: np.ndarray, tol: float, cap: float) -> float:
+    """``t0`` with ``|y_K| t0^K = tol`` (max norm), at most ``cap``."""
+    order = coeffs.shape[0] - 1
+    top = float(np.linalg.norm(coeffs[order], np.inf))
+    return cap if top == 0.0 else min(cap, (tol / top) ** (1.0 / order))
 
 
 def choose_handoff(coeffs: np.ndarray, tol: float, t_end: float):
     """Candidate switch time ``|y_K| t0^K < tol`` (max norm), capped at
-    ``min(0.1, t_end / 2)``, and the series state there; :func:`solve`
-    checks it, since the last coefficient alone can miss the tail.
+    ``t_end / 2``, and the series state there; :func:`solve` checks it,
+    since the last coefficient alone can miss the tail.
     """
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be finite and positive, got {tol}")
     coeffs = np.asarray(coeffs, dtype=float)
-    order = coeffs.shape[0] - 1
-    cap = min(_HANDOFF_CAP, float(t_end) / 2.0)
-    top = float(np.linalg.norm(coeffs[order], np.inf))
-    if top == 0.0:
-        t0 = cap
-    else:
-        t0 = min(cap, (tol / top) ** (1.0 / order))
+    t0 = _tail_handoff(coeffs, tol, float(t_end) / 2.0)
     if t0 < T_FLOOR:
+        order = coeffs.shape[0] - 1
         raise NumericalError(
             f"no admissible handoff above {T_FLOOR}: series tail "
-            f"|y_{order}| = {top:.3e}, tol = {tol:.1e}, t_end = {t_end}; "
-            "raise the series order")
+            f"|y_{order}| = {np.linalg.norm(coeffs[order], np.inf):.3e}, "
+            f"tol = {tol:.1e}, t_end = {t_end}; raise the series order")
     return t0, _series.eval_truncated(coeffs, t0)
 
 
@@ -450,38 +471,76 @@ def integrate(p: SingularIVP, t0: float, y_t0,
 
 
 def _solve_order(p: SingularIVP) -> int:
-    """The series order :func:`solve` bootstraps ``p`` at."""
+    """The series order :func:`solve` bootstraps ``p`` at first."""
     return DEFAULT_ORDER if p.jet_capable else BLACKBOX_MAX_ORDER
+
+
+def _continued(p: SingularIVP, J: np.ndarray, coeffs: np.ndarray,
+               order: int) -> np.ndarray:
+    """The series ``coeffs`` continued to ``order`` by the bootstrap's own
+    stages; ``J`` is the Jacobian of ``m_sing`` at ``y0``."""
+    out = np.zeros((order + 1, p.k))
+    out[:len(coeffs)] = coeffs
+    _bootstrap_stages(p, J, out, len(coeffs))
+    return out
 
 
 def solve(p: SingularIVP, *, tol: float = 1e-10) -> Trajectory:
     """Admissibility check, series bootstrap, handoff, then integration.
 
-    The series order ``K`` is ``DEFAULT_ORDER``, or ``BLACKBOX_MAX_ORDER``
-    for black-box maps.  :func:`choose_handoff`'s candidate shrinks by 0.8
-    until the series residual ``r = y' - rhs`` meets ``t0 |r| <= (K + 1) tol
-    (1 + |y|)`` (max norms).  ``handoff_residual`` is the last ``|r|``,
-    ``handoff_tries`` the number of checks and ``series_order`` is ``K``.
-    :func:`integrate` starts the integrator at any other time.
+    The bootstrap runs at ``DEFAULT_ORDER``, or ``BLACKBOX_MAX_ORDER`` for
+    black-box maps.  When the tail estimate of :func:`choose_handoff`
+    stops short of the cap ``t_end / 2``, the same series continues to the
+    order ``K = round(-ln tol)`` within ``DEFAULT_ORDER .. MAX_ORDER``, and
+    on to ``MAX_ORDER`` if the tail still allows no handoff above
+    ``T_FLOOR``; black-box series are not continued.  The candidate then
+    shrinks by 0.8 until the series residual ``r = y' - rhs`` meets ``t0
+    |r| <= (K + 1) tol (1 + |y|)`` (max norms).  ``handoff_residual`` is
+    the last ``|r|``, ``handoff_tries`` the number of checks and
+    ``series_order`` is the final ``K``.  :func:`integrate` starts the
+    integrator at any other time.
 
     Raises
     ------
     AdmissibilityError
         If either entry condition fails; the report rides on the
         exception.
+    NumericalError
+        If no handoff above ``T_FLOOR`` holds the ODE to ``tol``; a larger
+        ``tol`` moves the handoff out.  Also if the pole scan would pass
+        ``MAX_SCAN`` indices (:func:`check_admissibility`).
     """
+    if not 0.0 < tol < math.inf:
+        raise ValidationError(f"tol must be finite and positive, got {tol}")
     if not p.t_end > 2.0 * T_FLOOR:
         raise ValidationError(f"t_end = {p.t_end} leaves no handoff above "
                               f"T_FLOOR = {T_FLOOR}")
-    order = _solve_order(p)
-    report = check_admissibility(p, order)
+    report = check_admissibility(p, _solve_order(p))
     if not report.verdict:
         raise AdmissibilityError(
             "problem rejected at the pole: residual "
             f"{report.residual_norm:.3e}, offending indices "
             f"{report.offending_h}", report)
-    coeffs = bootstrap_series(p, order)
-    t0 = choose_handoff(coeffs, tol, p.t_end)[0]
+    coeffs = bootstrap_series(p, report.order)
+    cap = p.t_end / 2.0
+    t0 = _tail_handoff(coeffs, tol, cap)
+    if t0 < cap and p.jet_capable:
+        # K ~ -ln tol puts the tail estimate near radius / e at any tol
+        # (Jorba & Zou 2005); MAX_ORDER only while it stays below T_FLOOR
+        k_tol = min(MAX_ORDER, max(DEFAULT_ORDER, round(-math.log(tol))))
+        for order in (k_tol, MAX_ORDER):
+            if order >= len(coeffs):
+                coeffs = _continued(p, report.jacobian, coeffs, order)
+                t0 = _tail_handoff(coeffs, tol, cap)
+            if t0 >= T_FLOOR:
+                break
+    order = coeffs.shape[0] - 1
+    if t0 < T_FLOOR:
+        raise NumericalError(
+            f"the order-{order} series tail |y_{order}| = "
+            f"{np.linalg.norm(coeffs[order], np.inf):.3e} allows no handoff "
+            f"above T_FLOOR = {T_FLOOR} at tol = {tol:.1e} (t_end = "
+            f"{p.t_end}); raise tol, or rescale t so the series radius grows")
     # the integrator's residual cannot see an error in its initial state;
     # reads at or below the handoff never touch the missing RK result
     series, tries = Trajectory(p, coeffs, t0, None, tol), 1
@@ -490,8 +549,10 @@ def solve(p: SingularIVP, *, tol: float = 1e-10) -> Trajectory:
             1.0 + np.linalg.norm(y_t0, np.inf)):
         t0 = series.handoff = 0.8 * t0
         if t0 < T_FLOOR:
-            raise NumericalError(f"the order-{order} series holds the ODE to "
-                                 f"tol = {tol:.1e} nowhere above {T_FLOOR}")
+            raise NumericalError(
+                f"the order-{order} series holds the ODE to tol = {tol:.1e} "
+                f"nowhere above T_FLOOR = {T_FLOOR} (t_end = {p.t_end}); "
+                "raise tol")
         y_t0, r, tries = series.value(t0), series.residual(t0), tries + 1
     traj = integrate(p, t0, y_t0, tol)
     traj.coeffs = coeffs

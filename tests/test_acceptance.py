@@ -41,7 +41,8 @@ def sphere_identity_run():
 
 @pytest.fixture(scope="module")
 def handoff_runs(start_at):
-    # the solve's own handoff and half of it, started from the series
+    # the solve's own handoff and half of it, started from the solve's own
+    # series
     fam = sphere_metric()
     base = singular.solve(geometry.assemble_harmonic(fam, 0.6, 1.5),
                           tol=1e-10)
@@ -49,7 +50,7 @@ def handoff_runs(start_at):
     sols = []
     for h in (t0, t0 / 2.0):
         traj = start_at(geometry.assemble_harmonic(fam, 0.6, 1.5), h,
-                        tol=1e-10)
+                        tol=1e-10, order=base.diagnostics["series_order"])
         sols.append(geometry.HarmonicSolution(fam, traj))
     return sols
 

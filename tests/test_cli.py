@@ -227,11 +227,12 @@ def test_solve_singular_csv(tmp_path):
 
 
 def test_singular_sidecar_reports_the_step_controller(tmp_path):
+    # a problem whose integration takes a defect rejection
     cfg = write_cfg(tmp_path, "aff.json",
                     {"C": [[0.0, 1.0], [0.0, -3.0]],
                      "S": [["0", "0"], ["t", "0"]],
-                     "g": ["0", "sin(t)"],
-                     "y0": [0.0, 0.0], "t_end": 1.0, "samples": 2})
+                     "g": ["0", "sin(3*t)"],
+                     "y0": [0.0, 0.0], "t_end": 2.0, "samples": 2})
     out = tmp_path / "aff.csv"
     assert cli.run(["solve-singular", "--config", cfg, "--out", str(out),
                     "--quiet"]) == 0
@@ -549,7 +550,7 @@ def test_an_order_key_is_an_unknown_key(tmp_path, capsys, no_solve, command,
 
 
 def test_check_and_solve_singular_agree_on_admission(tmp_path):
-    # check scans at the order solve-singular bootstraps at
+    # check and the solve scan the same indices, whatever the order
     accepted = json.loads((CONFIGS / "affine_singular.json").read_text())
     del accepted["samples"]     # a key check does not take
     for path, rc in ((str(CONFIGS / "check_rejected.json"), 2),
@@ -558,6 +559,21 @@ def test_check_and_solve_singular_agree_on_admission(tmp_path):
             out = str(tmp_path / f"{command}.out")
             assert cli.run([command, "--config", path, "--out", out,
                             "--quiet"]) == rc, (path, command)
+
+
+@pytest.mark.parametrize("C", [[[1e9 + 0.5]], [[0.0, 1e9], [0.0, 0.0]]],
+                         ids=["scalar", "nilpotent"])
+def test_check_and_solve_singular_refuse_a_scan_past_its_limit(
+        tmp_path, capsys, C):
+    # mu(J) = 1e9 and 5e8 would take one SVD per h up to it (hours); both
+    # commands stop before the first SVD, as a numerical failure
+    cfg = write_cfg(tmp_path, "big.json",
+                    {"C": C, "y0": [0.0] * len(C), "t_end": 1.0})
+    for command in ("check", "solve-singular"):
+        out = str(tmp_path / f"{command}.out")
+        assert cli.run([command, "--config", cfg, "--out", out,
+                        "--quiet"]) == cli.EXIT_NUMERICAL
+        assert "MAX_SCAN" in capsys.readouterr().err
 
 
 # -- one exit code per malformed config, on paths no other test reaches -------

@@ -238,6 +238,24 @@ def test_residual_reads_the_computed_trajectory():
     assert 1e-9 < worst < 100 * tol
 
 
+def test_a_block_profile_ending_in_a_short_step_meets_its_defect_bound(
+        start_at):
+    # from the order-10 series at 0.1, this block profile's last step is
+    # 1.8e-6 long; rounding in the interpolant's slope read 6.2e-11 against
+    # the defect bound 1e-11 (1 + |y|), and the rejections shrank the step
+    # until it underflowed at t = 0.99999823
+    a, d, c = 1.1573568347952792, 1.9011571568504815, -0.3885463946983574
+    b0, b1 = 0.39011561142924167, 0.20649317482608734
+    fam = geometry.MetricFamily.from_entries(
+        [[f"t^2*({a!r} + {b0!r}*t^2)", f"{c!r}*t^2"],
+         [f"{c!r}*t^2", f"{d!r} + {b1!r}*t^2"]], dim_p=1)
+    tol = 1e-12
+    p = geometry.assemble_harmonic(fam, 1.7189946262463622, 1.0)
+    sol = geometry.HarmonicSolution(fam, start_at(p, 0.1, tol=tol))
+    assert sol.traj.diagnostics["max_residual"] <= 100 * tol
+    assert max(abs(sol.residual(t)) for t in (0.5, 0.9, 1.0)) < 100 * tol
+
+
 def test_residuals_catch_a_planted_interpolant_fault():
     # scaling one coefficient row of the dense output bends the computed
     # profile between the nodes; a residual built from the vector field

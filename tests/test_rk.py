@@ -94,6 +94,25 @@ def test_defect_check_keeps_the_warnings_of_f():
     assert res.n_calls == len(calls)
 
 
+def test_defect_check_holds_on_a_step_far_shorter_than_the_state():
+    # a 1e-7 span at tol 1e-12: with yi - y in the interpolant's slope,
+    # rounding put a floor of eps |y| / h under the defect, above its bound,
+    # and every rejection raised it until the step size underflowed
+    tol = 1e-12
+    res = rk.integrate_adaptive(lambda t, y: np.cos(t) * y, 0.7, [1.0],
+                                0.7 + 1e-7, tol, check_defect=True)
+    want = math.exp(math.sin(0.7 + 1e-7) - math.sin(0.7))
+    assert res.ys[-1][0] == pytest.approx(want, rel=1e-13)
+    assert res.n_defect_rejected == 0
+    # the dense output's own slope meets the bound the check holds, inside
+    # the step as well as at theta*
+    assert res.n_accepted == 1
+    for th in (0.25, 0.5, (3 - math.sqrt(3)) / 6, 0.75):
+        t = 0.7 + th * 1e-7
+        slope = res.derivative(t)[0]
+        assert abs(slope - math.cos(t) * res.value(t)[0]) <= 2 * tol
+
+
 def test_complex_state():
     # y' = i y keeps |y| = 1
     res = rk.integrate_adaptive(lambda t, y: 1j * y, 0.0,

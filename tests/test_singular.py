@@ -124,7 +124,7 @@ def test_admissibility_rejects_an_order_that_scans_nothing(order):
 
 
 def test_admissibility_scan_stops_where_the_norm_bound_clears(monkeypatch):
-    # sigma_min(h I - J) >= h - |J|_2 = h - 3, so no h past 3 can be
+    # sigma_min(h I - J) >= h - mu(J) = h - 3, so no h past 3 can be
     # singular; the scan used to run one SVD per h up to the order
     real, calls = np.linalg.svd, []
 
@@ -138,12 +138,32 @@ def test_admissibility_scan_stops_where_the_norm_bound_clears(monkeypatch):
     assert not rep.verdict and rep.tail_certified
     assert rep.order == 10 ** 9
     assert len(calls) == 3
+    # mu(J) = -1e5: no h can be offending, so no SVD runs; the |J|_2 bound
+    # ran ~1e5 of them
+    calls.clear()
+    rep = singular.check_admissibility(
+        singular.AffineSingularMaps([[-1e5]]).problem([0.0], 1.0), 10 ** 9)
+    assert rep.verdict and rep.offending_h == []
+    assert calls == []
+    # mu(J) = MAX_SCAN + 0.5 takes exactly MAX_SCAN SVDs; one index more
+    # raises before any SVD runs, where the scan would have run for hours
+    # at mu(J) = 1e9
+    top = singular.MAX_SCAN
+    rep = singular.check_admissibility(
+        singular.AffineSingularMaps([[top + 0.5]]).problem([0.0], 1.0))
+    assert rep.verdict and len(calls) == top
+    calls.clear()
+    with pytest.raises(NumericalError, match="MAX_SCAN"):
+        singular.check_admissibility(
+            singular.AffineSingularMaps([[top + 1.5]]).problem([0.0], 1.0))
+    assert calls == []
 
 
-def _full_scan(J, order):
-    # the scan over every h in 1..order that the early stop replaces
+def _full_scan(J):
+    # the scan that the early stop replaces: every h up to |J|_2 + 2, past
+    # which sigma_min(h I - J) >= h - |J|_2 clears the threshold
     normJ = np.linalg.norm(J, 2)
-    return [h for h in range(1, order + 1)
+    return [h for h in range(1, int(normJ) + 3)
             if np.linalg.svd(h * np.eye(len(J)) - J, compute_uv=False)[-1]
             < singular.EPS_INVERTIBLE * (h + normJ)]
 
@@ -157,9 +177,10 @@ def _full_scan(J, order):
 ])
 @pytest.mark.parametrize("order", [1, 4, 7, 40])
 def test_admissibility_scan_matches_the_full_scan(C, order):
+    # whatever the order: a bootstrap continued past it meets every h
     rep = singular.check_admissibility(
         singular.AffineSingularMaps(C).problem([0.0, 0.0], 1.0), order)
-    assert rep.offending_h == _full_scan(np.array(C), order)
+    assert rep.offending_h == _full_scan(np.array(C))
     assert rep.tail_certified == (np.linalg.norm(C, 2) < order)
 
 
@@ -547,6 +568,104 @@ def test_handoff_tries_counts_the_candidates_the_check_read():
     for row in sorted(_ROWS):
         d = singular.solve(_ROWS[row](), tol=1e-10).diagnostics
         assert d["handoff_tries"] == 1, row
+
+
+def _biharmonic_sphere():
+    return geometry.assemble_biharmonic(
+        geometry.MetricFamily.from_diagonal(["sin(t)^2", "sin(t)^2"],
+                                            dim_p=2), 0.6, 0.3, 1.2)
+
+
+@pytest.mark.parametrize("make", [_ROWS["sphere"], _ROWS["block"],
+                                  _biharmonic_sphere, _ROWS["affine"]],
+                         ids=["sphere", "block", "biharmonic", "affine"])
+def test_a_continued_series_has_the_bytes_of_a_direct_bootstrap(make):
+    # stage h reads only rows below h, so continuing the order-10 series
+    # that solve bootstraps first costs no second bootstrap
+    p = make()
+    J = singular.check_admissibility(p).jacobian
+    base = singular.bootstrap_series(p, 10)
+    for order in (20, singular.MAX_ORDER):
+        got = singular._continued(p, J, base, order)
+        assert got.tobytes() == singular.bootstrap_series(p, order).tobytes()
+        assert got[:11].tobytes() == base.tobytes()
+
+
+def test_solve_continues_the_series_only_where_its_tail_stops_the_handoff():
+    # sphere at 1e-12: the order-10 tail hands off near 0.1, so the same
+    # series continues to round(-ln 1e-12) = 28 and hands off further out
+    p = _ROWS["sphere"]()
+    traj = singular.solve(p, tol=1e-12)
+    d = traj.diagnostics
+    assert d["series_order"] == 28
+    assert d["handoff"] > 0.3 and d["handoff_tries"] == 1
+    assert traj.coeffs.tobytes() == singular.bootstrap_series(p, 28).tobytes()
+    # an exact polynomial series (top coefficient 0) reaches the cap
+    # t_end / 2 at order 10 and is not continued
+    flat = geometry.assemble_harmonic(
+        geometry.MetricFamily.from_diagonal(["t^2", "t^2", "1 + t^2"],
+                                            dim_p=2), 1.3, 1.0)
+    d = singular.solve(flat, tol=1e-12).diagnostics
+    assert d["series_order"] == 10 and d["handoff"] == 0.5
+
+
+def test_solve_continues_to_max_order_where_the_tol_order_stops_short():
+    # a solution of size 5e6 at t = 1: the absolute tail estimate at order
+    # round(-ln 1e-8) = 18 allows no handoff above T_FLOOR, order 30 does,
+    # and the residual check accepts that handoff at its first read
+    p = singular.AffineSingularMaps([[-1.0]], g=["1e14/(1 + 2e7*t)"]).problem(
+        [0.0], 1.0)
+    tol = 1e-8
+    base = singular.bootstrap_series(p, 18)
+    assert singular._tail_handoff(base, tol, 0.5) < singular.T_FLOOR
+    traj = singular.solve(p, tol=tol)
+    d = traj.diagnostics
+    assert d["series_order"] == 30 and d["handoff"] > singular.T_FLOOR
+    assert d["handoff_tries"] == 1
+    # (t y)' = t g, so y(1) = 5e6 - ln(1 + 2e7) / 4
+    want = 5e6 - math.log1p(2e7) / 4.0
+    assert traj.value(1.0)[0] == pytest.approx(want, rel=1e-12)
+
+
+def test_a_tail_too_steep_at_every_order_names_tol_and_t_end():
+    # radius 1e-8: even the order-30 tail allows no handoff above T_FLOOR
+    aff = singular.AffineSingularMaps([[-1.0]], g=["1/(1 - 1e8*t)"])
+    p = aff.problem([0.0], 1.0)
+    with pytest.raises(NumericalError, match=r"order-30 series tail") as ei:
+        singular.solve(p, tol=1e-10)
+    msg = str(ei.value)
+    assert "tol = 1.0e-10" in msg and "t_end = 1.0" in msg
+    assert "series order" not in msg        # solve takes no order
+    # the primitive's caller can pass more coefficients
+    with pytest.raises(NumericalError, match="raise the series order"):
+        singular.choose_handoff(singular.bootstrap_series(p, 10), 1e-10, 1.0)
+
+
+def test_a_series_that_holds_the_ode_nowhere_names_tol_and_t_end():
+    # planted fault: a field 1 off the maps, so the series residual is 1
+    # at every candidate
+    q = linear_forced(lambda t, y: y * 0.0 + 1.0)
+    p = singular.SingularIVP(q.m_sing, q.m_reg, q.y0, q.t_end,
+                             field=lambda t, y: q.rhs(t, y) + 1.0)
+    with pytest.raises(NumericalError, match="holds the ODE") as ei:
+        singular.solve(p, tol=1e-10)
+    msg = str(ei.value)
+    assert "tol = 1.0e-10" in msg and "t_end = 2.0" in msg
+
+
+def test_solve_rejects_an_index_resonant_above_the_series_order():
+    # h = 7 lies above the black-box order 4, h = 12 above the order 10
+    # the bootstrap starts at; both used to solve
+    bb = singular.SingularIVP(lambda y: 7.0 * y,
+                              lambda t, y: y * 0.0 + math.sin(t), [0.0], 1.0)
+    assert not bb.jet_capable
+    aff = singular.AffineSingularMaps([[12.0]], g=["sin(t)"]).problem(
+        [0.0], 1.0)
+    for p, h in ((bb, 7), (aff, 12)):
+        assert singular.check_admissibility(p).offending_h == [h]
+        with pytest.raises(AdmissibilityError) as ei:
+            singular.solve(p)
+        assert ei.value.report.offending_h == [h]
 
 
 def test_a_t_end_below_twice_the_floor_is_blamed_on_t_end():
