@@ -101,7 +101,6 @@ def _admissibility_dict(report) -> dict:
         "residual_norm": report.residual_norm,
         "offending_h": report.offending_h,
         "verdict": report.verdict,
-        "tail_certified": report.tail_certified,
         "order": report.order,
     }
 

@@ -163,6 +163,8 @@ class SingularIVP:
         self.k = self.y0.size
         if self.k == 0:
             raise ValidationError("empty state vector")
+        if not np.isfinite(self.y0).all():
+            raise ValidationError(f"y0 must be finite, got {self.y0}")
         self.t_end = float(self.t_end)
         if not 0 < self.t_end < math.inf:
             raise ValidationError(
@@ -221,15 +223,13 @@ class AdmissibilityReport:
     ``verdict`` is True iff ``residual_norm < 1e-10`` and no positive
     integer ``h`` makes ``h I - J`` numerically singular; ``offending_h``
     lists every ``h`` that does, whatever the order.  ``order`` is the
-    bootstrap order the check was made for, and ``tail_certified`` records
-    whether ``|J|_2 < order`` alone rules out every ``h`` above it.
+    bootstrap order the check was made for.
     """
 
     residual_norm: float
     jacobian: np.ndarray
     offending_h: list
     verdict: bool
-    tail_certified: bool
     order: int
 
 
@@ -274,9 +274,7 @@ def check_admissibility(p: SingularIVP, order: int = DEFAULT_ORDER
         if smin < EPS_INVERTIBLE * (h + normJ):
             offending.append(h)
     verdict = residual_norm < EPS_ADMISSIBLE and not offending
-    return AdmissibilityReport(residual_norm, J, offending, verdict,
-                               tail_certified=bool(normJ < order),
-                               order=order)
+    return AdmissibilityReport(residual_norm, J, offending, verdict, order)
 
 
 # -- series bootstrap ------------------------------------------------------
@@ -314,9 +312,8 @@ def bootstrap_series(p: SingularIVP, order: int = DEFAULT_ORDER
     if not p.jet_capable and order > BLACKBOX_MAX_ORDER:
         raise ValidationError(
             f"black-box maps support bootstrap order <= {BLACKBOX_MAX_ORDER}")
-    coeffs = np.zeros((order + 1, p.k))
-    coeffs[0] = p.y0
-    _bootstrap_stages(p, _jacobian(p.m_sing, p.y0, p.jet_capable), coeffs, 1)
+    coeffs = _bootstrap_stages(
+        p, _jacobian(p.m_sing, p.y0, p.jet_capable), p.y0[None, :], order)
     tail = float(np.linalg.norm(coeffs[order], np.inf))
     if tail > 0 and tail ** (1.0 / order) > 1.0 / T_FLOOR:
         warnings.warn(
@@ -327,14 +324,17 @@ def bootstrap_series(p: SingularIVP, order: int = DEFAULT_ORDER
 
 
 def _bootstrap_stages(p: SingularIVP, J: np.ndarray, coeffs: np.ndarray,
-                      start: int) -> None:
-    """Fill rows ``start..K`` of the ``(K+1, k)`` array ``coeffs`` in place.
+                      order: int) -> np.ndarray:
+    """The series ``coeffs`` grown to ``order`` by the stages ``h =
+    len(coeffs) .. order``; ``J`` is the Jacobian of ``m_sing`` at ``y0``.
 
     Stage ``h`` reads only the rows below ``h``, so a series continued from
-    order ``start - 1`` has the bytes of a direct bootstrap at ``K``.
+    a lower order has the bytes of a direct bootstrap at ``order``.
     """
+    start = len(coeffs)
+    coeffs = np.concatenate([coeffs, np.zeros((order + 1 - start, p.k))])
     eye = np.eye(p.k)
-    for h in range(start, coeffs.shape[0]):
+    for h in range(start, order + 1):
         if p.jet_capable:
             # [t^h] of m_sing along the partial sum (top coefficient zero)
             yj = _poly_jets(coeffs[:h], h)
@@ -357,6 +357,7 @@ def _bootstrap_stages(p: SingularIVP, J: np.ndarray, coeffs: np.ndarray,
                 f"singular linear solve at bootstrap stage h={h}: {exc}"
             ) from exc
         coeffs[h] = yh
+    return coeffs
 
 
 def _tail_handoff(coeffs: np.ndarray, tol: float, cap: float) -> float:
@@ -366,22 +367,65 @@ def _tail_handoff(coeffs: np.ndarray, tol: float, cap: float) -> float:
     return cap if top == 0.0 else min(cap, (tol / top) ** (1.0 / order))
 
 
-def choose_handoff(coeffs: np.ndarray, tol: float, t_end: float):
-    """Candidate switch time ``|y_K| t0^K < tol`` (max norm), capped at
-    ``t_end / 2``, and the series state there; :func:`solve` checks it,
-    since the last coefficient alone can miss the tail.
+def choose_handoff(p: SingularIVP, coeffs: np.ndarray, J: np.ndarray,
+                   tol: float):
+    """The checked handoff from the series ``coeffs`` of ``p``: ``(t0,
+    y(t0), coeffs, handoff_residual, handoff_tries)``.
+
+    The tail estimate ``|y_K| t0^K = tol`` (max norm), capped at ``t_end /
+    2``, gives the candidate.  Where it stops short of the cap, a
+    Taylor-capable series grows (``J`` is the Jacobian of ``m_sing`` at
+    ``y0``) to ``K = round(-ln tol)`` within ``DEFAULT_ORDER .. MAX_ORDER``,
+    and on to ``MAX_ORDER`` while the tail allows no handoff above
+    ``T_FLOOR``; the grown series is returned.  Since ``y_K`` alone can miss
+    the tail (an odd solution has ``y_K = 0`` at even ``K``), the candidate
+    shrinks by 0.8 until the series residual ``r = y' - rhs`` meets ``t0
+    |r| <= (K + 1) tol (1 + |y|)``; ``handoff_residual`` is the last ``|r|``
+    and ``handoff_tries`` the number of checks.
+
+    Raises ValidationError for a ``tol`` that is not finite and positive or
+    a series of order below 1 or width other than ``p.k``, and
+    NumericalError when no handoff above ``T_FLOOR`` passes.
     """
     if not 0.0 < tol < math.inf:
         raise ValidationError(f"tol must be finite and positive, got {tol}")
     coeffs = np.asarray(coeffs, dtype=float)
-    t0 = _tail_handoff(coeffs, tol, float(t_end) / 2.0)
+    if coeffs.ndim != 2 or len(coeffs) < 2 or coeffs.shape[1] != p.k:
+        raise ValidationError(f"need a series of order >= 1 and width {p.k},"
+                              f" got coefficients of shape {coeffs.shape}")
+    cap = p.t_end / 2.0
+    t0 = _tail_handoff(coeffs, tol, cap)
+    if t0 < cap and p.jet_capable:
+        # K ~ -ln tol puts the tail estimate near radius / e at any tol
+        # (Jorba & Zou 2005); MAX_ORDER only while it stays below T_FLOOR
+        k_tol = min(MAX_ORDER, max(DEFAULT_ORDER, round(-math.log(tol))))
+        for order in (k_tol, MAX_ORDER):
+            if order >= len(coeffs):
+                coeffs = _bootstrap_stages(p, J, coeffs, order)
+                t0 = _tail_handoff(coeffs, tol, cap)
+            if t0 >= T_FLOOR:
+                break
+    order = len(coeffs) - 1
     if t0 < T_FLOOR:
-        order = coeffs.shape[0] - 1
         raise NumericalError(
-            f"no admissible handoff above {T_FLOOR}: series tail "
-            f"|y_{order}| = {np.linalg.norm(coeffs[order], np.inf):.3e}, "
-            f"tol = {tol:.1e}, t_end = {t_end}; raise the series order")
-    return t0, _series.eval_truncated(coeffs, t0)
+            f"the order-{order} series tail |y_{order}| = "
+            f"{np.linalg.norm(coeffs[order], np.inf):.3e} allows no handoff "
+            f"above T_FLOOR = {T_FLOOR} at tol = {tol:.1e} (t_end = "
+            f"{p.t_end}); raise tol, or rescale t so the series radius grows")
+    # the integrator's residual cannot see an error in its initial state;
+    # reads at or below the handoff never touch the missing RK result
+    series, tries = Trajectory(p, coeffs, t0, None, tol), 1
+    y_t0, r = series.value(t0), series.residual(t0)
+    while not t0 * r <= (order + 1) * tol * (
+            1.0 + np.linalg.norm(y_t0, np.inf)):
+        t0 = series.handoff = 0.8 * t0
+        if t0 < T_FLOOR:
+            raise NumericalError(
+                f"the order-{order} series holds the ODE to tol = {tol:.1e} "
+                f"nowhere above T_FLOOR = {T_FLOOR} (t_end = {p.t_end}); "
+                "raise tol")
+        y_t0, r, tries = series.value(t0), series.residual(t0), tries + 1
+    return t0, y_t0, coeffs, r, tries
 
 
 # -- integration and trajectories -------------------------------------------
@@ -460,6 +504,8 @@ def integrate(p: SingularIVP, t0: float, y_t0,
     if not 0 < t0 < p.t_end:
         raise ValidationError(f"need 0 < t0 < t_end, got t0={t0}")
     y_t0 = np.asarray(y_t0, dtype=float).reshape(-1)
+    if y_t0.size != p.k:
+        raise ValidationError(f"y_t0 must have {p.k} entries, got {y_t0.size}")
     res = _rk.integrate_adaptive(p.rhs, t0, y_t0, p.t_end, tol,
                                  check_defect=True)
     traj = Trajectory(p, None, t0, res, tol)
@@ -475,30 +521,14 @@ def _solve_order(p: SingularIVP) -> int:
     return DEFAULT_ORDER if p.jet_capable else BLACKBOX_MAX_ORDER
 
 
-def _continued(p: SingularIVP, J: np.ndarray, coeffs: np.ndarray,
-               order: int) -> np.ndarray:
-    """The series ``coeffs`` continued to ``order`` by the bootstrap's own
-    stages; ``J`` is the Jacobian of ``m_sing`` at ``y0``."""
-    out = np.zeros((order + 1, p.k))
-    out[:len(coeffs)] = coeffs
-    _bootstrap_stages(p, J, out, len(coeffs))
-    return out
-
-
 def solve(p: SingularIVP, *, tol: float = 1e-10) -> Trajectory:
     """Admissibility check, series bootstrap, handoff, then integration.
 
     The bootstrap runs at ``DEFAULT_ORDER``, or ``BLACKBOX_MAX_ORDER`` for
-    black-box maps.  When the tail estimate of :func:`choose_handoff`
-    stops short of the cap ``t_end / 2``, the same series continues to the
-    order ``K = round(-ln tol)`` within ``DEFAULT_ORDER .. MAX_ORDER``, and
-    on to ``MAX_ORDER`` if the tail still allows no handoff above
-    ``T_FLOOR``; black-box series are not continued.  The candidate then
-    shrinks by 0.8 until the series residual ``r = y' - rhs`` meets ``t0
-    |r| <= (K + 1) tol (1 + |y|)`` (max norms).  ``handoff_residual`` is
-    the last ``|r|``, ``handoff_tries`` the number of checks and
-    ``series_order`` is the final ``K``.  :func:`integrate` starts the
-    integrator at any other time.
+    black-box maps; :func:`choose_handoff` grows it where needed and checks
+    the handoff.  The diagnostics of :func:`integrate`, which starts the
+    integrator at any other time, gain ``handoff``, ``handoff_residual``,
+    ``handoff_tries`` and ``series_order``, the final ``K``.
 
     Raises
     ------
@@ -521,44 +551,13 @@ def solve(p: SingularIVP, *, tol: float = 1e-10) -> Trajectory:
             "problem rejected at the pole: residual "
             f"{report.residual_norm:.3e}, offending indices "
             f"{report.offending_h}", report)
-    coeffs = bootstrap_series(p, report.order)
-    cap = p.t_end / 2.0
-    t0 = _tail_handoff(coeffs, tol, cap)
-    if t0 < cap and p.jet_capable:
-        # K ~ -ln tol puts the tail estimate near radius / e at any tol
-        # (Jorba & Zou 2005); MAX_ORDER only while it stays below T_FLOOR
-        k_tol = min(MAX_ORDER, max(DEFAULT_ORDER, round(-math.log(tol))))
-        for order in (k_tol, MAX_ORDER):
-            if order >= len(coeffs):
-                coeffs = _continued(p, report.jacobian, coeffs, order)
-                t0 = _tail_handoff(coeffs, tol, cap)
-            if t0 >= T_FLOOR:
-                break
-    order = coeffs.shape[0] - 1
-    if t0 < T_FLOOR:
-        raise NumericalError(
-            f"the order-{order} series tail |y_{order}| = "
-            f"{np.linalg.norm(coeffs[order], np.inf):.3e} allows no handoff "
-            f"above T_FLOOR = {T_FLOOR} at tol = {tol:.1e} (t_end = "
-            f"{p.t_end}); raise tol, or rescale t so the series radius grows")
-    # the integrator's residual cannot see an error in its initial state;
-    # reads at or below the handoff never touch the missing RK result
-    series, tries = Trajectory(p, coeffs, t0, None, tol), 1
-    y_t0, r = series.value(t0), series.residual(t0)
-    while not t0 * r <= (order + 1) * tol * (
-            1.0 + np.linalg.norm(y_t0, np.inf)):
-        t0 = series.handoff = 0.8 * t0
-        if t0 < T_FLOOR:
-            raise NumericalError(
-                f"the order-{order} series holds the ODE to tol = {tol:.1e} "
-                f"nowhere above T_FLOOR = {T_FLOOR} (t_end = {p.t_end}); "
-                "raise tol")
-        y_t0, r, tries = series.value(t0), series.residual(t0), tries + 1
+    t0, y_t0, coeffs, r, tries = choose_handoff(
+        p, bootstrap_series(p, report.order), report.jacobian, tol)
     traj = integrate(p, t0, y_t0, tol)
     traj.coeffs = coeffs
     traj.diagnostics.update(admissibility=report, handoff=t0,
                             handoff_residual=r, handoff_tries=tries,
-                            series_order=order,
+                            series_order=len(coeffs) - 1,
                             jet_probe_error=p.jet_probe_error)
     return traj
 

@@ -78,7 +78,6 @@ def test_admissibility_pass():
     assert rep.verdict
     assert rep.residual_norm == 0.0
     assert rep.offending_h == []
-    assert rep.tail_certified          # |J| = 2 < 10
     np.testing.assert_allclose(rep.jacobian, [[-2.0]])
 
 
@@ -103,12 +102,12 @@ def test_admissibility_resonance(slope, bad):
     assert not rep.verdict
 
 
-def test_tail_not_certified_for_large_jacobian():
+def test_a_jacobian_norm_above_the_order_is_admissible():
+    # |J| = 40 >= 10: the scan, not the order, rules out every h
     p = singular.SingularIVP(lambda y: -40.0 * y, lambda t, y: y * 0.0,
                              np.array([0.0]), 1.0)
     rep = singular.check_admissibility(p, order=10)
     assert rep.verdict            # no resonance: spectrum is negative
-    assert not rep.tail_certified  # |J| = 40 >= 10
 
 
 def _resonant_at_3():
@@ -135,7 +134,7 @@ def test_admissibility_scan_stops_where_the_norm_bound_clears(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     rep = singular.check_admissibility(_resonant_at_3(), 10 ** 9)
     assert rep.offending_h == [3]
-    assert not rep.verdict and rep.tail_certified
+    assert not rep.verdict
     assert rep.order == 10 ** 9
     assert len(calls) == 3
     # mu(J) = -1e5: no h can be offending, so no SVD runs; the |J|_2 bound
@@ -181,7 +180,6 @@ def test_admissibility_scan_matches_the_full_scan(C, order):
     rep = singular.check_admissibility(
         singular.AffineSingularMaps(C).problem([0.0, 0.0], 1.0), order)
     assert rep.offending_h == _full_scan(np.array(C))
-    assert rep.tail_certified == (np.linalg.norm(C, 2) < order)
 
 
 def test_a_jacobian_that_is_not_finite_is_a_numerical_error():
@@ -239,33 +237,98 @@ def test_bootstrap_blackbox_stencils():
         singular.bootstrap_series(p, order=5)
 
 
+def _blackbox(m_reg, y0=0.0, t_end=4.0):
+    # y' = m_reg(t, y) as a black box: choose_handoff never grows its series
+    return singular.SingularIVP(lambda y: y * 0.0, m_reg, [y0], t_end,
+                                jet_capable=False)
+
+
 def test_choose_handoff_cases():
-    # |y_10| = 1 and tol = 1e-10 puts the switch exactly at 0.1
+    zero = np.zeros((1, 1))
+    # |y_10| = 1 and tol = 1e-10 puts the switch exactly at 0.1; y = t^10
+    # solves y' = 10 t^9
     coeffs = np.zeros((11, 1))
     coeffs[10, 0] = 1.0
-    t0, y = singular.choose_handoff(coeffs, 1e-10, t_end=4.0)
-    assert t0 == pytest.approx(0.1)
+    assert singular._tail_handoff(coeffs, 1e-10, 2.0) == pytest.approx(0.1)
+    p = _blackbox(lambda t, y: y * 0.0 + 10.0 * t ** 9)
+    t0, y, got, r, tries = singular.choose_handoff(p, coeffs, zero, 1e-10)
+    assert t0 == pytest.approx(0.1) and tries == 1
     assert y[0] == pytest.approx(0.1 ** 10)
+    assert got.tobytes() == coeffs.tobytes()
 
-    # geometric growth 2^h: t0 = (tol / 2^10)^(1/10), value is partial sum
+    # geometric growth 2^h, the series of y = 1/(1 - 2t), which solves
+    # y' = 2 y^2: t0 = (tol / 2^10)^(1/10), value is partial sum
     geo = (2.0 ** np.arange(11))[:, None]
-    t0, y = singular.choose_handoff(geo, 1e-10, 4.0)
-    assert t0 == pytest.approx((1e-10 / 2 ** 10) ** 0.1)
+    p = _blackbox(lambda t, y: 2.0 * y * y, y0=1.0)
+    t0, y, _, r, tries = singular.choose_handoff(p, geo, zero, 1e-10)
+    assert t0 == pytest.approx((1e-10 / 2 ** 10) ** 0.1) and tries == 1
     part = sum((2 * t0) ** h for h in range(11))
     assert y[0] == pytest.approx(part, rel=1e-14)
 
-    # zero top coefficient: cap wins, including the t_end/2 clamp
+    # zero top coefficient: cap wins, including the t_end/2 clamp, and the
+    # series is not grown
     flat = np.zeros((11, 1))
     flat[0, 0] = 5.0
-    t0, y = singular.choose_handoff(flat, 1e-10, 0.1)
+    p = singular.SingularIVP(lambda y: y * 0.0, lambda t, y: y * 0.0, [5.0],
+                             0.1)
+    assert p.jet_capable
+    t0, y, got, r, tries = singular.choose_handoff(p, flat, zero, 1e-10)
     assert t0 == pytest.approx(0.05)
     assert y[0] == pytest.approx(5.0)
+    assert got.shape == (11, 1) and r == 0.0 and tries == 1
 
     # hopeless tail underflows the floor
     bad = np.zeros((2, 1))
     bad[1, 0] = 1e20
-    with pytest.raises(NumericalError):
-        singular.choose_handoff(bad, 1e-12, 4.0)
+    with pytest.raises(NumericalError, match="order-1 series tail"):
+        singular.choose_handoff(_blackbox(lambda t, y: y * 0.0), bad, zero,
+                                1e-12)
+
+
+def test_choose_handoff_checks_the_state_it_hands_off():
+    # planted fault: y_10 = 0, so the tail estimate alone hands off at the
+    # cap 0.5 with a state error of 0.144
+    p, tol = _parity_fault(), 1e-10
+    J = singular.check_admissibility(p).jacobian
+    t0, y, coeffs, r, tries = singular.choose_handoff(
+        p, singular.bootstrap_series(p, 10), J, tol)
+    exact = math.sinh(10.0 * t0) / 10.0
+    assert abs(y[0] - exact) <= tol * (1.0 + abs(exact))
+    assert tries > 1 and t0 < 0.1
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (11, 1), (11, 3), (11,)],
+                         ids=["order-0", "narrow", "wide", "flat"])
+def test_choose_handoff_rejects_a_series_of_the_wrong_shape(shape):
+    # a one-row series divided by its order 0
+    p = _ROWS["sphere"]()                  # k = 2
+    coeffs = np.zeros(shape)
+    coeffs[0] = 0.35
+    J = singular.check_admissibility(p).jacobian
+    with pytest.raises(ValidationError, match="series"):
+        singular.choose_handoff(p, coeffs, J, 1e-10)
+
+
+def test_solve_calls_each_primitive_once_through_the_module(monkeypatch):
+    # the tracer and this counter hook the module's names; a solve that
+    # inlines a step reads 0 for it
+    names = ("check_admissibility", "bootstrap_series", "choose_handoff",
+             "integrate")
+    calls = []
+    for name in names:
+        def counted(*args, _real=getattr(singular, name), _name=name,
+                    **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(singular, name, counted)
+    blackbox = singular.SingularIVP(lambda y: -2.0 * y,
+                                    lambda t, y: y * 0.0 + math.sin(t),
+                                    [0.0], 1.0)
+    for p in (_ROWS["sphere"](), _parity_fault(), blackbox):
+        calls.clear()
+        singular.solve(p, tol=1e-10)
+        assert sorted(calls) == sorted(names)
 
 
 def test_integrate_from_a_state_at_t0():
@@ -276,6 +339,26 @@ def test_integrate_from_a_state_at_t0():
         traj.value(0.01)       # no series part below the handoff
     with pytest.raises(ValidationError):
         singular.integrate(p, 3.0, [1.0])  # t0 beyond t_end
+
+
+@pytest.mark.parametrize("y", [[0.0, 0.7, 0.0, 0.0], [0.0]],
+                         ids=["four", "one"])
+def test_integrate_rejects_a_state_of_the_wrong_width(y):
+    # a 4-vector on a harmonic problem (k = 2) integrated the biharmonic
+    # rows; a 1-vector raised IndexError
+    with pytest.raises(ValidationError, match="y_t0"):
+        singular.integrate(_ROWS["sphere"](), 0.5, y)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_initial_value_is_rejected_up_front(bad):
+    # a NaN state bootstrapped a NaN series, and solve then blamed tol
+    with pytest.raises(ValidationError, match="y0"):
+        singular.SingularIVP(lambda y: y * 0.0, lambda t, y: y * 0.0,
+                             [0.0, bad], 1.0)
+    sphere = geometry.MetricFamily.from_diagonal(["sin(t)^2"] * 2, dim_p=2)
+    with pytest.raises(ValidationError, match="y0"):
+        geometry.solve_harmonic(sphere, bad, 1.0)
 
 
 def test_solve_piecewise_trajectory():
@@ -580,13 +663,13 @@ def _biharmonic_sphere():
                                   _biharmonic_sphere, _ROWS["affine"]],
                          ids=["sphere", "block", "biharmonic", "affine"])
 def test_a_continued_series_has_the_bytes_of_a_direct_bootstrap(make):
-    # stage h reads only rows below h, so continuing the order-10 series
-    # that solve bootstraps first costs no second bootstrap
+    # stage h reads only rows below h, so growing the order-10 series that
+    # solve bootstraps first costs no second bootstrap
     p = make()
     J = singular.check_admissibility(p).jacobian
     base = singular.bootstrap_series(p, 10)
     for order in (20, singular.MAX_ORDER):
-        got = singular._continued(p, J, base, order)
+        got = singular._bootstrap_stages(p, J, base, order)
         assert got.tobytes() == singular.bootstrap_series(p, order).tobytes()
         assert got[:11].tobytes() == base.tobytes()
 
@@ -616,8 +699,12 @@ def test_solve_continues_to_max_order_where_the_tol_order_stops_short():
     p = singular.AffineSingularMaps([[-1.0]], g=["1e14/(1 + 2e7*t)"]).problem(
         [0.0], 1.0)
     tol = 1e-8
+    J = singular.check_admissibility(p).jacobian
     base = singular.bootstrap_series(p, 18)
     assert singular._tail_handoff(base, tol, 0.5) < singular.T_FLOOR
+    # so the handoff rule grows a series handed to it at order 18 to 30
+    _, _, grown, _, _ = singular.choose_handoff(p, base, J, tol)
+    assert len(grown) == singular.MAX_ORDER + 1
     traj = singular.solve(p, tol=tol)
     d = traj.diagnostics
     assert d["series_order"] == 30 and d["handoff"] > singular.T_FLOOR
@@ -636,9 +723,13 @@ def test_a_tail_too_steep_at_every_order_names_tol_and_t_end():
     msg = str(ei.value)
     assert "tol = 1.0e-10" in msg and "t_end = 1.0" in msg
     assert "series order" not in msg        # solve takes no order
-    # the primitive's caller can pass more coefficients
-    with pytest.raises(NumericalError, match="raise the series order"):
-        singular.choose_handoff(singular.bootstrap_series(p, 10), 1e-10, 1.0)
+    # the handoff rule raises it, whoever calls it
+    J = singular.check_admissibility(p).jacobian
+    with pytest.raises(NumericalError, match=r"order-30 series tail") as ei:
+        singular.choose_handoff(p, singular.bootstrap_series(p, 10), J,
+                                1e-10)
+    msg = str(ei.value)
+    assert "tol = 1.0e-10" in msg and "t_end = 1.0" in msg
 
 
 def test_a_series_that_holds_the_ode_nowhere_names_tol_and_t_end():
@@ -649,6 +740,12 @@ def test_a_series_that_holds_the_ode_nowhere_names_tol_and_t_end():
                              field=lambda t, y: q.rhs(t, y) + 1.0)
     with pytest.raises(NumericalError, match="holds the ODE") as ei:
         singular.solve(p, tol=1e-10)
+    msg = str(ei.value)
+    assert "tol = 1.0e-10" in msg and "t_end = 2.0" in msg
+    # the handoff rule raises it, whoever calls it
+    J = singular.check_admissibility(p).jacobian
+    with pytest.raises(NumericalError, match="holds the ODE") as ei:
+        singular.choose_handoff(p, singular.bootstrap_series(p), J, 1e-10)
     msg = str(ei.value)
     assert "tol = 1.0e-10" in msg and "t_end = 2.0" in msg
 
@@ -691,8 +788,9 @@ def test_solve_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
         singular.solve(p, tol=tol)
     assert calls["n"] <= 20         # the jet probe and the bootstrap
     coeffs = singular.bootstrap_series(p)
+    J = singular.check_admissibility(p).jacobian
     with pytest.raises(ValidationError, match="tol"):
-        singular.choose_handoff(coeffs, tol, p.t_end)
+        singular.choose_handoff(p, coeffs, J, tol)
 
 
 def test_an_infinite_t_end_is_rejected():
