@@ -223,7 +223,12 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "num":
             self.advance()
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if value == math.inf:
+                raise ParseError(f"numeric literal {tok.text!r} overflows the "
+                                 "float range", tok.line, tok.column,
+                                 ("finite number",))
+            return Num(value)
         if tok.kind == "ident":
             self.advance()
             if tok.text == "t":
@@ -259,7 +264,8 @@ def parse(text: str) -> Expr:
     Raises
     ------
     ParseError
-        With 1-based line/column and the set of acceptable tokens.
+        With 1-based line/column and the set of acceptable tokens; also
+        for a numeric literal past the float range, such as ``1e400``.
     """
     if not isinstance(text, str):
         raise ParseError("expression must be a string", 1, 1, _ATOM_EXPECTED)

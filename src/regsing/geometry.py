@@ -38,12 +38,13 @@ Both reductions have a simple pole at ``t = 0``.  Substituting ``r = t a``
 :mod:`regsing.singular`, with singular part ``(0, -(p+2) u)`` and free
 initial slope.  One assembler builds both: the biharmonic problem is the
 harmonic one with the tension pair ``(b, u_b)`` appended to the state, and
-its maps run on floats and on series jets, so the bootstrap there is exact.
-The assembled problem also carries a float ``field``, the whole
-right-hand side in plain floats: the float rows of ``m_reg`` (one trace
-read from ``t_switch`` on, the peeled series below) with ``0.0/t`` and
-``(-(p+2) u)/t`` added in the order numpy adds the split form, so the
-integrator reads the split form's bytes without its array work.
+its maps run on series jets, so the bootstrap there is exact.  The maps
+serve the pole only: ``m_reg`` takes time jets only, and the integrator
+reads the problem's float ``field``, the whole right-hand side in plain
+floats: the regular rows (one trace read from ``t_switch`` on, the peeled
+series summed below) with ``0.0/t`` and ``(-(p+2) u)/t`` added in the order
+numpy adds the split form, so the integrator reads the split form's bytes
+without its array work.
 Metrics whose odd low-order data does not cancel the order-one residue (for
 example ``alpha'(0) != 0``) have no analytic reduction; their series paths
 raise StructureError.
@@ -58,6 +59,7 @@ raise ValidationError naming it, so a series path rejects the family.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -410,12 +412,13 @@ def _direct_traces(fam: MetricFamily, t: float, rho: float, second: bool):
 
 
 def _traces(fam: MetricFamily, t: float, rho: float, second: bool):
-    """``(drift + weight alpha', V, V2)`` at ``t > 0`` and radius ``rho``,
-    ``V2`` None unless ``second`` (diagonal families only): one
+    """``(drift + weight alpha', V, V2)`` at a finite ``t > 0`` and radius
+    ``rho``, ``V2`` None unless ``second`` (diagonal families only): one
     :func:`_direct_traces` call from ``t_switch`` on, one order-12
     pole-peeled series evaluation below."""
-    if t <= 0:
-        raise ValidationError("trace quantities need t > 0")
+    if not 0.0 < t < math.inf:
+        raise ValidationError(
+            f"trace quantities need a finite t > 0, got t = {t}")
     if second and not fam.diagonal:
         raise ValidationError(
             "second radial derivative reduction supports diagonal "
@@ -452,46 +455,18 @@ def trace_potential2(fam: MetricFamily, t: float, rho: float) -> float:
 
 # -- assembled singular problems ----------------------------------------------
 
-def _float_rows(fam: MetricFamily, t: float, y: list) -> list:
-    """``m_reg`` of both profile problems at a float ``t`` for the float
-    state list ``y``, as a list: from ``t_switch`` on from one
-    :func:`_traces` read at ``rho = t a``, below by summing the pole-peeled
-    series of the reduction; the tension ``F = t b`` forces the profile
-    row."""
-    p, K = fam.dim_p, _FLOAT_SERIES_ORDER
-    coupled = len(y) == 4
-    a, u = y[0], y[1]
-    if t >= fam.t_switch:
-        D, V, V2 = _traces(fam, t, t * a, coupled)
-        d = D - p / t
-        out = [u, (V - p * a / t - d * (a + t * u)) / t]
-        if coupled:
-            b, ub = y[2:]
-            out += [ub, ((V2 - p / (t * t)) * t * b - d * (b + t * ub)) / t]
-    else:
-        w = _w_series(fam, [_series.constant(v, K) for v in y], K)
-        out = [u, float(_series.eval_truncated(w[0], t))]
-        if coupled:
-            out += [y[3], float(_series.eval_truncated(w[1], t))]
-    if coupled:
-        out[1] += y[2]
-    return out
-
-
-def _profile_reg(fam: MetricFamily, t, y) -> np.ndarray:
-    """``m_reg`` of both profile problems, for the harmonic state ``(a, u)``
-    or the biharmonic one ``(a, u, b, u_b)``, at a time jet or a float
-    ``t`` (:func:`_float_rows`)."""
-    if isinstance(t, Series):
-        n = _time_jet_order(t)
-        s = [_as_jet(v, n + 2) for v in y]
-        w = _w_series(fam, s, n + 2)
-        out = [s[1].truncate(n), w[0]]
-        if len(y) == 4:
-            out[1] = out[1] + s[2].truncate(n)
-            out += [s[3].truncate(n), w[1]]
-        return np.array(out, dtype=object)
-    return np.array(_float_rows(fam, t, [float(v) for v in y]))
+def _profile_reg(fam: MetricFamily, t: Series, y) -> np.ndarray:
+    """``m_reg`` of both profile problems at a time jet ``t``, for the
+    harmonic state ``(a, u)`` or the biharmonic one ``(a, u, b, u_b)``; the
+    float right-hand side is :func:`_profile_field`."""
+    n = _time_jet_order(t)
+    s = [_as_jet(v, n + 2) for v in y]
+    w = _w_series(fam, s, n + 2)
+    out = [s[1].truncate(n), w[0]]
+    if len(y) == 4:
+        out[1] = out[1] + s[2].truncate(n)
+        out += [s[3].truncate(n), w[1]]
+    return np.array(out, dtype=object)
 
 
 def _profile_sing(p: int):
@@ -508,16 +483,36 @@ def _profile_sing(p: int):
 
 def _profile_field(fam: MetricFamily):
     """The whole float field ``m_sing(y)/t + m_reg(t, y)`` of both profile
-    problems in plain floats: each ``(x, u)`` pair of :func:`_float_rows`
-    gets ``0.0/t`` and ``(-(p+2) u)/t`` added as numpy adds the split
-    form's arrays, so the bytes are the split form's on both sides of
+    problems in plain floats.  The regular rows come from one
+    :func:`_traces` read at ``rho = t a`` from ``t_switch`` on and from the
+    pole-peeled series of the reduction summed at ``t`` below; the tension
+    ``F = t b`` forces the profile row.  Each ``(x, u)`` pair then gets
+    ``0.0/t`` and ``(-(p+2) u)/t`` added as numpy adds the split form's
+    arrays, so the bytes are those of the split sum on both sides of
     ``t_switch``."""
-    s = -(fam.dim_p + 2.0)
+    p, K = fam.dim_p, _FLOAT_SERIES_ORDER
+    s = -(p + 2.0)
 
     def field(t, y):
         t = float(t)
         y = np.asarray(y, dtype=float).tolist()
-        out = _float_rows(fam, t, y)
+        coupled = len(y) == 4
+        a, u = y[0], y[1]
+        if t >= fam.t_switch:
+            D, V, V2 = _traces(fam, t, t * a, coupled)
+            d = D - p / t
+            out = [u, (V - p * a / t - d * (a + t * u)) / t]
+            if coupled:
+                b, ub = y[2:]
+                out += [ub,
+                        ((V2 - p / (t * t)) * t * b - d * (b + t * ub)) / t]
+        else:
+            w = _w_series(fam, [_series.constant(v, K) for v in y], K)
+            out = [u, float(_series.eval_truncated(w[0], t))]
+            if coupled:
+                out += [y[3], float(_series.eval_truncated(w[1], t))]
+        if coupled:
+            out[1] += y[2]
         for i in range(0, len(y), 2):
             out[i] = 0.0 / t + out[i]
             out[i + 1] = s * y[i + 1] / t + out[i + 1]

@@ -95,8 +95,13 @@ def _jet_coeffs(vec, j: int) -> np.ndarray:
     return np.array([_jet_coeff(x, j) for x in vec])
 
 
-def _time_jet_order(tj: Series) -> int:
-    """Order of a time jet, which must expand the identity at 0."""
+def _time_jet_order(tj) -> int:
+    """Order of a time jet, which must be a Series expanding the identity
+    at 0; the one check that a map's time argument is a time jet."""
+    if not isinstance(tj, Series):
+        raise ValidationError(
+            f"time argument must be a time jet (a Series), got {tj!r}; the "
+            "float right-hand side is the problem's field")
     c = tj.coeffs
     if tj.t0 != 0.0 or c[0] != 0.0 or (tj.order >= 1 and c[1] != 1.0):
         raise ValidationError(
@@ -140,12 +145,16 @@ class SingularIVP:
     repr of the error that made it fail.  ``meta`` is free-form (the
     geometry layer stores its reduction data there).
 
-    ``field``, when given, is the whole right-hand side as one float
-    callable ``field(t, y)`` equal to ``m_sing(y)/t + m_reg(t, y)``;
+    The maps serve the pole: the admissibility check, the Jacobian and the
+    bootstrap.  ``field``, when given, is the whole right-hand side as one
+    float callable ``field(t, y)`` equal to ``m_sing(y)/t + m_reg(t, y)``;
     :meth:`rhs`, which the integrator, the handoff check and
     :meth:`Trajectory.residual` call, returns it.  Without it :meth:`rhs`
-    sums the two maps.  The maps themselves still serve the admissibility
-    check and the bootstrap.
+    sums the two maps.  So the maps of a Taylor-capable problem with a
+    ``field`` are read on floats only as ``m_sing(y0)``, and its ``m_reg``
+    may take time jets only; ``m_reg`` is read on floats only for
+    black-box maps (the bootstrap's stencils) or when there is no
+    ``field``.
     """
 
     m_sing: Callable
@@ -624,9 +633,7 @@ class AffineSingularMaps:
                 None if g is None else _truncate_jets(g, order))
 
     def m_sing(self, y):
-        y = np.asarray(y)
-        return self.C @ y + (self.c if y.dtype != object
-                             else _const_jets(self.c, _min_order(y)))
+        return self.C @ np.asarray(y) + self.c
 
     def m_reg(self, t, y):
         y = np.asarray(y)
@@ -654,12 +661,6 @@ def _truncate_jets(jets: np.ndarray, order: int) -> np.ndarray:
     out = np.empty(jets.size, dtype=object)
     out[:] = [s.truncate(order) for s in jets.flat]
     return out.reshape(jets.shape)
-
-
-def _min_order(jets) -> int:
-    orders = [x.order for x in np.asarray(jets, dtype=object).reshape(-1)
-              if isinstance(x, Series)]
-    return min(orders) if orders else 0
 
 
 # -- first-order reduction toolkit ------------------------------------------
@@ -726,16 +727,12 @@ def normalize(f: Callable, Y0) -> Callable:
     Y0 = np.asarray(Y0, dtype=float).reshape(-1)
 
     def shifted(xi, z):
-        z = np.asarray(z)
-        if z.dtype == object:
-            return f(xi, z + _const_jets(Y0, _min_order(z)))
-        return f(xi, z + Y0)
+        return f(xi, np.asarray(z) + Y0)
 
     return shifted
 
 
 _HAT_SWITCH = 1e-2
-_HAT_ORDER = 12
 
 
 def reduce_hat(f: Callable, Y0, t_end: float = 1.0) -> SingularIVP:
@@ -755,61 +752,46 @@ def reduce_hat(f: Callable, Y0, t_end: float = 1.0) -> SingularIVP:
     split's ``m_reg``, it takes no difference of two nearly equal values
     near the pole.
 
-    ``m_reg(xi, w) = -(fhat(xi, w) - fhat(0, w))/xi`` is evaluated in this
-    direct form from ``|xi| >= 1e-2`` on.  Closer to the pole the direct
-    form cancels, so ``m_reg`` is summed from the Taylor coefficients of
-    ``psi(s) = f(s, Y0 + s w)``: for Taylor-capable maps its own jet
-    branch at order 11 (``psi`` to order 12) is summed at ``xi``;
-    black-box maps use central-difference stencils of orders 2 to 4, which
-    the black-box bootstrap reads near ``s = 0``.
+    On a time jet ``m_reg`` is the series of ``psi(s) = f(s, Y0 + s w)``
+    shifted down by two orders.  On floats only the black-box bootstrap
+    reads it: ``m_reg(xi, w) = -(fhat(xi, w) - fhat(0, w))/xi`` in this
+    direct form from ``|xi| >= 1e-2`` on, and below, where the direct form
+    cancels, from central-difference stencils of ``psi`` of orders 2 to 4.
     """
     Y0 = np.asarray(Y0, dtype=float).reshape(-1)
     k = Y0.size
     a0, A0, B, y_hat0, probe_error = _pole_data(f, Y0)
     jet_capable = probe_error is None
 
-    def fhat_jet(xi_jet: Series, w):
-        # psi(s) = f(s, Y0 + s w(s)) as a series in s; fhat = w + psi/s
-        order = _time_jet_order(xi_jet)
-        w = np.asarray(w, dtype=object).reshape(-1)
-        sj = _series.identity(order + 1)
-        warg = np.array([Y0[i] + sj * _as_jet(w[i], order + 1)
-                         for i in range(k)], dtype=object)
-        psi = np.asarray(f(sj, warg), dtype=object).reshape(-1)
-        out = np.empty(k, dtype=object)
-        for i in range(k):
-            ci = psi[i].coeffs if isinstance(psi[i], Series) else \
-                np.array([float(psi[i])] + [0.0] * (order + 1))
-            shifted = Series(np.asarray(ci)[1:order + 2], 0.0)
-            out[i] = _as_jet(w[i], order) + shifted
-        return out
-
     def m_sing(y):
         return -(a0 + B @ np.asarray(y))
 
     def m_reg(t, y):
         if isinstance(t, Series):
-            # Expand one order above the request: the shift below eats one
-            # order, and the padded top y-coefficient cancels against the
-            # affine part exactly because B = I + A0.
-            n = _time_jet_order(t)
-            y = np.asarray(y, dtype=object).reshape(-1)
-            w_pad = np.array([_as_jet(v, n + 1) for v in y], dtype=object)
-            jet = fhat_jet(_series.identity(n + 1), w_pad)
-            aff = a0 + B @ w_pad
-            return np.array([-Series((j - a).coeffs[1:], 0.0)
-                             for j, a in zip(jet, aff)], dtype=object)
+            # fhat = w + psi/s with psi(s) = f(s, Y0 + s w(s)), expanded one
+            # order above the request: the shift below eats one order, and
+            # the padded top y-coefficient cancels against the affine part
+            # exactly because B = I + A0.
+            n = _time_jet_order(t) + 1
+            w = _const_jets(np.asarray(y, dtype=object).reshape(-1), n)
+            sj = _series.identity(n + 1)
+            warg = np.array([Y0[i] + sj * w[i].pad(n + 1) for i in range(k)],
+                            dtype=object)
+            psi = np.asarray(f(sj, warg), dtype=object).reshape(-1)
+            aff = a0 + B @ w
+            out = []
+            for i in range(k):
+                fhat = w[i] + Series._new(_as_jet(psi[i], n + 1).coeffs[1:],
+                                          0.0)
+                out.append(-Series._new((fhat - aff[i]).coeffs[1:], 0.0))
+            return np.array(out, dtype=object)
         y = np.asarray(y, dtype=float).reshape(-1)
         if abs(t) >= _HAT_SWITCH:
             val = np.asarray(f(t, Y0 + t * y), dtype=float).reshape(-1)
             return -((y + val / t) - (a0 + B @ y)) / t
-        if jet_capable:     # the jet branch above, summed at t
-            jet = m_reg(_series.identity(_HAT_ORDER - 1), y)
-            return _series.eval_truncated(
-                np.stack([s.coeffs for s in jet], axis=1), t)
-        # black box near 0: m_reg(t, y) = -(psi_2 + psi_3 t + psi_4 t^2 +
-        # ...) where psi(s) = f(s, Y0 + s y); moderate-step stencils avoid
-        # the 1/t^2 cancellation of the direct form
+        # near 0: m_reg(t, y) = -(psi_2 + psi_3 t + psi_4 t^2 + ...) where
+        # psi(s) = f(s, Y0 + s y); moderate-step stencils avoid the 1/t^2
+        # cancellation of the direct form
 
         def phi(s, _y=y):
             return np.asarray(f(s, Y0 + s * _y), dtype=float).reshape(-1)

@@ -480,6 +480,17 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, no_solve, command,
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "solve-singular"])
+def test_an_overflowing_literal_is_a_config_error(tmp_path, capsys, no_solve,
+                                                  command):
+    # "1e400" parsed to inf: check passed it and the solve ended in a
+    # RuntimeWarning or a handoff error blaming tol
+    path = write_cfg(tmp_path, "o.json", {**AFFINE, "g": ["1e400"]})
+    assert cli.run([command, "--config", path, "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "config error" in err and "'1e400' overflows" in err
+
+
 @pytest.mark.parametrize("command", ["solve-harmonic", "check"])
 @pytest.mark.parametrize("metric", [
     {"diagonal": [["t^2"], "1"], "dim_p": 1},          # was exit 4

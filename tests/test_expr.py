@@ -56,6 +56,21 @@ def test_parse_errors_carry_position():
         expr.parse("t^t")          # variable exponent rejected
 
 
+@pytest.mark.parametrize("text, column", [
+    ("1e400", 1), ("t + 2.5E309", 5), ("sin(1e999*t)", 5), ("-1e400", 2)])
+def test_an_overflowing_literal_is_a_parse_error(text, column):
+    # float("1e400") is inf; a literal must name a finite number, as a JSON
+    # number must
+    for read in (expr.parse, expr.as_expr):
+        with pytest.raises(ParseError, match="overflows the float range") \
+                as ei:
+            read(text)
+        assert (ei.value.line, ei.value.column) == (1, column)
+    assert expr.parse("1e-400") == expr.Num(0.0)       # underflow is fine
+    assert expr.parse("1.7976931348623157e308") == \
+        expr.Num(1.7976931348623157e308)
+
+
 def test_eval_domain_errors():
     with pytest.raises(EvalDomainError):
         expr.eval_real(expr.parse("log(t)"), -1.0)

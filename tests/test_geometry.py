@@ -114,6 +114,23 @@ def test_trace_argument_guards():
             geometry.trace_potential2(block, t, 0.2)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 0.0],
+                         ids=["nan", "inf", "-inf", "zero"])
+def test_trace_quantities_reject_a_non_finite_t(t):
+    # nan passed a t <= 0 check and came back as nan; inf reached sin(inf)
+    # and raised a bare ValueError
+    reads = [lambda fam: geometry.trace_drift(fam, t),
+             lambda fam: geometry.trace_potential(fam, t, 0.5),
+             lambda fam: geometry.trace_potential2(fam, t, 0.5),
+             lambda fam: geometry.tension_residual(fam, t, 0.5, 1.0, 0.0),
+             lambda fam: geometry.biharmonic_residual(
+                 fam, t, 0.5, 1.0, 0.0, 0.1, 0.2, 0.0)]
+    for fam in (sphere(), flat3()):
+        for read in reads:
+            with pytest.raises(ValidationError, match="finite t > 0"):
+                read(fam)
+
+
 def test_structure_residue_detection():
     # odd term inside the collapsing block leaves a 1/t residue
     bad = geometry.MetricFamily.from_diagonal(["t^2 + t^3", "1"], dim_p=1)
@@ -775,8 +792,6 @@ def test_assembled_maps_match_reference_bytes(name):
             y = rng.normal(size=k)
             assert outcome(prob.m_sing, y) == \
                 outcome(ref_sing, fam.dim_p, y)
-            assert outcome(prob.m_reg, t, y) == \
-                outcome(ref_reg, fam, t, y), (t, y)
             # the float field has the bytes of the split form
             split = outcome(lambda: ref_sing(fam.dim_p, y) / t
                             + ref_reg(fam, t, y))
@@ -804,8 +819,21 @@ def test_near_pole_biharmonic_samples_match_reference_bytes():
     for _ in range(200):
         t = float(10.0 ** rng.uniform(-5.0, np.log10(fam.t_switch)))
         y = rng.normal(size=4)
-        assert outcome(prob.m_reg, t, y) == \
-            outcome(ref_biharmonic_reg, fam, t, y), (t, y)
+        assert outcome(prob.field, t, y) == outcome(
+            lambda: ref_sing(fam.dim_p, y) / t
+            + ref_biharmonic_reg(fam, t, y)), (t, y)
+
+
+@pytest.mark.parametrize("w", [None, 0.3], ids=["harmonic", "biharmonic"])
+def test_profile_m_reg_takes_time_jets_only(w):
+    # the float right-hand side is the field; a float time given to m_reg
+    # is refused on both sides of t_switch, not read as a jet or summed
+    prob = geometry._assemble(sphere(), 0.7, w, 1.2)
+    y = np.full(prob.k, 0.3)
+    for t in (1e-3, 0.5, np.float64(0.5)):
+        with pytest.raises(ValidationError, match="time jet"):
+            prob.m_reg(t, y)
+    prob.m_reg(series.identity(3), y)
 
 
 FIELD_SOLVES = {
@@ -826,7 +854,8 @@ def test_solve_with_the_field_has_the_bytes_of_the_split_solve(name,
     make, w, t0 = FIELD_SOLVES[name]
     fam = make()
     fused, split = (geometry._assemble(fam, 0.7, w, 1.2) for _ in range(2))
-    split.field = None
+    ref_reg = ref_harmonic_reg if w is None else ref_biharmonic_reg
+    split.field = lambda t, y: ref_sing(fam.dim_p, y) / t + ref_reg(fam, t, y)
     a, b = (singular.solve(p, tol=1e-10) if t0 is None else start_at(p, t0)
             for p in (fused, split))
     assert a.result.ts.tobytes() == b.result.ts.tobytes()
