@@ -172,6 +172,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.starts = {}    # id of each + - * / node: its first token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -186,19 +187,23 @@ class _Parser:
         raise ParseError(message, tok.line, tok.column, expected)
 
     def additive(self):
+        start = self.peek()
         node = self.multiplicative()
         while self.peek().kind == "op" and self.peek().text in "+-":
             op = self.advance().text
             rhs = self.multiplicative()
             node = Add(node, rhs) if op == "+" else Sub(node, rhs)
+            self.starts[id(node)] = start
         return node
 
     def multiplicative(self):
+        start = self.peek()
         node = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.advance().text
             rhs = self.unary()
             node = Mul(node, rhs) if op == "*" else Div(node, rhs)
+            self.starts[id(node)] = start
         return node
 
     def unary(self):
@@ -265,7 +270,9 @@ def parse(text: str) -> Expr:
     ------
     ParseError
         With 1-based line/column and the set of acceptable tokens; also
-        for a numeric literal past the float range, such as ``1e400``.
+        for a numeric literal past the float range, such as ``1e400``, and
+        for a variable-free subexpression whose value is not finite, such
+        as ``1e308*10``.
     """
     if not isinstance(text, str):
         raise ParseError("expression must be a string", 1, 1, _ATOM_EXPECTED)
@@ -277,7 +284,45 @@ def parse(text: str) -> Expr:
     if p.peek().kind != "eof":
         p.fail(f"unexpected token {p.peek().text!r}",
                ("operator", "end of input"))
+    _check_constants(node, p.starts)
     return node
+
+
+def _check_constants(e: Expr, starts) -> bool:
+    """Whether ``e`` contains ``t``; a variable-free ``+ - * /`` node of
+    ``e`` whose value is not finite raises ParseError at its first token
+    (``starts``), innermost first.
+
+    Only these operators take finite values to inf or nan without an
+    error; ``^`` and the functions raise EvalDomainError there.  A node is
+    read in real mode, and in complex mode where real evaluation leaves the
+    domain (``sqrt(-1)*2``); where both do, evaluation reports it.
+    """
+    kind = type(e)      # the parser's own nodes: no subclasses
+    if kind is Var:
+        return True
+    if kind is Num:
+        return False
+    if kind is Neg or kind is Call:
+        return _check_constants(e.arg, starts)
+    if kind is Pow:
+        base = _check_constants(e.base, starts)
+        return _check_constants(e.exponent, starts) or base
+    left = _check_constants(e.left, starts)
+    if _check_constants(e.right, starts) or left:
+        return True
+    for mode in ("real", "complex"):
+        try:
+            value = _compile([e], mode)(0.0)[0]
+        except EvalDomainError:
+            continue
+        if not np.isfinite(value):
+            tok = starts[id(e)]
+            raise ParseError(f"constant {render(e)!r} evaluates to {value}, "
+                             "which is not finite", tok.line, tok.column,
+                             ("finite constant",))
+        break
+    return False
 
 
 def as_expr(entry) -> Expr:

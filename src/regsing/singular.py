@@ -505,8 +505,9 @@ def integrate(p: SingularIVP, t0: float, y_t0,
               tol: float = 1e-10) -> Trajectory:
     """Adaptive integration from ``t0 > 0`` to ``t_end``.
 
-    Each step holds its defect at theta* to ``10 tol (1 + max|y|)``, with no
-    step cap; ``max_residual`` is the largest accepted defect and
+    Each step holds its defect at theta* to ``10 tol (1 + max|y|)`` plus
+    the rounding of the field, ``16 eps |f|``, with no step cap;
+    ``max_residual`` is the largest accepted defect and
     ``rhs_calls`` the number of :meth:`SingularIVP.rhs` calls made.
     """
     t0 = float(t0)

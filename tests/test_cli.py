@@ -491,6 +491,17 @@ def test_an_overflowing_literal_is_a_config_error(tmp_path, capsys, no_solve,
     assert "config error" in err and "'1e400' overflows" in err
 
 
+@pytest.mark.parametrize("command", ["check", "solve-singular"])
+def test_a_constant_that_overflows_is_a_config_error(tmp_path, capsys,
+                                                     no_solve, command):
+    # "1e308*10" is inf: check passed it with verdict true, and the solve
+    # ended in an invalid-value RuntimeWarning
+    path = write_cfg(tmp_path, "o.json", {**AFFINE, "g": ["1e308*10"]})
+    assert cli.run([command, "--config", path, "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "config error" in err and "'1e+308*10' evaluates to inf" in err
+
+
 @pytest.mark.parametrize("command", ["solve-harmonic", "check"])
 @pytest.mark.parametrize("metric", [
     {"diagonal": [["t^2"], "1"], "dim_p": 1},          # was exit 4

@@ -71,6 +71,33 @@ def test_an_overflowing_literal_is_a_parse_error(text, column):
         expr.Num(1.7976931348623157e308)
 
 
+@pytest.mark.parametrize("text, named, column", [
+    ("1e308*10", "1e+308*10", 1),
+    ("t + (1e308*10 - 1e308*10)*0", "1e+308*10", 6),     # innermost first
+    ("sin(t) + exp(700)*exp(700)", "exp(700)*exp(700)", 10),
+    ("t^(1e200*1e200)", "1e+200*1e+200", 4),
+    ("-1e308 - 1e308", "-1e+308 - 1e+308", 1),
+    ("sqrt(-1)*1e308*10", "sqrt(-1)*1e+308*10", 1),       # complex reading
+])
+def test_a_constant_that_is_not_finite_is_a_parse_error(text, named, column):
+    # a variable-free + - * / whose value is inf or nan: "1e308*10" parsed,
+    # check passed it and the solve met inf
+    for read in (expr.parse, expr.as_expr):
+        with pytest.raises(ParseError, match="not finite") as ei:
+            read(text)
+        assert repr(named) in str(ei.value)
+        assert (ei.value.line, ei.value.column) == (1, column)
+
+
+@pytest.mark.parametrize("text", [
+    "2*3 + t", "sin(t)*1e308*10", "log(-1)*2", "1/0", "1e308 + 1e308*t",
+    "1.7976931348623157e308*1"])
+def test_finite_or_variable_or_domain_failing_constants_still_parse(text):
+    # t-dependent values, and domain errors in both modes, are evaluation's
+    # to report
+    expr.parse(text)
+
+
 def test_eval_domain_errors():
     with pytest.raises(EvalDomainError):
         expr.eval_real(expr.parse("log(t)"), -1.0)

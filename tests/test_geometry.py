@@ -195,6 +195,26 @@ def test_harmonic_flat_family_is_exact():
     assert sol.v == 0.8
 
 
+@pytest.mark.parametrize("tol", [1e-8, 1e-10, 1e-12])
+@pytest.mark.parametrize("fam_fn", [
+    lambda: geometry.MetricFamily.from_diagonal(["t^2"] * 2, dim_p=2),
+    lambda: geometry.MetricFamily.from_diagonal(["t^2"] * 4, dim_p=4),
+    flat3,
+], ids=["flat2", "flat4", "t2t2_1pt2"])
+def test_an_exact_profile_crosses_the_integrated_span_in_two_steps(fam_fn,
+                                                                   tol):
+    # the reduced state of r = v t is constant and its slope ~0 in the
+    # error scale; an absolute 1e-6 first step took 7-8 steps over [0.5, 1]
+    fam = fam_fn()
+    for v in (0.6, 1.3, 1.9):
+        sol = geometry.solve_harmonic(fam, v, 1.0, tol=tol)
+        assert sol.traj.diagnostics["steps_accepted"] <= 2
+        # the profile_exact bound of the benchmark
+        err = max(abs(sol.r(1.0) - v), abs(sol.rdot(1.0) - v))
+        assert err <= 1e-9 * (1.0 + v)
+        assert sol.traj.diagnostics["max_residual"] <= 100 * tol
+
+
 def test_sphere_series_coefficients():
     # matching orders of r'' + 2 cot t r' = sin 2r / sin^2 t with
     # r = 0.6 t + c3 t^3 + c5 t^5 + c7 t^7 gives the exact rationals

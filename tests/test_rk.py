@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from regsing import rk
+from regsing import linear, rk
 from regsing.errors import NumericalError, ValidationError
 
 
@@ -225,3 +225,116 @@ def test_a_nan_step_size_fails_the_underflow_guard(monkeypatch):
     with pytest.raises(NumericalError, match="underflow at t = 0.0"):
         rk.integrate_adaptive(f, 0.0, np.array([1.0]), 1.0, 1e-10)
     assert f.calls == 1
+
+
+# -- the one-pass rows and the step loop against step-by-step references ---
+
+def _stages(f, t, y, k0, h):
+    """Stage slopes and last increment of one step, in matmul form."""
+    k = np.empty((7, y.size), dtype=k0.dtype)
+    k[0] = k0
+    for i in range(1, 7):
+        dy = h * (rk._A[i] @ k[:i])
+        k[i] = f(t + rk._C[i] * h, y + dy)
+    return k, dy
+
+
+def _stepwise_rows(f, res):
+    """``res.rows`` built one accepted step at a time, as each step ends:
+    the stages re-run over the accepted grid from the stored states."""
+    ts, ys = res.ts.tolist(), res.ys
+    k0 = np.atleast_1d(f(ts[0], ys[0])).astype(ys.dtype)
+    rows = []
+    for i, (t, t_next) in enumerate(zip(ts, ts[1:])):
+        h = t_next - t
+        k, dy = _stages(f, t, ys[i], k0, h)
+        assert (ys[i] + dy).tobytes() == ys[i + 1].tobytes()
+        bspl = h * k[0] - dy
+        rows.append((ys[i], dy, bspl, dy - h * k[6] - bspl, h * (rk._D @ k)))
+        k0 = k[6]
+    return np.array(rows)
+
+
+def _real(t, y):
+    return np.array([y[1], -(1.0 + 0.5 * t) * math.sin(y[0])])
+
+
+def _complex(t, y):
+    return 1j * (1.0 + 0.5 * math.cos(t)) * y[::-1] - 0.1 * y
+
+
+@pytest.mark.parametrize("check_defect", [False, True])
+@pytest.mark.parametrize("f, y0", [(_real, [1.0, 0.0]),
+                                   (_complex, [1.0 + 0j, 0.5j])],
+                         ids=["real", "complex"])
+def test_rows_built_in_one_pass_have_the_bytes_of_a_stepwise_build(
+        f, y0, check_defect):
+    res = rk.integrate_adaptive(f, 0.0, np.array(y0), 4.0, 1e-9,
+                                check_defect=check_defect)
+    assert res.n_accepted > 10
+    want = _stepwise_rows(f, res)
+    assert res.rows.shape == (res.n_accepted, 5, len(y0))
+    assert res.rows.dtype == want.dtype
+    assert res.rows.tobytes() == want.tobytes()
+    # c1 is the increment itself, so the interpolant meets every node
+    for i, t in enumerate(res.ts.tolist()[1:-1], 1):
+        assert res.value(t).tobytes() == res.ys[i].tobytes()
+
+
+def _stepwise_loop(f, t0, y0, t1, tol):
+    """End state, accepted steps and ``est_error`` of the step loop without
+    the defect check, one step at a time in matmul form, with the numpy
+    mean form of the rms norm and one norm per accepted step."""
+    def rms(x):
+        return float(np.sqrt(np.mean(np.abs(x) ** 2)))
+
+    f0 = np.asarray(f(t0, y0))
+    y = y0.astype(np.result_type(y0.dtype, f0.dtype, np.float64))
+    k0 = f0.astype(y.dtype)
+    h = max(rk._initial_step(f, t0, y, k0, t1, tol), 1e-300)
+    t, n, est, err_prev, rejected_last = t0, 0, 0.0, 1e-4, False
+    while t < t1:
+        t_next = t1 if h >= t1 - t else t + h
+        h = t_next - t
+        k, dy = _stages(f, t, y, k0, h)
+        err_vec = h * (rk._E @ k)
+        yi = y + dy
+        err = rms(err_vec / (tol + tol * np.maximum(np.abs(y), np.abs(yi))))
+        factor = rk._MAX_FACTOR if err == 0.0 else min(max(
+            rk._MIN_FACTOR, rk._SAFETY * err ** -rk._EXP1
+            * err_prev ** rk._EXP2), rk._MAX_FACTOR)
+        if not err <= 1.0:
+            rejected_last = True
+            h *= min(factor, 1.0)
+            continue
+        t, y, k0 = t_next, yi, k[6]
+        n += 1
+        est += rms(err_vec)
+        if rejected_last:
+            factor = min(factor, 1.0)
+        rejected_last = False
+        err_prev = max(err, 1e-4)
+        h *= factor
+    return y, n, est
+
+
+def test_a_loop_end_state_has_the_bytes_of_a_stepwise_loop(monkeypatch):
+    # a monodromy loop reads ys[-1], n_accepted and est_error only; none of
+    # them may move with the rows built after the loop
+    calls = []
+    real_integrate = linear.integrate_adaptive
+
+    def recorded(f, t0, y0, t1, tol):
+        res = real_integrate(f, t0, y0, t1, tol)
+        calls.append(((f, t0, y0, t1, tol), res))
+        return res
+
+    monkeypatch.setattr(linear, "integrate_adaptive", recorded)
+    system = linear.LinearRSSystem([["0.3", "t"], ["0.1*t^2", "-0.2 + 0.5*t"]],
+                                   rho=2.0)
+    linear.monodromy_at(system, 0.6)
+    (args, res), = calls
+    y, n, est = _stepwise_loop(*args)
+    assert res.ys[-1].tobytes() == y.tobytes()
+    assert res.n_accepted == n
+    assert res.est_error == est

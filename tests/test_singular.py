@@ -564,6 +564,20 @@ def test_defect_check_catches_a_planted_interpolant_fault(monkeypatch):
             > clean.diagnostics["steps_accepted"])
 
 
+def test_a_defect_below_the_rounding_of_f_does_not_stop_the_solve():
+    # y' = (1e15/(1 + 2e7 t) - y)/t from y(0) = 0: at the handoff ~1.4e-8,
+    # eps |f| ~ 0.08 exceeds the defect bound 10 tol (1 + |y|) ~ 6e-3, and
+    # a bound without the rounding of f failed every step until "step size
+    # underflow"
+    tol = 1e-10
+    p = singular.AffineSingularMaps([[-1]], g=["1e15/(1 + 2e7*t)"]).problem(
+        [0.0], 1.0)
+    traj = singular.solve(p, tol=tol)
+    want = 5e7 - 2.5 * math.log1p(2e7)
+    assert traj.value(1.0)[0] == pytest.approx(want, rel=1e-12)
+    assert math.isfinite(traj.diagnostics["max_residual"])
+
+
 def test_integrate_reads_the_residual_only_inside_the_step_loop(
         monkeypatch):
     outside = []
