@@ -9,6 +9,11 @@ regsing solve-harmonic --config demos/configs/flat_sweep.json --quiet
 regsing solve-biharmonic --config demos/configs/biharmonic_flat.json
 regsing monodromy --config demos/configs/nilpotent_monodromy.json
 regsing fundamental --config demos/configs/fundamental_loop.json
+# A(0) = diag(1/4, 3/4) is non-resonant: the loop is read from the
+# Frobenius series, and the tour fails unless the report says so
+report=$(regsing monodromy --config demos/configs/monodromy_series.json)
+echo "$report"
+case "$report" in *'"path": "series"'*) ;; *) exit 1 ;; esac
 regsing solve-singular --config demos/configs/affine_singular.json
 regsing check --config demos/configs/check_sphere.json
 

@@ -8,6 +8,12 @@ whose monodromy has the closed form e^{-2 pi i lam} [[1, -2 pi i s0],
 [0, 1]] at loop radius s0.  The off-diagonal entry keeps growing as the
 loop widens even though the eigenvalues never move, which is the whole
 point of tracking the matrix and not just its spectrum.
+
+Its exponents lam and lam + 1 are resonant, so its loops are integrated.
+The twin A(s) = [[lam, s], [0, lam + 1/2]] is not: its Frobenius series
+Y = P(s) s^(-A(0)) stops at P = I + [[0, -2], [0, 0]] s, so its loops are
+P(s0) exp(-2 pi i A(0)) P(s0)^-1 = e^{-2 pi i lam} [[1, 4 s0], [0, -1]],
+read from the series with no integration.
 """
 
 import cmath
@@ -23,19 +29,36 @@ def closed_form(lam, sigma):
         [[1.0, -2j * math.pi * sigma], [0.0, 1.0]])
 
 
+def twin_closed_form(lam, sigma):
+    return cmath.exp(-2j * math.pi * lam) * np.array(
+        [[1.0, 4.0 * sigma], [0.0, -1.0]])
+
+
 def main():
     lam = 1.0 / 3.0
     sys = linear.LinearRSSystem([[lam, "t"], [0.0, lam + 1.0]], rho=2.0)
+    twin = linear.LinearRSSystem([[lam, "t"], [0.0, lam + 0.5]], rho=2.0)
 
-    print("== monodromy vs loop radius ==")
-    for sigma in (1.0, 0.5, 0.1, 0.01, 0.0):
-        res = linear.monodromy_at(sys, sigma, tol=1e-11)
-        err = np.abs(res.matrix - closed_form(lam, sigma)).max()
-        tag = "generator (radius 0 limit)" if sigma == 0.0 else \
-            f"{res.path_steps} path steps"
-        print(f"  sigma = {sigma:<5} |M - closed form| = {err:.2e}   {tag}")
+    for name, system, exact in (
+            ("resonant A(0) = diag(lam, lam + 1)", sys, closed_form),
+            ("non-resonant twin A(0) = diag(lam, lam + 1/2)", twin,
+             twin_closed_form)):
+        print(f"== monodromy vs loop radius: {name} ==")
+        for sigma in (1.0, 0.5, 0.1, 0.01, 0.0):
+            res = linear.monodromy_at(system, sigma, tol=1e-11)
+            err = np.abs(res.matrix - exact(lam, sigma)).max()
+            if sigma == 0.0:
+                tag = "generator (radius 0 limit)"
+            elif res.path == "series":
+                tag = "series"
+            else:
+                tag = (f"integrated ({res.declined}), "
+                       f"{res.path_steps} path steps")
+            print(f"  sigma = {sigma:<5} |M - closed form| = {err:.2e}   "
+                  f"{tag}")
+        print()
 
-    print("\n== conjugacy invariants stay put while the matrix moves ==")
+    print("== conjugacy invariants stay put while the matrix moves ==")
     for sigma in (0.2, 0.5, 0.9):
         res = linear.monodromy_at(sys, sigma)
         coeffs = ", ".join(f"{c.real:+.6f}{c.imag:+.6f}i"

@@ -448,10 +448,11 @@ def _cmd_fundamental(args) -> int:
     z0 = _complex_pair(cfg, "z0", "fundamental")
     z1 = _complex_pair(cfg, "z1", "fundamental")
     tol = _tol(cfg, args, "fundamental")
-    U = _linear.fundamental_solution(sys_, z0, z1, tol=tol)
-    cond = float(np.linalg.cond(U))
-    _emit_json({"z0": z0, "z1": z1, "matrix": U, "condition": cond},
-               args.out)
+    # fundamental_solution's transport, with the path it took
+    t = _linear._transport(sys_, z0, z1, tol)
+    cond = float(np.linalg.cond(t.Y))
+    _emit_json({"z0": z0, "z1": z1, "matrix": t.Y, "condition": cond,
+                "path": t.path, "declined": t.declined}, args.out)
     return EXIT_OK
 
 

@@ -4,11 +4,28 @@ The stored object is the system ``dY/ds + (1/s) A(s) Y = h(s)`` on
 ``0 < s < rho`` with ``A`` and ``h`` analytic at 0, which is probed when
 the system is built.  Pulling back along ``s = e^z`` removes the pole:
 ``dY/dz + A(e^z) Y = e^z h(e^z)`` is regular on the half-plane
-``Re z < log(rho)``.  One transport integrates it along a segment of that
-half-plane, and fundamental solutions, inhomogeneous solves and monodromy
-loops are all calls of it: the loop ``s = sigma * e^{i theta}`` is the
-segment ``[log sigma, log sigma + 2 pi i]``.  At ``sigma = 0`` the loop
-degenerates and the monodromy is the exponential ``exp(-2 pi i A(0))``.
+``Re z < log(rho)``.  One transport carries a solution along a segment of
+that half-plane, and fundamental solutions, inhomogeneous solves and
+monodromy loops are all calls of it: the loop ``s = sigma * e^{i theta}``
+is the segment ``[log sigma, log sigma + 2 pi i]``.  At ``sigma = 0`` the
+loop degenerates and the monodromy is the exponential ``exp(-2 pi i
+A(0))``.
+
+Where ``A0 = A(0)`` is non-resonant (no two eigenvalues differ by a
+positive integer), ``Y(s) = P(s) s^(-A0)`` with ``P`` analytic and ``P(0)
+= I`` (Coddington & Levinson 1955, ch. 4; Wasow 1965, sec. 5), so a
+source-free transport is ``P(e^z1) exp(-(z1 - z0) A0) P(e^z0)^-1`` and a
+loop ``P(sigma) exp(-2 pi i A0) P(sigma)^-1``, with no integration.  The
+coefficients ``P_h`` are built per system on its first source-free
+transport and kept.  The series is declined, and the segment integrated,
+where ``n > SERIES_MAX_DIM`` or the resonance scan that
+:func:`regsing.singular.check_admissibility` runs would pass ``MAX_SCAN``
+(``size``), where that scan finds an ``h I - J`` singular (``resonant at
+h = k``), where the series has not converged at an
+end by the order cap (``tail``), where ``s P' + A P - P A0`` at an end
+misses its bound (``residual``), or where the error bound carried through
+``P^-1`` misses ``tol (1 + |U|)`` (``conditioning``).  Inhomogeneous solves
+always integrate.
 
 Conjugacy invariants are characteristic polynomial coefficients; the
 library never asserts conjugacy itself, it only reports the invariants.
@@ -19,12 +36,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from . import expr as _expr
 from .errors import ValidationError, NumericalError
 from .rk import integrate_adaptive
+from .singular import _resonance_scan
 
 __all__ = [
     "LinearRSSystem", "MonodromyResult", "fundamental_solution",
@@ -33,6 +52,11 @@ __all__ = [
 ]
 
 MAX_DIM = 64
+SERIES_MAX_DIM = 8          # above it the n^2 x n^2 Sylvester solves decline
+SERIES_FIRST_ORDER = 40     # the order of a system's first expansion
+SERIES_MAX_ORDER = 60       # the order cap, expanded to where a point needs it
+SERIES_MARGIN = 1e-3        # tail and residual targets as a share of tol
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass
@@ -84,6 +108,9 @@ class LinearRSSystem:
         # analyticity probe at the origin; rejects hidden poles like 1/t
         _expr.probe_at_zero(self.A, "A")
         _expr.probe_at_zero(self.h, "h")
+        # the Frobenius series or the reason it declines, on the first
+        # source-free transport
+        self._frobenius = None
 
     # -- pointwise evaluation ------------------------------------------------
 
@@ -98,13 +125,21 @@ class LinearRSSystem:
 
 @dataclass
 class MonodromyResult:
-    """Monodromy matrix around ``s = sigma`` with diagnostics."""
+    """Monodromy matrix around ``s = sigma`` with diagnostics.
+
+    ``path`` is ``"series"`` where the matrix was read from the Frobenius
+    series (``path_steps`` 0, ``est_error`` the bound the series branch
+    checked) and ``"integrated"`` otherwise (``est_error`` the summed local
+    error estimates); ``declined`` is None, or why the series was declined.
+    """
 
     sigma: float
     matrix: np.ndarray
     charpoly: np.ndarray
     path_steps: int
     est_error: float
+    path: str
+    declined: str | None
 
 
 def matrix_exponential(M: np.ndarray) -> np.ndarray:
@@ -189,14 +224,171 @@ def conjugacy_invariants(M) -> np.ndarray:
     return polys[n]
 
 
-def _transport(sys: LinearRSSystem, z0, z1, Y0: np.ndarray, tol: float,
-               source: bool = False):
-    """``(Y(z1), steps, est_error)`` along the segment from ``z0`` to ``z1``.
+class _Frobenius:
+    """The series ``P(s) = sum_h P_h s^h`` of ``Y(s) = P(s) s^(-A0)``."""
 
-    The module's one integration of the log-cover system
-    ``dY/dz = -A(e^z) Y`` (plus ``e^z h(e^z)`` with ``source``) from
-    ``Y(z0) = Y0``, a vector or a matrix of columns; an empty segment
-    returns a copy of ``Y0`` after no steps.
+    __slots__ = ("order", "A0", "P", "norms", "loop")
+
+    def __init__(self, order: int, A0: np.ndarray, P: np.ndarray):
+        self.order = order              # the order it was expanded to
+        self.A0 = A0                    # A(0), real
+        self.P = P                      # (K + 1, n, n) real, P[0] = I;
+                                        # K < order where one overflowed
+        self.norms = np.abs(P).sum(axis=2).max(axis=1)     # |P_h|, inf norm
+        self.loop = None                # exp(-2 pi i A0), on the first loop
+
+
+def _expand(sys: LinearRSSystem, order: int):
+    """The order-``order`` :class:`_Frobenius` of ``sys``, or the reason
+    the series branch declines the system: ``size`` (``n >
+    SERIES_MAX_DIM``, or a resonance scan past ``MAX_SCAN``) or ``resonant
+    at h = k``.
+
+    ``A`` is expanded entry by entry.  ``h P_h + A0 P_h - P_h A0 = -sum_(j
+    >= 1) A_j P_(h-j)`` is the n^2 x n^2 solve ``(h I - J) vec P_h = vec
+    rhs`` with ``J = -(A0 (x) I - I (x) A0^T)`` (row-major ``vec``), so
+    the series exists iff no ``h I - J`` is singular, which the resonance
+    scan of :func:`regsing.singular.check_admissibility` decides.  The
+    first coefficient that overflows ends the series.
+    """
+    n = sys.n
+    if n > SERIES_MAX_DIM:
+        return "size"
+    A = np.empty((order + 1, n, n))
+    for (i, j), e in np.ndenumerate(sys.A):
+        A[:, i, j] = _expr.taylor(e, 0.0, order).coeffs
+    A0, eye = A[0].copy(), np.eye(n)     # a view would keep all of A
+    J = -(np.kron(A0, eye) - np.kron(eye, A0.T))
+    try:
+        offending = _resonance_scan(J)
+    except NumericalError:
+        return "size"
+    if offending:
+        return f"resonant at h = {offending[0]}"
+    P = np.zeros((order + 1, n, n))
+    P[0] = eye
+    # row i of A_1 .. A_h side by side, against P_(h-1) .. P_0 stacked
+    rows = A[1:].transpose(1, 0, 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h in range(1, order + 1):
+            rhs = (rows[:, :h].reshape(n, h * n)
+                   @ P[h - 1::-1].reshape(h * n, n))
+            P[h] = np.linalg.solve(h * np.eye(n * n) - J,
+                                   -rhs.ravel()).reshape(n, n)
+            if not np.isfinite(P[h]).all():
+                P = P[:h]
+                break
+    return _Frobenius(order, A0, P)
+
+
+def _frobenius_at(sys: LinearRSSystem, fr: _Frobenius, s: complex,
+                  tol: float):
+    """``(P(s), bound on its error)``, or the reason the series declines
+    the point: ``tail`` or ``residual``.
+
+    With ``target = SERIES_MARGIN tol``, the series must have converged by
+    its order (its last two terms ``|P_h| |s|^h`` lie below ``target``),
+    and the sum stops at ``K``, after the last term above ``target``.  The
+    residual ``s P' + A P - P A0``, with ``A`` read through
+    :meth:`LinearRSSystem.A_at`, must meet ``(K + 1) target``.  The bound
+    adds the terms past ``K``, the last two again for those past the
+    order, the residual over ``K + 1`` and the rounding of the sum, ``eps
+    sum_h |P_h| |s|^h``.
+    """
+    target = SERIES_MARGIN * tol
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = fr.norms * abs(s) ** np.arange(len(fr.P))
+        if not terms[-2:].sum() <= target:
+            return "tail"
+        above = np.flatnonzero(terms > target)
+        K = int(above[-1]) + 1 if above.size else 0
+        powers = s ** np.arange(K + 1)
+        Q, sQ1 = np.tensordot(np.stack([powers, powers * np.arange(K + 1)]),
+                              fr.P[:K + 1], axes=1)
+        res = float(np.linalg.norm(sQ1 + sys.A_at(s) @ Q - Q @ fr.A0,
+                                   np.inf))
+    if not res <= (K + 1) * target:
+        return "residual"
+    return Q, float(terms[K + 1:].sum() + terms[-2:].sum() + res / (K + 1)
+                    + _EPS * terms.sum())
+
+
+def _series_transport(sys: LinearRSSystem, z0: complex, z1: complex,
+                      tol: float):
+    """``(U, bound)`` with ``U = P(e^z1) exp(-(z1 - z0) A0) P(e^z0)^-1``,
+    or the reason the series branch declines the segment.
+
+    A series whose order leaves a point's tail short is expanded again at
+    the order cap, once per system.  The bound carries the error bounds
+    ``e0, e1`` of ``P`` at both ends through the product, ``e1 |E P0^-1| +
+    |U| e0 |P0^-1|`` plus its rounding, and must meet ``tol (1 + |U|)``;
+    where it does not, the reason is ``conditioning``.
+    """
+    dz = z1 - z0
+    # a loop ends where it starts: one evaluation serves both ends
+    wound = dz.real == 0.0 and math.remainder(dz.imag, 2.0 * math.pi) == 0.0
+    fr = sys._frobenius
+    if fr is None:
+        fr = sys._frobenius = _expand(sys, SERIES_FIRST_ORDER)
+    while True:
+        if isinstance(fr, str):
+            return fr
+        end0 = _frobenius_at(sys, fr, cmath.exp(z0), tol)
+        end1 = end0 if wound or isinstance(end0, str) else \
+            _frobenius_at(sys, fr, cmath.exp(z1), tol)
+        if "tail" not in (end0, end1) or fr.order >= SERIES_MAX_ORDER:
+            break
+        fr = sys._frobenius = _expand(sys, SERIES_MAX_ORDER)
+    for end in (end0, end1):
+        if isinstance(end, str):
+            return end
+    (P0, e0), (P1, e1) = end0, end1
+    try:
+        P0inv = np.linalg.inv(P0)
+    except np.linalg.LinAlgError:
+        return "conditioning"
+    with np.errstate(over="ignore", invalid="ignore"):
+        if dz == 2j * math.pi:
+            if fr.loop is None:
+                fr.loop = matrix_exponential(-dz * fr.A0)
+            E = fr.loop
+        else:
+            E = matrix_exponential(-dz * fr.A0)
+        EP0inv = E @ P0inv
+        U = P1 @ EP0inv
+
+        def norm(M):
+            return float(np.linalg.norm(M, np.inf))
+
+        n0inv, nU = norm(P0inv), norm(U)
+        bound = (e1 * norm(EP0inv) + nU * e0 * n0inv
+                 + _EPS * norm(P1) * norm(E) * n0inv)
+    if not bound <= tol * (1.0 + nU):
+        return "conditioning"
+    return U, bound
+
+
+class _Transport(NamedTuple):
+    """What :func:`_transport` returns, with the path it took."""
+
+    Y: np.ndarray
+    steps: int
+    est_error: float
+    path: str               # "series" or "integrated"
+    declined: str | None    # why the series branch declined, if it did
+
+
+def _transport(sys: LinearRSSystem, z0, z1, tol: float, Y0=None
+               ) -> _Transport:
+    """``Y(z1)`` along the segment from ``z0`` to ``z1``.
+
+    The module's one transport on the log cover.  Without ``Y0`` it is
+    the fundamental matrix ``U(z1)`` of ``dY/dz = -A(e^z) Y`` from ``U(z0)
+    = I``, read from the Frobenius series (:func:`_series_transport`)
+    unless the series declines.  With ``Y0`` (a vector) the system gains
+    the source ``e^z h(e^z)``.  Otherwise, and where the series declines,
+    it integrates.  An empty segment returns the start after no steps
+    (path ``series``: ``P I P^-1 = I``).
     """
     z0 = complex(z0)
     z1 = complex(z1)
@@ -206,8 +398,20 @@ def _transport(sys: LinearRSSystem, z0, z1, Y0: np.ndarray, tol: float,
             raise ValidationError(
                 f"path point {z!r} leaves the half-plane Re z < log(rho) "
                 f"= {bound!r}")
+    source = Y0 is not None
+    if not source:
+        Y0 = np.eye(sys.n, dtype=complex)
     if z1 == z0:
-        return Y0.copy(), 0, 0.0
+        return _Transport(Y0.copy(), 0, 0.0, "series", None)
+    declined = None
+    if not source:
+        if not 0.0 < tol < math.inf:
+            raise ValidationError(
+                f"tol must be finite and positive, got {tol}")
+        got = _series_transport(sys, z0, z1, tol)
+        if not isinstance(got, str):
+            return _Transport(got[0], 0, got[1], "series", None)
+        declined = got
     dz = z1 - z0
 
     def rhs(s, y):
@@ -219,18 +423,21 @@ def _transport(sys: LinearRSSystem, z0, z1, Y0: np.ndarray, tol: float,
             return dz * (-AY + ez * sys.h_at(ez))
         return (-dz * AY).ravel()
 
-    res = integrate_adaptive(rhs, 0.0, Y0.ravel(), 1.0, tol)
-    return res.ys[-1].reshape(Y0.shape), res.n_accepted, res.est_error
+    res = integrate_adaptive(rhs, 0.0, Y0.ravel(), 1.0, tol, dense=False)
+    return _Transport(res.ys[-1].reshape(Y0.shape), res.n_accepted,
+                      res.est_error, "integrated", declined)
 
 
 def fundamental_solution(sys: LinearRSSystem, z0, z1, tol: float = 1e-10
                          ) -> np.ndarray:
     """Fundamental matrix of the log-cover system along a segment.
 
-    Integrates ``dU/dz + A(e^z) U = 0`` with ``U(z0) = I`` along the
-    straight segment from ``z0`` to ``z1`` and returns ``U(z1)``.
+    ``U(z1)`` of ``dU/dz + A(e^z) U = 0`` with ``U(z0) = I`` along the
+    straight segment from ``z0`` to ``z1``: ``P(e^z1) exp(-(z1 - z0) A0)
+    P(e^z0)^-1`` where the Frobenius series holds (see the module
+    docstring), integrated otherwise.
     """
-    return _transport(sys, z0, z1, np.eye(sys.n, dtype=complex), tol)[0]
+    return _transport(sys, z0, z1, tol).Y
 
 
 def monodromy_at(sys: LinearRSSystem, sigma: float, tol: float = 1e-10
@@ -238,21 +445,24 @@ def monodromy_at(sys: LinearRSSystem, sigma: float, tol: float = 1e-10
     """Monodromy matrix of the loop ``s = sigma e^{i theta}``.
 
     On the log cover the loop is the segment ``[log sigma,
-    log sigma + 2 pi i]``.  For ``sigma = 0`` it degenerates and the
-    result is the matrix exponential of ``-2 pi i A(0)`` (no integration
-    involved).
+    log sigma + 2 pi i]``, the transport ``P(sigma) exp(-2 pi i A0)
+    P(sigma)^-1`` where the Frobenius series holds and integrated
+    otherwise.  For ``sigma = 0`` it degenerates and the result is the
+    matrix exponential of ``-2 pi i A(0)`` (``P(0) = I``; path
+    ``series``, no integration involved).
     """
     sigma = float(sigma)
     if sigma < 0 or not sigma < sys.rho:
         raise ValidationError(
             f"need 0 <= sigma < rho, got sigma={sigma}, rho={sys.rho}")
     if sigma == 0.0:
-        M, steps, err = monodromy_generator(sys.A_at(0.0)), 0, 0.0
+        t = _Transport(monodromy_generator(sys.A_at(0.0)), 0, 0.0, "series",
+                       None)
     else:
         z0 = math.log(sigma)
-        M, steps, err = _transport(sys, z0, z0 + 2j * math.pi,
-                                   np.eye(sys.n, dtype=complex), tol)
-    return MonodromyResult(sigma, M, conjugacy_invariants(M), steps, err)
+        t = _transport(sys, z0, z0 + 2j * math.pi, tol)
+    return MonodromyResult(sigma, t.Y, conjugacy_invariants(t.Y), t.steps,
+                           t.est_error, t.path, t.declined)
 
 
 def solve_inhomogeneous(sys: LinearRSSystem, z0, z1, Y0, tol: float = 1e-10
@@ -266,4 +476,4 @@ def solve_inhomogeneous(sys: LinearRSSystem, z0, z1, Y0, tol: float = 1e-10
     Y0 = np.asarray(Y0, dtype=complex).reshape(-1)
     if Y0.shape != (sys.n,):
         raise ValidationError(f"Y0 must have shape ({sys.n},)")
-    return _transport(sys, z0, z1, Y0, tol, source=True)[0]
+    return _transport(sys, z0, z1, tol, Y0).Y

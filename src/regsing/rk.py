@@ -18,9 +18,11 @@ and, through the grid, its width.  The five coefficient rows of the quartic
 Dormand-Prince continuous extension (endpoint values and slopes plus one
 extra stage combination) are built from them in one vectorised pass, as one
 ``(n_steps, 5, n)`` array, on the first read of the dense output, so a
-caller that reads only the end state never builds them.  The rows hold the
-stage increment rather than ``y1 - y0``, so the interpolant's slope carries
-no rounding of size ``eps |y| / h`` that a short step could not meet.
+caller that reads only the end state never builds them; one that passes
+``dense=False`` (the linear transports) keeps no step at all.  The rows
+hold the stage increment rather than ``y1 - y0``, so the interpolant's
+slope carries no rounding of size ``eps |y| / h`` that a short step could
+not meet.
 
 With ``check_defect`` a step must also hold its defect at theta* = (3 -
 sqrt 3)/6, where the interpolant's slope error th (1 - th) (1 - 2 th)
@@ -99,7 +101,8 @@ class IntegrationResult:
     on ``[ts[i], ts[i + 1]]``: endpoint values and slopes plus one extra
     stage combination, so the value error matches the order of the step.
     ``rows`` is built from the steps on its first read and kept, so edits
-    to it reach ``value`` and ``derivative``.
+    to it reach ``value`` and ``derivative``; an integration run without
+    ``dense`` keeps only its end points and has no rows.
     ``n_calls`` counts the calls of the right-hand side.
     """
 
@@ -121,6 +124,8 @@ class IntegrationResult:
         # c0 = y, c1 = dy, c2 = h k0 - dy, c3 = dy - h k6 - c2, c4 = h D.k:
         # per step the same operations, so the same bytes, as a step-by-step
         # build
+        if self._steps is None:
+            raise ValidationError("this integration kept no dense output")
         dys, ks, d = self._steps
         dy = np.array(dys)
         k = np.array(ks)
@@ -200,7 +205,7 @@ def _initial_step(f, t0, y0, f0, t1, tol):
     return min(100 * h0, h1, span)
 
 
-def integrate_adaptive(f, t0, y0, t1, tol, check_defect=False):
+def integrate_adaptive(f, t0, y0, t1, tol, check_defect=False, dense=True):
     """Integrate ``dy/dt = f(t, y)`` from ``t0`` to ``t1 > t0``.
 
     Each accepted step keeps its increment and stage slopes; the result
@@ -220,6 +225,11 @@ def integrate_adaptive(f, t0, y0, t1, tol, check_defect=False):
         ``t + theta* h``; ``p`` and ``p'`` there are the theta* weight block
         times the stage slopes.  Without it the result's ``max_defect`` and
         ``n_defect_rejected`` are None.
+    dense : bool
+        Keep each step for the dense output.  Without it the result holds
+        only the end points ``ts = [t0, t1]``, ``ys = [y0, y(t1)]`` and the
+        step statistics, and reading ``rows``, ``value`` or ``derivative``
+        raises ValidationError; the steps and the end state do not change.
 
     Raises
     ------
@@ -318,15 +328,16 @@ def integrate_adaptive(f, t0, y0, t1, tol, check_defect=False):
             rejected_last = True
             h *= min(factor, 1.0)
             continue
-        # dy, not yi - y: the slope would carry rounding of eps |y| / h
-        dys.append(dy)
-        ks.append(k.copy())
+        if dense:
+            # dy, not yi - y: the slope would carry rounding of eps |y| / h
+            dys.append(dy)
+            ks.append(k.copy())
+            ts.append(t_next)
+            ys.append(yi)
         t = t_next
         y = yi
         ay = ayi
         k[0] = k[6]
-        ts.append(t)
-        ys.append(y)
         n_accepted += 1
         est_error += _rms_norm(err_vec)
         if rejected_last:
@@ -339,6 +350,9 @@ def integrate_adaptive(f, t0, y0, t1, tol, check_defect=False):
             f"step budget exhausted after {_MAX_STEPS} steps at t = {t!r}")
 
     max_defect = float(worst.max(initial=0.0)) if check_defect else None
-    return IntegrationResult(ts, ys, (dys, ks, d), n_accepted, n_rejected,
-                             est_error, n_defect_rejected, max_defect,
-                             n_calls)
+    if not dense:
+        ts.append(t)
+        ys.append(y)
+    return IntegrationResult(ts, ys, (dys, ks, d) if dense else None,
+                             n_accepted, n_rejected, est_error,
+                             n_defect_rejected, max_defect, n_calls)

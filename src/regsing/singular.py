@@ -57,7 +57,7 @@ __all__ = [
 EPS_ADMISSIBLE = 1e-10
 EPS_INVERTIBLE = 1e-8
 T_FLOOR = 1e-8
-MAX_SCAN = 10_000       # the most indices h check_admissibility takes an SVD at
+MAX_SCAN = 10_000       # the most indices h the resonance scan takes an SVD at
 DEFAULT_ORDER = 10
 MAX_ORDER = 30
 BLACKBOX_MAX_ORDER = 4
@@ -242,28 +242,18 @@ class AdmissibilityReport:
     order: int
 
 
-def check_admissibility(p: SingularIVP, order: int = DEFAULT_ORDER
-                        ) -> AdmissibilityReport:
-    """Evaluate both admissibility conditions; a failed condition is
-    reported, not raised.
+def _resonance_scan(J: np.ndarray) -> list:
+    """The indices ``h = 1, 2, ...`` at which ``h I - J`` is numerically
+    singular: ``sigma_min(h I - J) < EPS_INVERTIBLE (h + |J|_2)``.
 
-    Raises ValidationError for ``order < 1`` and NumericalError when the
-    Jacobian at ``y0`` is not finite, or, before any SVD runs, when
-    ``mu(J)`` would take the scan past ``MAX_SCAN`` indices.  The scan runs
-    over ``h = 1, 2, ...`` and stops where ``sigma_min(h I - J) >= h -
-    mu(J)`` clears the singularity threshold twice over, since no larger
-    ``h`` can then be offending; ``mu(J)``, the largest eigenvalue of ``(J
-    + J^T)/2``, is at most ``|J|_2``, and the margin covers the rounding of
-    the computed singular values.  So the scan does not depend on
-    ``order``, and it takes one SVD per ``h`` up to ``mu(J)``.
+    The scan stops where ``sigma_min(h I - J) >= h - mu(J)`` clears that
+    threshold twice over, since no larger ``h`` can then be offending;
+    ``mu(J)``, the largest eigenvalue of ``(J + J^T)/2``, is at most
+    ``|J|_2``, and the margin covers the rounding of the computed singular
+    values.  So it takes one SVD per ``h`` up to ``mu(J)``.  Raises
+    NumericalError, before any SVD runs, when ``mu(J)`` would take the scan
+    past ``MAX_SCAN`` indices.
     """
-    if order < 1:
-        raise ValidationError(f"order must be >= 1, got {order}")
-    resid = np.asarray(p.m_sing(p.y0), dtype=float).reshape(-1)
-    residual_norm = float(np.linalg.norm(resid, np.inf))
-    J = _jacobian(p.m_sing, p.y0, p.jet_capable)
-    if not np.isfinite(J).all():
-        raise NumericalError("Jacobian of m_sing at y0 is not finite")
     normJ = float(np.linalg.norm(J, 2))
     mu = float(np.linalg.eigvalsh(0.5 * (J + J.T))[-1])
 
@@ -274,7 +264,7 @@ def check_admissibility(p: SingularIVP, order: int = DEFAULT_ORDER
         raise NumericalError(
             f"mu(J) = {mu:.3e}: the scan for offending indices would take "
             f"one SVD per h up to it, past MAX_SCAN = {MAX_SCAN}")
-    eye = np.eye(p.k)
+    eye = np.eye(len(J))
     offending = []
     for h in range(1, MAX_SCAN + 1):
         if clears(h):
@@ -282,6 +272,28 @@ def check_admissibility(p: SingularIVP, order: int = DEFAULT_ORDER
         smin = float(np.linalg.svd(h * eye - J, compute_uv=False)[-1])
         if smin < EPS_INVERTIBLE * (h + normJ):
             offending.append(h)
+    return offending
+
+
+def check_admissibility(p: SingularIVP, order: int = DEFAULT_ORDER
+                        ) -> AdmissibilityReport:
+    """Evaluate both admissibility conditions; a failed condition is
+    reported, not raised.
+
+    Raises ValidationError for ``order < 1`` and NumericalError when the
+    Jacobian at ``y0`` is not finite, or, before any SVD runs, when
+    ``mu(J)`` would take the scan past ``MAX_SCAN`` indices.  The offending
+    indices are those of :func:`_resonance_scan`, which does not depend on
+    ``order`` and takes one SVD per ``h`` up to ``mu(J)``.
+    """
+    if order < 1:
+        raise ValidationError(f"order must be >= 1, got {order}")
+    resid = np.asarray(p.m_sing(p.y0), dtype=float).reshape(-1)
+    residual_norm = float(np.linalg.norm(resid, np.inf))
+    J = _jacobian(p.m_sing, p.y0, p.jet_capable)
+    if not np.isfinite(J).all():
+        raise NumericalError("Jacobian of m_sing at y0 is not finite")
+    offending = _resonance_scan(J)
     verdict = residual_norm < EPS_ADMISSIBLE and not offending
     return AdmissibilityReport(residual_norm, J, offending, verdict, order)
 

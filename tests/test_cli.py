@@ -275,6 +275,27 @@ def test_monodromy_sigma_list(tmp_path, capsys):
     assert reports[1]["matrix"][1][1] == pytest.approx([1.0, 0.0], abs=1e-8)
 
 
+@pytest.mark.parametrize("A, path, declined", [
+    ([["0", "t"], ["0", "0.5"]], "series", None),
+    ([["0", "t"], ["0", "1"]], "integrated", "resonant at h = 1"),
+], ids=["series", "integrated"])
+def test_linear_reports_say_which_path_ran(tmp_path, capsys, A, path,
+                                          declined):
+    base = {"A": A, "rho": 2.0}
+    loop = write_cfg(tmp_path, "m.json", {**base, "sigma": 0.5})
+    assert cli.run(["monodromy", "--config", loop]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["path"], rep["declined"]) == (path, declined)
+    assert (rep["path_steps"] > 0) == (path == "integrated")
+    z0 = [math.log(0.5), 0.0]
+    segment = write_cfg(tmp_path, "f.json", {**base, "z0": z0,
+                                             "z1": [z0[0], 2 * math.pi]})
+    assert cli.run(["fundamental", "--config", segment]) == 0
+    fund = json.loads(capsys.readouterr().out)
+    assert (fund["path"], fund["declined"]) == (path, declined)
+    assert fund["matrix"] == rep["matrix"]
+
+
 def test_fundamental_json(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "f.json",
                     {"A": [["1"]], "rho": 100.0,
@@ -420,12 +441,14 @@ MONODROMY = {"A": [["0", "t"], ["0", "1"]], "rho": 2.0, "sigma": 1.0}
 
 @pytest.fixture
 def no_solve(monkeypatch):
-    """Fail the test if a config reaches the integrator or the pole check."""
+    """Fail the test if a config reaches the integrator, the Frobenius
+    series or the pole check."""
     def reached(*args, **kwargs):
         raise AssertionError("a bad config reached the solver")
 
     monkeypatch.setattr(rk, "integrate_adaptive", reached)
     monkeypatch.setattr(linear, "integrate_adaptive", reached)
+    monkeypatch.setattr(linear, "_series_transport", reached)
     monkeypatch.setattr(singular, "check_admissibility", reached)
 
 

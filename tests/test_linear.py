@@ -224,3 +224,200 @@ def test_monodromy_est_error_reported():
     res = sys_mono(nilpotent_family(0.0), 0.5)
     assert res.path_steps > 0
     assert 0 < res.est_error < 1e-6
+
+
+# -- the Frobenius series branch against a fixed-step RK4 oracle --------------
+#
+# The oracle reads A(s) from the coefficient arrays in numpy and integrates
+# dY/dtheta = -dz A(e^(z0 + theta dz)) Y with classical RK4 at N and 2N
+# steps, extrapolated (16 Y_2N - Y_N) / 15.  It makes no regsing call, so it
+# also fails on a wrong P, which eigenvalue and cocycle checks cannot see:
+# they hold for any conjugate P G P^-1.
+
+def _random_system(rng, n, scale=0.3):
+    """``A(s) = C0 + C1 s + C2 sin(w s)`` entrywise: regsing's expression
+    strings and the oracle's numpy evaluation of the same entries."""
+    C0, C1, C2 = (scale * n * Z / np.linalg.norm(Z)
+                  for Z in rng.standard_normal((3, n, n)))
+    W = rng.uniform(0.5, 1.5, (n, n))
+    text = [[f"{c0!r} + {c1!r}*t + {c2!r}*sin({w!r}*t)"
+             for c0, c1, c2, w in zip(*(M.tolist() for M in rows))]
+            for rows in zip(C0, C1, C2, W)]
+
+    def A(s):
+        return C0 + C1 * s + C2 * np.sin(W * s)
+
+    return text, A
+
+
+def _rk4_transport(A, z0, z1, steps=1500):
+    n = A(0.0).shape[0]
+    dz = z1 - z0
+
+    def f(theta, Y):
+        return -dz * (A(np.exp(z0 + theta * dz)) @ Y)
+
+    def run(N):
+        Y, h = np.eye(n, dtype=complex), 1.0 / N
+        for k in range(N):
+            t = k * h
+            k1 = f(t, Y)
+            k2 = f(t + h / 2, Y + h / 2 * k1)
+            k3 = f(t + h / 2, Y + h / 2 * k2)
+            k4 = f(t + h, Y + h * k3)
+            Y = Y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        return Y
+
+    return (16 * run(2 * steps) - run(steps)) / 15
+
+
+def _off_oracle(got, want):
+    return np.abs(got - want).max() / max(1.0, np.abs(want).max())
+
+
+@pytest.mark.parametrize("n, seed", [(2, 11), (4, 12), (8, 13)])
+def test_series_loops_match_an_rk4_oracle(n, seed):
+    text, A = _random_system(np.random.default_rng(seed), n)
+    sys = linear.LinearRSSystem(text, rho=2.0)
+    for sigma in (0.5, 0.9):
+        res = linear.monodromy_at(sys, sigma)
+        assert (res.path, res.declined, res.path_steps) == ("series", None, 0)
+        z0 = math.log(sigma)
+        want = _rk4_transport(A, z0, z0 + 2j * math.pi)
+        assert _off_oracle(res.matrix, want) <= 1e-9
+        assert 0.0 < res.est_error <= 1e-10 * (1 + np.abs(want).sum(1).max())
+
+
+def test_series_transports_match_an_rk4_oracle():
+    text, A = _random_system(np.random.default_rng(14), 4)
+    sys = linear.LinearRSSystem(text, rho=2.0)
+    z0 = -1.2
+    for z1 in (-1.5 + 2.0j, 0.0 - 1.0j, 0.3 + 0.7j, 0.3 + 2j * math.pi):
+        t = linear._transport(sys, z0, z1, 1e-10)
+        assert (t.path, t.declined, t.steps) == ("series", None, 0)
+        assert _off_oracle(t.Y, _rk4_transport(A, z0, z1)) <= 1e-9
+        assert linear.fundamental_solution(sys, z0, z1).tobytes() == \
+            t.Y.tobytes()
+
+
+def test_series_loop_of_a_polynomial_p_is_exact():
+    # A = [[lam, s], [0, lam + 1/2]] has P = I + [[0, -2], [0, 0]] s, so
+    # M(sigma) = exp(-2 pi i lam) [[1, 4 sigma], [0, -1]]
+    lam = 1.0 / 3.0
+    sys = linear.LinearRSSystem([[lam, "t"], [0.0, lam + 0.5]], rho=2.0)
+    for sigma in (0.1, 0.5, 1.0):
+        res = linear.monodromy_at(sys, sigma)
+        want = cmath.exp(-2j * math.pi * lam) * np.array(
+            [[1.0, 4.0 * sigma], [0.0, -1.0]])
+        assert res.path == "series"
+        assert np.abs(res.matrix - want).max() <= 1e-13
+
+
+def test_a_zero_radius_loop_is_the_series_at_the_origin():
+    res = linear.monodromy_at(nilpotent_family(0.25), 0.0)
+    assert (res.path, res.declined) == ("series", None)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_resonant_loop_integrates_and_names_its_index(k):
+    # exponents lam and lam + k: the order-k Sylvester solve is singular
+    lam, c, sigma = 0.2, 0.7, 0.6
+    sys = linear.LinearRSSystem([[lam, f"{c}*t^{k}"], [0.0, lam + k]],
+                                rho=2.0)
+    res = linear.monodromy_at(sys, sigma)
+    assert (res.path, res.declined) == ("integrated", f"resonant at h = {k}")
+    assert res.path_steps > 0
+
+    def A(s):
+        return np.array([[lam, c * s ** k], [0.0, lam + k]], dtype=complex)
+
+    z0 = math.log(sigma)
+    assert _off_oracle(res.matrix, _rk4_transport(A, z0, z0 + 2j * math.pi)) \
+        <= 1e-9
+
+
+def _gap_system(gap):
+    """Exponents 0.2 and 1.2 + gap, coupled both ways."""
+    text = [["0.2 + 0.3*t", "0.5*t + 0.2*t^2"],
+            ["0.7 - 0.4*t", f"{1.2 + gap!r} + sin(t)"]]
+
+    def A(s):
+        return np.array([[0.2 + 0.3 * s, 0.5 * s + 0.2 * s * s],
+                         [0.7 - 0.4 * s, 1.2 + gap + np.sin(s)]])
+
+    return linear.LinearRSSystem(text, rho=10.0), A
+
+
+@pytest.mark.parametrize("gap, reason", [
+    (1e-9, "resonant at h = 1"),    # inside the scan's singularity threshold
+    (1e-4, "conditioning"),
+])
+def test_a_near_resonant_loop_is_declined(gap, reason):
+    sys, A = _gap_system(gap)
+    sigma = 0.7
+    z0 = math.log(sigma)
+    want = _rk4_transport(A, z0, z0 + 2j * math.pi)
+    res = linear.monodromy_at(sys, sigma)
+    assert (res.path, res.declined) == ("integrated", reason)
+    assert _off_oracle(res.matrix, want) <= 1e-9
+    if reason == "conditioning":
+        # planted fault: taken anyway, the series product misses the oracle
+        fr = linear._expand(sys, linear.SERIES_MAX_ORDER)
+        P = np.tensordot(sigma ** np.arange(len(fr.P)), fr.P, axes=1)
+        G = linear.matrix_exponential(-2j * math.pi * fr.A0)
+        assert _off_oracle(P @ G @ np.linalg.inv(P), want) > 1e-9
+
+
+def test_a_point_past_the_reach_of_the_order_cap_integrates():
+    # 1/(1 - s) has radius 1: at sigma = 0.9 the terms fall like 0.9^h
+    text = [["0.2", "1/(1 - t)"], ["0.5*t", "-0.3"]]
+    sys = linear.LinearRSSystem(text, rho=1.0)
+    assert linear.monodromy_at(sys, 0.2).path == "series"
+    res = linear.monodromy_at(sys, 0.9)
+    assert (res.path, res.declined) == ("integrated", "tail")
+    assert sys._frobenius.order == linear.SERIES_MAX_ORDER
+
+    def A(s):
+        return np.array([[0.2, 1 / (1 - s)], [0.5 * s, -0.3]])
+
+    z0 = math.log(0.9)
+    assert _off_oracle(res.matrix, _rk4_transport(A, z0, z0 + 2j * math.pi,
+                                                  steps=3000)) <= 1e-9
+
+
+def test_a_system_above_the_size_cap_integrates():
+    n = linear.SERIES_MAX_DIM + 1
+    text, A = _random_system(np.random.default_rng(15), n, scale=0.1)
+    sys = linear.LinearRSSystem(text, rho=2.0)
+    res = linear.monodromy_at(sys, 0.5)
+    assert (res.path, res.declined) == ("integrated", "size")
+    z0 = math.log(0.5)
+    assert _off_oracle(res.matrix, _rk4_transport(A, z0, z0 + 2j * math.pi)) \
+        <= 1e-9
+
+
+def test_a_corrupted_series_coefficient_is_declined_on_its_residual():
+    text, A = _random_system(np.random.default_rng(16), 3)
+    sys = linear.LinearRSSystem(text, rho=2.0)
+    sigma = 0.6
+    assert linear.monodromy_at(sys, sigma).path == "series"
+    sys._frobenius.P[3, 0, 1] += 1e-6        # planted fault in the cache
+    res = linear.monodromy_at(sys, sigma)
+    assert (res.path, res.declined) == ("integrated", "residual")
+    z0 = math.log(sigma)
+    assert _off_oracle(res.matrix, _rk4_transport(A, z0, z0 + 2j * math.pi)) \
+        <= 1e-9
+
+
+def test_the_series_is_expanded_on_first_use():
+    sys = linear.LinearRSSystem([["0.3", "t"], ["0", "-0.2"]], rho=2.0)
+    assert sys._frobenius is None
+    linear.monodromy_at(sys, 0.5)
+    assert sys._frobenius.order == linear.SERIES_FIRST_ORDER
+
+
+def test_a_source_free_transport_checks_tol():
+    sys = linear.LinearRSSystem([["0.3", "t"], ["0", "-0.2"]], rho=2.0)
+    for tol in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="tol must be finite"):
+            linear.fundamental_solution(sys, -1.0, 0.2, tol=tol)

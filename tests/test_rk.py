@@ -324,13 +324,14 @@ def test_a_loop_end_state_has_the_bytes_of_a_stepwise_loop(monkeypatch):
     calls = []
     real_integrate = linear.integrate_adaptive
 
-    def recorded(f, t0, y0, t1, tol):
-        res = real_integrate(f, t0, y0, t1, tol)
+    def recorded(f, t0, y0, t1, tol, **kwargs):
+        res = real_integrate(f, t0, y0, t1, tol, **kwargs)
         calls.append(((f, t0, y0, t1, tol), res))
         return res
 
     monkeypatch.setattr(linear, "integrate_adaptive", recorded)
-    system = linear.LinearRSSystem([["0.3", "t"], ["0.1*t^2", "-0.2 + 0.5*t"]],
+    # A(0) = diag(0.3, 1.3) is resonant at h = 1, so the loop integrates
+    system = linear.LinearRSSystem([["0.3", "t"], ["0.1*t^2", "1.3 + 0.5*t"]],
                                    rho=2.0)
     linear.monodromy_at(system, 0.6)
     (args, res), = calls
@@ -338,3 +339,18 @@ def test_a_loop_end_state_has_the_bytes_of_a_stepwise_loop(monkeypatch):
     assert res.ys[-1].tobytes() == y.tobytes()
     assert res.n_accepted == n
     assert res.est_error == est
+
+
+def test_an_integration_without_dense_output_keeps_only_its_end_points():
+    def f(t, y):
+        return np.array([y[1], -np.sin(y[0])]) * (1.0 + 0.5j)
+
+    y0 = np.array([1.0, 0.0], dtype=complex)
+    full = rk.integrate_adaptive(f, 0.0, y0, 3.0, 1e-10)
+    ends = rk.integrate_adaptive(f, 0.0, y0, 3.0, 1e-10, dense=False)
+    assert ends.ts.tolist() == [0.0, 3.0]
+    assert ends.ys.tobytes() == full.ys[[0, -1]].tobytes()
+    for name in ("n_accepted", "n_rejected", "est_error", "n_calls"):
+        assert getattr(ends, name) == getattr(full, name)
+    with pytest.raises(ValidationError, match="no dense output"):
+        ends.value(1.0)
