@@ -47,13 +47,9 @@ def main():
         for sigma in (1.0, 0.5, 0.1, 0.01, 0.0):
             res = linear.monodromy_at(system, sigma, tol=1e-11)
             err = np.abs(res.matrix - exact(lam, sigma)).max()
-            if sigma == 0.0:
-                tag = "generator (radius 0 limit)"
-            elif res.path == "series":
-                tag = "series"
-            else:
-                tag = (f"integrated ({res.declined}), "
-                       f"{res.path_steps} path steps")
+            tag = res.path      # "generator" is the radius 0 limit
+            if res.path == "integrated":
+                tag += f" ({res.declined}), {res.path_steps} path steps"
             print(f"  sigma = {sigma:<5} |M - closed form| = {err:.2e}   "
                   f"{tag}")
         print()

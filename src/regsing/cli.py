@@ -448,8 +448,7 @@ def _cmd_fundamental(args) -> int:
     z0 = _complex_pair(cfg, "z0", "fundamental")
     z1 = _complex_pair(cfg, "z1", "fundamental")
     tol = _tol(cfg, args, "fundamental")
-    # fundamental_solution's transport, with the path it took
-    t = _linear._transport(sys_, z0, z1, tol)
+    t = _linear.transport(sys_, z0, z1, tol=tol)
     cond = float(np.linalg.cond(t.Y))
     _emit_json({"z0": z0, "z1": z1, "matrix": t.Y, "condition": cond,
                 "path": t.path, "declined": t.declined}, args.out)

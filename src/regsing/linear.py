@@ -16,13 +16,13 @@ positive integer), ``Y(s) = P(s) s^(-A0)`` with ``P`` analytic and ``P(0)
 = I`` (Coddington & Levinson 1955, ch. 4; Wasow 1965, sec. 5), so a
 source-free transport is ``P(e^z1) exp(-(z1 - z0) A0) P(e^z0)^-1`` and a
 loop ``P(sigma) exp(-2 pi i A0) P(sigma)^-1``, with no integration.  The
-coefficients ``P_h`` are built per system on its first source-free
-transport and kept.  The series is declined, and the segment integrated,
-where ``n > SERIES_MAX_DIM`` or the resonance scan that
+coefficients ``P_0 .. P_SERIES_ORDER`` are built per system on its first
+source-free transport and kept.  The series is declined, and the segment
+integrated, where ``n > SERIES_MAX_DIM`` or the resonance scan that
 :func:`regsing.singular.check_admissibility` runs would pass ``MAX_SCAN``
 (``size``), where that scan finds an ``h I - J`` singular (``resonant at
-h = k``), where the series has not converged at an
-end by the order cap (``tail``), where ``s P' + A P - P A0`` at an end
+h = k``), where the series has not converged at an end by
+``SERIES_ORDER`` (``tail``), where ``s P' + A P - P A0`` at an end
 misses its bound (``residual``), or where the error bound carried through
 ``P^-1`` misses ``tol (1 + |U|)`` (``conditioning``).  Inhomogeneous solves
 always integrate.
@@ -46,15 +46,14 @@ from .rk import integrate_adaptive
 from .singular import _resonance_scan
 
 __all__ = [
-    "LinearRSSystem", "MonodromyResult", "fundamental_solution",
-    "monodromy_at", "monodromy_generator", "solve_inhomogeneous",
-    "conjugacy_invariants", "matrix_exponential",
+    "LinearRSSystem", "MonodromyResult", "Transport", "transport",
+    "fundamental_solution", "monodromy_at", "monodromy_generator",
+    "solve_inhomogeneous", "conjugacy_invariants", "matrix_exponential",
 ]
 
 MAX_DIM = 64
 SERIES_MAX_DIM = 8          # above it the n^2 x n^2 Sylvester solves decline
-SERIES_FIRST_ORDER = 40     # the order of a system's first expansion
-SERIES_MAX_ORDER = 60       # the order cap, expanded to where a point needs it
+SERIES_ORDER = 40           # the order of a system's expansion
 SERIES_MARGIN = 1e-3        # tail and residual targets as a share of tol
 _EPS = float(np.finfo(float).eps)
 
@@ -129,8 +128,11 @@ class MonodromyResult:
 
     ``path`` is ``"series"`` where the matrix was read from the Frobenius
     series (``path_steps`` 0, ``est_error`` the bound the series branch
-    checked) and ``"integrated"`` otherwise (``est_error`` the summed local
-    error estimates); ``declined`` is None, or why the series was declined.
+    checked), ``"integrated"`` where the loop was integrated (``est_error``
+    the summed local error estimates) and ``"generator"`` at ``sigma = 0``,
+    where the matrix is ``exp(-2 pi i A(0))`` and the series is not
+    consulted, so that a resonant ``A(0)`` reads no differently there;
+    ``declined`` is None, or why the series was declined.
     """
 
     sigma: float
@@ -227,20 +229,21 @@ def conjugacy_invariants(M) -> np.ndarray:
 class _Frobenius:
     """The series ``P(s) = sum_h P_h s^h`` of ``Y(s) = P(s) s^(-A0)``."""
 
-    __slots__ = ("order", "A0", "P", "norms", "loop")
+    __slots__ = ("A0", "P", "norms", "loop")
 
-    def __init__(self, order: int, A0: np.ndarray, P: np.ndarray):
-        self.order = order              # the order it was expanded to
+    def __init__(self, A0: np.ndarray, P: np.ndarray):
         self.A0 = A0                    # A(0), real
         self.P = P                      # (K + 1, n, n) real, P[0] = I;
-                                        # K < order where one overflowed
+                                        # K < SERIES_ORDER where one overflowed
         self.norms = np.abs(P).sum(axis=2).max(axis=1)     # |P_h|, inf norm
-        self.loop = None                # exp(-2 pi i A0), on the first loop
+        # exp(-2 pi i A0), which every loop reads: as dear as a whole
+        # warm n = 2 loop, so it is built once per system
+        self.loop = monodromy_generator(A0)
 
 
-def _expand(sys: LinearRSSystem, order: int):
-    """The order-``order`` :class:`_Frobenius` of ``sys``, or the reason
-    the series branch declines the system: ``size`` (``n >
+def _expand(sys: LinearRSSystem):
+    """The order-``SERIES_ORDER`` :class:`_Frobenius` of ``sys``, or the
+    reason the series branch declines the system: ``size`` (``n >
     SERIES_MAX_DIM``, or a resonance scan past ``MAX_SCAN``) or ``resonant
     at h = k``.
 
@@ -251,7 +254,7 @@ def _expand(sys: LinearRSSystem, order: int):
     scan of :func:`regsing.singular.check_admissibility` decides.  The
     first coefficient that overflows ends the series.
     """
-    n = sys.n
+    n, order = sys.n, SERIES_ORDER
     if n > SERIES_MAX_DIM:
         return "size"
     A = np.empty((order + 1, n, n))
@@ -278,7 +281,7 @@ def _expand(sys: LinearRSSystem, order: int):
             if not np.isfinite(P[h]).all():
                 P = P[:h]
                 break
-    return _Frobenius(order, A0, P)
+    return _Frobenius(A0, P)
 
 
 def _frobenius_at(sys: LinearRSSystem, fr: _Frobenius, s: complex,
@@ -318,42 +321,33 @@ def _series_transport(sys: LinearRSSystem, z0: complex, z1: complex,
     """``(U, bound)`` with ``U = P(e^z1) exp(-(z1 - z0) A0) P(e^z0)^-1``,
     or the reason the series branch declines the segment.
 
-    A series whose order leaves a point's tail short is expanded again at
-    the order cap, once per system.  The bound carries the error bounds
-    ``e0, e1`` of ``P`` at both ends through the product, ``e1 |E P0^-1| +
-    |U| e0 |P0^-1|`` plus its rounding, and must meet ``tol (1 + |U|)``;
-    where it does not, the reason is ``conditioning``.
+    The bound carries the error bounds ``e0, e1`` of ``P`` at both ends
+    through the product, ``e1 |E P0^-1| + |U| e0 |P0^-1|`` plus its
+    rounding, and must meet ``tol (1 + |U|)``; where it does not, the
+    reason is ``conditioning``.
     """
     dz = z1 - z0
     # a loop ends where it starts: one evaluation serves both ends
     wound = dz.real == 0.0 and math.remainder(dz.imag, 2.0 * math.pi) == 0.0
     fr = sys._frobenius
     if fr is None:
-        fr = sys._frobenius = _expand(sys, SERIES_FIRST_ORDER)
-    while True:
-        if isinstance(fr, str):
-            return fr
-        end0 = _frobenius_at(sys, fr, cmath.exp(z0), tol)
-        end1 = end0 if wound or isinstance(end0, str) else \
-            _frobenius_at(sys, fr, cmath.exp(z1), tol)
-        if "tail" not in (end0, end1) or fr.order >= SERIES_MAX_ORDER:
-            break
-        fr = sys._frobenius = _expand(sys, SERIES_MAX_ORDER)
-    for end in (end0, end1):
-        if isinstance(end, str):
-            return end
+        fr = sys._frobenius = _expand(sys)
+    if isinstance(fr, str):
+        return fr
+    end0 = _frobenius_at(sys, fr, cmath.exp(z0), tol)
+    if isinstance(end0, str):
+        return end0
+    end1 = end0 if wound else _frobenius_at(sys, fr, cmath.exp(z1), tol)
+    if isinstance(end1, str):
+        return end1
     (P0, e0), (P1, e1) = end0, end1
     try:
         P0inv = np.linalg.inv(P0)
     except np.linalg.LinAlgError:
         return "conditioning"
     with np.errstate(over="ignore", invalid="ignore"):
-        if dz == 2j * math.pi:
-            if fr.loop is None:
-                fr.loop = matrix_exponential(-dz * fr.A0)
-            E = fr.loop
-        else:
-            E = matrix_exponential(-dz * fr.A0)
+        E = fr.loop if dz == 2j * math.pi else \
+            matrix_exponential(-dz * fr.A0)
         EP0inv = E @ P0inv
         U = P1 @ EP0inv
 
@@ -368,18 +362,25 @@ def _series_transport(sys: LinearRSSystem, z0: complex, z1: complex,
     return U, bound
 
 
-class _Transport(NamedTuple):
-    """What :func:`_transport` returns, with the path it took."""
+class Transport(NamedTuple):
+    """A transport's end state with the path that produced it.
+
+    ``path`` is ``"series"`` (read from the Frobenius series, ``steps`` 0,
+    ``est_error`` the bound the series branch checked), ``"integrated"``
+    (``est_error`` the summed local error estimates) or ``"empty"`` (``z1
+    = z0``: the start, after no steps and no series); ``declined`` is None,
+    or why the series branch declined the segment.
+    """
 
     Y: np.ndarray
     steps: int
     est_error: float
-    path: str               # "series" or "integrated"
-    declined: str | None    # why the series branch declined, if it did
+    path: str
+    declined: str | None
 
 
 def _transport(sys: LinearRSSystem, z0, z1, tol: float, Y0=None
-               ) -> _Transport:
+               ) -> Transport:
     """``Y(z1)`` along the segment from ``z0`` to ``z1``.
 
     The module's one transport on the log cover.  Without ``Y0`` it is
@@ -387,8 +388,7 @@ def _transport(sys: LinearRSSystem, z0, z1, tol: float, Y0=None
     = I``, read from the Frobenius series (:func:`_series_transport`)
     unless the series declines.  With ``Y0`` (a vector) the system gains
     the source ``e^z h(e^z)``.  Otherwise, and where the series declines,
-    it integrates.  An empty segment returns the start after no steps
-    (path ``series``: ``P I P^-1 = I``).
+    it integrates.  An empty segment returns the start (path ``empty``).
     """
     z0 = complex(z0)
     z1 = complex(z1)
@@ -402,7 +402,7 @@ def _transport(sys: LinearRSSystem, z0, z1, tol: float, Y0=None
     if not source:
         Y0 = np.eye(sys.n, dtype=complex)
     if z1 == z0:
-        return _Transport(Y0.copy(), 0, 0.0, "series", None)
+        return Transport(Y0.copy(), 0, 0.0, "empty", None)
     declined = None
     if not source:
         if not 0.0 < tol < math.inf:
@@ -410,7 +410,7 @@ def _transport(sys: LinearRSSystem, z0, z1, tol: float, Y0=None
                 f"tol must be finite and positive, got {tol}")
         got = _series_transport(sys, z0, z1, tol)
         if not isinstance(got, str):
-            return _Transport(got[0], 0, got[1], "series", None)
+            return Transport(got[0], 0, got[1], "series", None)
         declined = got
     dz = z1 - z0
 
@@ -424,20 +424,27 @@ def _transport(sys: LinearRSSystem, z0, z1, tol: float, Y0=None
         return (-dz * AY).ravel()
 
     res = integrate_adaptive(rhs, 0.0, Y0.ravel(), 1.0, tol, dense=False)
-    return _Transport(res.ys[-1].reshape(Y0.shape), res.n_accepted,
-                      res.est_error, "integrated", declined)
+    return Transport(res.ys[-1].reshape(Y0.shape), res.n_accepted,
+                     res.est_error, "integrated", declined)
 
 
-def fundamental_solution(sys: LinearRSSystem, z0, z1, tol: float = 1e-10
-                         ) -> np.ndarray:
-    """Fundamental matrix of the log-cover system along a segment.
+def transport(sys: LinearRSSystem, z0, z1, tol: float = 1e-10
+              ) -> Transport:
+    """Fundamental matrix of the log-cover system along a segment, with
+    the path that produced it.
 
     ``U(z1)`` of ``dU/dz + A(e^z) U = 0`` with ``U(z0) = I`` along the
     straight segment from ``z0`` to ``z1``: ``P(e^z1) exp(-(z1 - z0) A0)
     P(e^z0)^-1`` where the Frobenius series holds (see the module
     docstring), integrated otherwise.
     """
-    return _transport(sys, z0, z1, tol).Y
+    return _transport(sys, z0, z1, tol)
+
+
+def fundamental_solution(sys: LinearRSSystem, z0, z1, tol: float = 1e-10
+                         ) -> np.ndarray:
+    """The matrix ``U(z1)`` of :func:`transport`."""
+    return transport(sys, z0, z1, tol).Y
 
 
 def monodromy_at(sys: LinearRSSystem, sigma: float, tol: float = 1e-10
@@ -448,16 +455,16 @@ def monodromy_at(sys: LinearRSSystem, sigma: float, tol: float = 1e-10
     log sigma + 2 pi i]``, the transport ``P(sigma) exp(-2 pi i A0)
     P(sigma)^-1`` where the Frobenius series holds and integrated
     otherwise.  For ``sigma = 0`` it degenerates and the result is the
-    matrix exponential of ``-2 pi i A(0)`` (``P(0) = I``; path
-    ``series``, no integration involved).
+    matrix exponential of ``-2 pi i A(0)``, whether or not ``A(0)`` is
+    resonant (path ``generator``: neither series nor integration).
     """
     sigma = float(sigma)
     if sigma < 0 or not sigma < sys.rho:
         raise ValidationError(
             f"need 0 <= sigma < rho, got sigma={sigma}, rho={sys.rho}")
     if sigma == 0.0:
-        t = _Transport(monodromy_generator(sys.A_at(0.0)), 0, 0.0, "series",
-                       None)
+        t = Transport(monodromy_generator(sys.A_at(0.0)), 0, 0.0,
+                      "generator", None)
     else:
         z0 = math.log(sigma)
         t = _transport(sys, z0, z0 + 2j * math.pi, tol)

@@ -270,6 +270,7 @@ def test_monodromy_sigma_list(tmp_path, capsys):
     assert cli.run(["monodromy", "--config", cfg]) == 0
     reports = json.loads(capsys.readouterr().out)
     assert isinstance(reports, list) and len(reports) == 2
+    assert [r["path"] for r in reports] == ["generator", "series"]
     # diagonal exponents (1/2, 1): generator diag(-1, 1)
     assert reports[0]["matrix"][0][0] == pytest.approx([-1.0, 0.0], abs=1e-9)
     assert reports[1]["matrix"][1][1] == pytest.approx([1.0, 0.0], abs=1e-8)
