@@ -62,52 +62,52 @@ class Expr:
         return f"<{type(self).__name__} {render(self)!r}>"
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Num(Expr):
     value: float
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Var(Expr):
     pass
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Neg(Expr):
     arg: Expr
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Div(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Pow(Expr):
     base: Expr
     exponent: Expr  # constant subtree, enforced at parse time
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, repr=False, slots=True)
 class Call(Expr):
     name: str
     arg: Expr

@@ -32,19 +32,21 @@ coefficient stacks: ``P'`` and ``P''`` of the entries and the series of
 Along a profile ``rho = t a(t)`` each evaluation builds one table of the
 powers of ``t a``; one product with it composes every entry of ``P'`` (and
 ``P''``), and each trace is one contraction with the pack's inverse series.
+These kernels take and return float coefficient arrays.
 
 Both reductions have a simple pole at ``t = 0``.  Substituting ``r = t a``
 (and ``F = t b``) produces problems in the class handled by
 :mod:`regsing.singular`, with singular part ``(0, -(p+2) u)`` and free
 initial slope.  One assembler builds both: the biharmonic problem is the
-harmonic one with the tension pair ``(b, u_b)`` appended to the state, and
-its maps run on series jets, so the bootstrap there is exact.  The maps
-serve the pole only: ``m_reg`` takes time jets only, and the integrator
-reads the problem's float ``field``, the whole right-hand side in plain
-floats: the regular rows (one trace read from ``t_switch`` on, the peeled
-series summed below) with ``0.0/t`` and ``(-(p+2) u)/t`` added in the order
-numpy adds the split form, so the integrator reads the split form's bytes
-without its array work.
+harmonic one with the tension pair ``(b, u_b)`` appended to the state.  The
+bootstrap is exact: the problem's ``stage`` answers each stage from the
+coefficient rows through the kernels, with no Series, and ``m_reg`` on
+time jets (which it takes only) wraps the same kernels for any other
+caller.  The integrator reads the problem's float ``field``, the whole
+right-hand side in plain floats: the regular rows (one trace read from
+``t_switch`` on, the peeled series summed below) with ``0.0/t`` and
+``(-(p+2) u)/t`` added in the order numpy adds the split form, so the
+integrator reads the split form's bytes without its array work.
 Metrics whose odd low-order data does not cancel the order-one residue (for
 example ``alpha'(0) != 0``) have no analytic reduction; their series paths
 raise StructureError.
@@ -204,11 +206,11 @@ class MetricFamily:
         coefficient of ``t^k``: ``dP``, the series of ``P'`` and of ``P''``
         side by side, each entry flattened (an entry's coefficients below
         its vanishing order count as zero); ``W``, the series of ``t^2
-        P^-1 = t^(2-s) R^-1`` entrywise, transposed and flattened.  Also
-        ``drift_analytic``, the Series of ``Tr(R^-1 R')/2`` (``+ weight
-        alpha'``) to ``order``.  ``R^-1`` comes from one block recursion
-        against ``R(0)``; ``R'`` and ``P''`` from ``R`` by coefficient
-        scaling.
+        P^-1 = t^(2-s) R^-1`` entrywise, transposed and flattened; and
+        ``tdrift``, the ``order + 1`` coefficients of ``t [Tr(R^-1 R')/2
+        + weight alpha']`` with the exact constant ``dim_p``, read-only.
+        ``R^-1`` comes from one block recursion against ``R(0)``; ``R'``
+        and ``P''`` from ``R`` by coefficient scaling.
 
         Raises ValidationError when an entry or ``alpha'`` has no Taylor
         expansion at 0, an entry fails to vanish to the order its block
@@ -243,11 +245,15 @@ class MetricFamily:
             Rinv[k] = -Rinv[0] @ (R[1:k + 1] @ Rinv[k - 1::-1]).sum(0)
         ks = np.arange(1.0, M + 2)[:, None, None]
         Rdot = (R[1:] * ks[:M - 1]).reshape(M - 1, n * n)
-        drift = Series._new(0.5 * _trace_series(
-            Rinv[:M - 1].transpose(0, 2, 1).reshape(M - 1, n * n), Rdot), 0.0)
+        drift = 0.5 * _trace_series(
+            Rinv[:M - 1].transpose(0, 2, 1).reshape(M - 1, n * n), Rdot)
         if self._dalpha is not None:
             drift = drift + _expr.taylor_at_zero(
-                self._dalpha, order, "alpha'") * float(self.weight)
+                self._dalpha, order, "alpha'").coeffs * float(self.weight)
+        tdrift = np.empty(order + 1)
+        tdrift[0] = self.dim_p
+        tdrift[1:] = drift[:order]
+        tdrift.setflags(write=False)
         # t^2 P^-1 = t^(2-s) R^-1 entrywise
         W = np.zeros((M, n, n))
         for i in range(n):
@@ -257,22 +263,38 @@ class MetricFamily:
         dP = np.stack((full[1:M + 1] * ks[:M],
                        full[2:] * (ks[:M] * ks[1:M + 1])), axis=1)
         pack = {"dP": dP.reshape(M, 2 * n * n), "W": W.reshape(M, n * n),
-                "drift_analytic": drift}
+                "tdrift": tdrift}
         self._packs[order] = pack
         return pack
 
 
 # -- series kernels -----------------------------------------------------------
+#
+# Every series here is a float coefficient array, entry ``k`` the
+# coefficient of ``t^k``; the kernels take and return such arrays, and only
+# the profile problems' ``m_reg`` wraps them as Series.
 
-def _powers(a_s: Series, order: int) -> np.ndarray:
+def _const(value: float, order: int) -> np.ndarray:
+    """The constant ``value`` as ``order + 1`` coefficients."""
+    c = np.zeros(order + 1)
+    c[0] = value
+    return c
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The product of two series of one length, truncated to it."""
+    return np.convolve(a, b)[:len(a)]
+
+
+def _powers(a: np.ndarray, order: int) -> np.ndarray:
     """Table of the powers of ``u = t a(t)``: row ``j`` holds the ``M =
-    order + 2`` coefficients of ``u^j``, ``j < M``; ``a_s`` has at least
+    order + 2`` coefficients of ``u^j``, ``j < M``; ``a`` has at least
     ``M - 1`` coefficients.  Each step multiplies the rows known so far by
     the upper Toeplitz matrix of the top power: ``log2 M`` products."""
     M = order + 2
     T = np.zeros((M, M))
     T[0, 0] = 1.0
-    T[1, 1:] = a_s.coeffs[:M - 1]
+    T[1, 1:] = a[:M - 1]
     top = np.zeros(2 * M - 1)
     # U[i, k] = top[M - 1 + k - i], coefficient k - i of the top power
     U = np.lib.stride_tricks.as_strided(
@@ -300,18 +322,14 @@ def _trace_series(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 # -- reduced series of the trace quantities ----------------------------------
 
-def _tdrift_series(fam: MetricFamily, order: int) -> Series:
-    """``t * [drift + weight alpha']`` with the exact constant ``dim_p``."""
-    pack = fam.pack(order)
-    d = pack["drift_analytic"].truncate(order)
-    c = np.zeros(order + 1)
-    c[0] = fam.dim_p
-    c[1:] = d.coeffs[: order]
-    return Series._new(c, 0.0)
+def _tdrift_series(fam: MetricFamily, order: int) -> np.ndarray:
+    """``t * [drift + weight alpha']`` with the exact constant ``dim_p``,
+    read-only."""
+    return fam.pack(order)["tdrift"]
 
 
-def _tpot_series(fam: MetricFamily, a_s: Series, order: int,
-                 T: np.ndarray | None = None) -> Series:
+def _tpot_series(fam: MetricFamily, a: np.ndarray, order: int,
+                 T: np.ndarray | None = None) -> np.ndarray:
     """``t * V(t, u)`` along ``u = t a(t)`` as a series to ``order``;
     constant term ``dim_p * a(0)`` for a diagonal family.
 
@@ -320,49 +338,49 @@ def _tpot_series(fam: MetricFamily, a_s: Series, order: int,
     product, and the trace is one contraction with the pack's ``t^2
     P^-1``, whose constant term vanishes."""
     pack = fam.pack(order)
-    T = _powers(a_s, order) if T is None else T
+    T = _powers(a, order) if T is None else T
     X = T.T @ pack["dP"][:, :fam.n * fam.n]
-    return Series._new(0.5 * _trace_series(pack["W"], X)[1:], 0.0)
+    return 0.5 * _trace_series(pack["W"], X)[1:]
 
 
-def _zpot_series(fam: MetricFamily, a_s: Series, order: int,
-                 T: np.ndarray | None = None) -> Series:
+def _zpot_series(fam: MetricFamily, a: np.ndarray, order: int,
+                 T: np.ndarray | None = None) -> np.ndarray:
     """``t^2 * V2(t, u) = Tr(t^2 P^-1 P''(u)) / 2`` along ``u = t a(t)``
     to ``order``, as :func:`_tpot_series` builds ``t V``; constant term
     ``dim_p`` for the diagonal families it is used on."""
     pack = fam.pack(order)
-    T = _powers(a_s, order) if T is None else T
+    T = _powers(a, order) if T is None else T
     X = T.T @ pack["dP"][:, fam.n * fam.n:]
-    return Series._new(0.5 * _trace_series(pack["W"][:-1], X), 0.0)
+    return 0.5 * _trace_series(pack["W"][:-1], X)
 
 
-def _peel2(w: Series, where: str) -> Series:
+def _peel2(w: np.ndarray, where: str) -> np.ndarray:
     """Divide by ``t^2`` after checking the two dropped coefficients vanish."""
-    scale = 1.0 + float(np.abs(w.coeffs).max())
-    if abs(w.coeffs[0]) > _STRUCT_TOL * scale or \
-            abs(w.coeffs[1]) > _STRUCT_TOL * scale:
+    scale = 1.0 + float(np.abs(w).max())
+    if abs(w[0]) > _STRUCT_TOL * scale or abs(w[1]) > _STRUCT_TOL * scale:
         raise StructureError(
             f"{where}: nonzero residue at the pole "
-            f"(c0={w.coeffs[0]:.3e}, c1={w.coeffs[1]:.3e}); odd low-order "
+            f"(c0={w[0]:.3e}, c1={w[1]:.3e}); odd low-order "
             "metric data does not cancel, no analytic reduction exists")
-    return Series._new(w.coeffs[2:], 0.0)
+    return w[2:]
 
 
 def _w_series(fam: MetricFamily, s, order: int) -> list:
-    """``u' + (p+2) u / t`` of the harmonic reduction for the state jets
-    ``s = (a, u)``, to ``order - 2``; for ``s = (a, u, b, u_b)`` also
-    ``u_b' + (p+2) u_b / t`` of the tension linearization along ``a``
-    (diagonal families only).  Both rows share one power table."""
-    p = fam.dim_p
-    t_s = _series.identity(order)
+    """``u' + (p+2) u / t`` of the harmonic reduction for the state series
+    ``s = (a, u)``, each of ``order + 1`` coefficients, to ``order - 2``;
+    for ``s = (a, u, b, u_b)`` also ``u_b' + (p+2) u_b / t`` of the tension
+    linearization along ``a`` (diagonal families only).  Both rows share
+    one power table."""
+    p = float(fam.dim_p)
+    t_s = _const(0.0, order)
+    t_s[1] = 1.0
     T = _powers(s[0], order)
-    td = _tdrift_series(fam, order)
-    w = [_peel2((_tpot_series(fam, s[0], order, T) - float(p) * s[0])
-                - (td - float(p)) * (s[0] + t_s * s[1]),
-                "harmonic reduction")]
+    d = _tdrift_series(fam, order) - _const(p, order)
+    w = [_peel2((_tpot_series(fam, s[0], order, T) - p * s[0])
+                - _mul(d, s[0] + _mul(t_s, s[1])), "harmonic reduction")]
     if len(s) == 4:
-        w.append(_peel2((_zpot_series(fam, s[0], order, T) - float(p)) * s[2]
-                        - (td - float(p)) * (s[2] + t_s * s[3]),
+        z = _zpot_series(fam, s[0], order, T) - _const(p, order)
+        w.append(_peel2(_mul(z, s[2]) - _mul(d, s[2] + _mul(t_s, s[3])),
                         "tension linearization"))
     return w
 
@@ -381,7 +399,7 @@ def check_structure(fam: MetricFamily):
     if fam._structure_ok:
         return
     for a0, u0 in ((0.83, 0.41), (-0.37, 0.9), (1.61, -0.23)):
-        _w_series(fam, [_series.constant(a0, 8), _series.constant(u0, 8)], 8)
+        _w_series(fam, [_const(a0, 8), _const(u0, 8)], 8)
     fam._structure_ok = True
 
 
@@ -427,11 +445,11 @@ def _traces(fam: MetricFamily, t: float, rho: float, second: bool):
         V, drift, V2 = _direct_traces(fam, t, rho, second)
         return drift + fam.weight * fam.alpha_dot_at(t), V, V2
     K = _FLOAT_SERIES_ORDER
-    a_s = _series.constant(rho / t, K)
-    T = _powers(a_s, K)
+    a = _const(rho / t, K)
+    T = _powers(a, K)
     D, V = (float(_series.eval_truncated(s, t)) / t
-            for s in (_tdrift_series(fam, K), _tpot_series(fam, a_s, K, T)))
-    V2 = (float(_series.eval_truncated(_zpot_series(fam, a_s, K, T), t))
+            for s in (_tdrift_series(fam, K), _tpot_series(fam, a, K, T)))
+    V2 = (float(_series.eval_truncated(_zpot_series(fam, a, K, T), t))
           / (t * t) if second else None)
     return D, V, V2
 
@@ -455,18 +473,41 @@ def trace_potential2(fam: MetricFamily, t: float, rho: float) -> float:
 
 # -- assembled singular problems ----------------------------------------------
 
-def _profile_reg(fam: MetricFamily, t: Series, y) -> np.ndarray:
-    """``m_reg`` of both profile problems at a time jet ``t``, for the
-    harmonic state ``(a, u)`` or the biharmonic one ``(a, u, b, u_b)``; the
-    float right-hand side is :func:`_profile_field`."""
-    n = _time_jet_order(t)
-    s = [_as_jet(v, n + 2) for v in y]
+def _profile_rows(fam: MetricFamily, s, n: int) -> list:
+    """The coefficients of ``m_reg`` of both profile problems to order
+    ``n``, for the state series ``s``, each of ``n + 3`` coefficients: the
+    harmonic state ``(a, u)`` or the biharmonic one ``(a, u, b, u_b)``."""
     w = _w_series(fam, s, n + 2)
-    out = [s[1].truncate(n), w[0]]
-    if len(y) == 4:
-        out[1] = out[1] + s[2].truncate(n)
-        out += [s[3].truncate(n), w[1]]
-    return np.array(out, dtype=object)
+    out = [s[1][:n + 1], w[0]]
+    if len(s) == 4:
+        out[1] = out[1] + s[2][:n + 1]
+        out += [s[3][:n + 1], w[1]]
+    return out
+
+
+def _profile_reg(fam: MetricFamily, t: Series, y) -> np.ndarray:
+    """``m_reg`` of both profile problems at a time jet ``t``, for Series
+    (or number) entries of the state; the float right-hand side is
+    :func:`_profile_field` and the bootstrap's stage
+    :func:`_profile_stage`."""
+    n = _time_jet_order(t)
+    rows = _profile_rows(fam, [_as_jet(v, n + 2).coeffs for v in y], n)
+    return np.array([Series._new(c, 0.0) for c in rows], dtype=object)
+
+
+def _profile_stage(fam: MetricFamily, m_sing, k: int):
+    """The bootstrap stage of both profile problems, state width ``k``, on
+    coefficient rows: ``b_h = [t^h] m_sing + [t^(h-1)] m_reg`` along the
+    partial sum of the rows ``y_0 .. y_(h-1)``.  ``m_sing`` is linear, so
+    its part is ``m_sing`` of the top row, which is zero."""
+    top = m_sing(np.zeros(k))
+
+    def stage(part, h):
+        s = np.zeros((k, h + 2))
+        s[:, :h] = part.T
+        return top + [c[h - 1] for c in _profile_rows(fam, s, h - 1)]
+
+    return stage
 
 
 def _profile_sing(p: int):
@@ -507,7 +548,7 @@ def _profile_field(fam: MetricFamily):
                 out += [ub,
                         ((V2 - p / (t * t)) * t * b - d * (b + t * ub)) / t]
         else:
-            w = _w_series(fam, [_series.constant(v, K) for v in y], K)
+            w = _w_series(fam, [_const(v, K) for v in y], K)
             out = [u, float(_series.eval_truncated(w[0], t))]
             if coupled:
                 out += [y[3], float(_series.eval_truncated(w[1], t))]
@@ -535,10 +576,11 @@ def _assemble(fam: MetricFamily, v: float, w: float | None,
     if w is not None:
         y0 += [float(w), 0.0]
         meta.update(kind="biharmonic", w=float(w))
-    return SingularIVP(_profile_sing(fam.dim_p),
-                       functools.partial(_profile_reg, fam), y0, t_end,
-                       jet_capable=True, meta=meta,
-                       field=_profile_field(fam))
+    m_sing = _profile_sing(fam.dim_p)
+    return SingularIVP(m_sing, functools.partial(_profile_reg, fam), y0,
+                       t_end, jet_capable=True, meta=meta,
+                       field=_profile_field(fam),
+                       stage=_profile_stage(fam, m_sing, len(y0)))
 
 
 def assemble_harmonic(fam: MetricFamily, v: float,

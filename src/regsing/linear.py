@@ -293,10 +293,11 @@ def _frobenius_at(sys: LinearRSSystem, fr: _Frobenius, s: complex,
     its order (its last two terms ``|P_h| |s|^h`` lie below ``target``),
     and the sum stops at ``K``, after the last term above ``target``.  The
     residual ``s P' + A P - P A0``, with ``A`` read through
-    :meth:`LinearRSSystem.A_at`, must meet ``(K + 1) target``.  The bound
-    adds the terms past ``K``, the last two again for those past the
-    order, the residual over ``K + 1`` and the rounding of the sum, ``eps
-    sum_h |P_h| |s|^h``.
+    :meth:`LinearRSSystem.A_at`, must meet ``(K + 1) target`` plus its own
+    rounding, ``4 eps (sum_h h |P_h| |s|^h + (|A(s)| + |A0|) sum_h |P_h|
+    |s|^h)`` over ``h <= K``.  The bound adds the terms past ``K``, the last
+    two again for those past the order, the residual over ``K + 1`` and the
+    rounding of the sum, ``eps sum_h |P_h| |s|^h``.
     """
     target = SERIES_MARGIN * tol
     with np.errstate(over="ignore", invalid="ignore"):
@@ -305,12 +306,18 @@ def _frobenius_at(sys: LinearRSSystem, fr: _Frobenius, s: complex,
             return "tail"
         above = np.flatnonzero(terms > target)
         K = int(above[-1]) + 1 if above.size else 0
-        powers = s ** np.arange(K + 1)
-        Q, sQ1 = np.tensordot(np.stack([powers, powers * np.arange(K + 1)]),
+        hs = np.arange(K + 1)
+        powers = s ** hs
+        Q, sQ1 = np.tensordot(np.stack([powers, powers * hs]),
                               fr.P[:K + 1], axes=1)
-        res = float(np.linalg.norm(sQ1 + sys.A_at(s) @ Q - Q @ fr.A0,
-                                   np.inf))
-    if not res <= (K + 1) * target:
+        A = sys.A_at(s)
+        res = float(np.linalg.norm(sQ1 + A @ Q - Q @ fr.A0, np.inf))
+        allowed = (K + 1) * target
+        if not res <= allowed:
+            # only a miss pays for the rounding term
+            norm_A = np.abs(A).sum(1).max() + np.abs(fr.A0).sum(1).max()
+            allowed += 4.0 * _EPS * float((hs + norm_A) @ terms[:K + 1])
+    if not res <= allowed:
         return "residual"
     return Q, float(terms[K + 1:].sum() + terms[-2:].sum() + res / (K + 1)
                     + _EPS * terms.sum())

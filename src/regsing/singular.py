@@ -20,6 +20,11 @@ accept vectors of :class:`~regsing.series.Series` (use the elementary
 functions from :mod:`regsing.series` instead of ``math``), the bootstrap
 and Jacobians are computed exactly in Taylor mode at any order; otherwise
 finite differences are used and :func:`solve` bootstraps at order 4.
+Each bootstrap stage is one float row ``b_h``; a problem may supply the
+function that returns it on coefficient rows (the geometry profile
+problems do), and every other problem, user maps, :class:`AffineSingularMaps`
+and :func:`reduce_hat` among them, gets it from one adapter that calls the
+maps on Series jets.
 
 The module also ships the first-order reduction toolkit for systems
 written as ``0 = dY/dxi + (1/xi) f(xi, Y)``: the continuation limit check,
@@ -155,6 +160,14 @@ class SingularIVP:
     may take time jets only; ``m_reg`` is read on floats only for
     black-box maps (the bootstrap's stencils) or when there is no
     ``field``.
+
+    ``stage``, when given, answers each bootstrap stage on float rows:
+    ``stage(part, h)`` with ``part`` the ``(h, k)`` coefficients ``y_0 ..
+    y_(h-1)`` returns ``b_h = [t^h] m_sing + [t^(h-1)] m_reg`` along
+    their sum, a ``(k,)`` float array, and the maps are not called.  The
+    geometry profile problems supply one; every other problem, user maps
+    among them, goes through the adapter that calls the maps on Series
+    jets (finite-difference stencils for black-box maps).
     """
 
     m_sing: Callable
@@ -164,6 +177,7 @@ class SingularIVP:
     jet_capable: bool | None = None
     meta: dict = dataclasses.field(default_factory=dict)
     field: Callable | None = None
+    stage: Callable | None = None
     k: int = dataclasses.field(init=False)
     jet_probe_error: str | None = dataclasses.field(default=None, init=False)
 
@@ -325,8 +339,9 @@ def bootstrap_series(p: SingularIVP, order: int = DEFAULT_ORDER
     Row ``h`` of the returned ``(order+1, k)`` array is ``y_h``; row 0 is
     the initial value.  Each ``y_h`` solves ``(h I - J) y_h = b_h`` where
     ``b_h`` collects the order-h terms contributed by the lower
-    coefficients through both maps (series composition in Taylor mode,
-    finite differences for black-box maps).
+    coefficients through both maps (the problem's ``stage`` where it has
+    one, else the maps in Taylor mode, finite differences for black-box
+    maps).
     """
     if not 1 <= order <= MAX_ORDER:
         raise ValidationError(f"order must be in 1..{MAX_ORDER}, got {order}")
@@ -349,27 +364,17 @@ def _bootstrap_stages(p: SingularIVP, J: np.ndarray, coeffs: np.ndarray,
     """The series ``coeffs`` grown to ``order`` by the stages ``h =
     len(coeffs) .. order``; ``J`` is the Jacobian of ``m_sing`` at ``y0``.
 
-    Stage ``h`` reads only the rows below ``h``, so a series continued from
-    a lower order has the bytes of a direct bootstrap at ``order``.
+    Stage ``h`` solves ``(h I - J) y_h = b_h`` for the ``b_h`` that the
+    problem's ``stage`` returns, or, without one, :func:`_map_stage`.  It
+    reads only the rows below ``h``, so a series continued from a lower
+    order has the bytes of a direct bootstrap at ``order``.
     """
     start = len(coeffs)
     coeffs = np.concatenate([coeffs, np.zeros((order + 1 - start, p.k))])
+    stage = _map_stage(p) if p.stage is None else p.stage
     eye = np.eye(p.k)
     for h in range(start, order + 1):
-        if p.jet_capable:
-            # [t^h] of m_sing along the partial sum (top coefficient zero)
-            yj = _poly_jets(coeffs[:h], h)
-            b = _jet_coeffs(np.asarray(p.m_sing(yj), dtype=object), h)
-            yj2 = _poly_jets(coeffs[:h], h - 1)
-            tj = _series.identity(h - 1)
-            b = b + _jet_coeffs(
-                np.asarray(p.m_reg(tj, yj2), dtype=object), h - 1)
-        else:
-            def y_of(t, _part=coeffs[:h]):
-                return _series.eval_truncated(_part, t)
-
-            b = _fd_taylor_coeff(lambda s: p.m_sing(y_of(s)), h)
-            b = b + _fd_taylor_coeff(lambda s: p.m_reg(s, y_of(s)), h - 1)
+        b = stage(coeffs[:h], h)
         A = h * eye - J
         try:
             yh = np.linalg.solve(A, b)
@@ -379,6 +384,32 @@ def _bootstrap_stages(p: SingularIVP, J: np.ndarray, coeffs: np.ndarray,
             ) from exc
         coeffs[h] = yh
     return coeffs
+
+
+def _map_stage(p: SingularIVP) -> Callable:
+    """The bootstrap stage of a problem without its own: the adapter from
+    coefficient rows to the maps.  A Taylor-capable problem's maps run on
+    Series jets of the partial sum, each entry's ``[t^h]`` read back as a
+    float; black-box maps get central-difference stencils, which is why
+    their order stops at ``BLACKBOX_MAX_ORDER``."""
+    if not p.jet_capable:
+        def stage(part, h):
+            def y_of(t):
+                return _series.eval_truncated(part, t)
+
+            b = _fd_taylor_coeff(lambda s: p.m_sing(y_of(s)), h)
+            return b + _fd_taylor_coeff(lambda s: p.m_reg(s, y_of(s)), h - 1)
+
+        return stage
+
+    def stage(part, h):
+        # [t^h] of m_sing along the partial sum (top coefficient zero)
+        b = _jet_coeffs(np.asarray(p.m_sing(_poly_jets(part, h)),
+                                   dtype=object), h)
+        reg = p.m_reg(_series.identity(h - 1), _poly_jets(part, h - 1))
+        return b + _jet_coeffs(np.asarray(reg, dtype=object), h - 1)
+
+    return stage
 
 
 def _tail_handoff(coeffs: np.ndarray, tol: float, cap: float) -> float:

@@ -1,6 +1,7 @@
 """Expression layer: parsing, differentiation, evaluation, Taylor data."""
 
 import cmath
+import dataclasses
 import json
 import math
 import pickle
@@ -498,6 +499,20 @@ def test_matrix_paths_byte_identical_on_demo_configs():
         want = np.zeros(2) + Sm @ y + np.array(
             [ref_eval_real(e, t) for e in maps.g])
         assert maps.m_reg(t, y).tobytes() == want.tobytes()
+
+
+def test_parsed_nodes_carry_no_instance_dict():
+    # slotted nodes: a large tree costs no per-node dict
+    seen = set()
+    stack = [expr.parse("sin(2*t)^2 - t/(1 + t) + -t")]
+    while stack:
+        node = stack.pop()
+        seen.add(type(node))
+        assert not hasattr(node, "__dict__"), node
+        stack += [getattr(node, f.name) for f in dataclasses.fields(node)
+                  if isinstance(getattr(node, f.name), expr.Expr)]
+    assert seen == {expr.Num, expr.Var, expr.Neg, expr.Add, expr.Sub,
+                    expr.Mul, expr.Div, expr.Pow, expr.Call}
 
 
 def test_compiled_owners_pickle():

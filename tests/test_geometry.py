@@ -505,16 +505,16 @@ def ref_peel2(w, where):
 def ref_w_series(fam, a_s, u_s, order):
     p = fam.dim_p
     t_s = series.identity(order)
-    tpot = geometry._tpot_series(fam, a_s, order)
-    tdrift = geometry._tdrift_series(fam, order)
+    tpot = Series(geometry._tpot_series(fam, a_s.coeffs, order))
+    tdrift = Series(geometry._tdrift_series(fam, order))
     return (tpot - float(p) * a_s) - (tdrift - float(p)) * (a_s + t_s * u_s)
 
 
 def ref_wf_series(fam, a_s, b_s, ub_s, order):
     p = fam.dim_p
     t_s = series.identity(order)
-    z = geometry._zpot_series(fam, a_s, order)
-    td = geometry._tdrift_series(fam, order)
+    z = Series(geometry._zpot_series(fam, a_s.coeffs, order))
+    td = Series(geometry._tdrift_series(fam, order))
     return (z - float(p)) * b_s - (td - float(p)) * (b_s + t_s * ub_s)
 
 
@@ -1009,15 +1009,39 @@ def test_potential_kernels_match_per_entry_composition(name):
     for order in range(3, 34):
         a_s = Series(rng.normal(scale=0.8, size=order + 1 + order % 3))
         for kernel, second in kernels:
-            got = kernel(fam, a_s, order).coeffs
+            got = kernel(fam, a_s.coeffs, order)
             want = ref_pot_series(fam, a_s, order, second).coeffs
             mag = ref_pot_series(fam, a_s, order, second, mag=True).coeffs
             assert got.shape == want.shape
             err = np.abs(got - want)
             assert np.all(err <= 8 * EPS * mag), (order, second, err / mag)
-        got = geometry._tdrift_series(fam, order).coeffs
+        got = geometry._tdrift_series(fam, order)
         want = ref_tdrift_series(fam, order).coeffs
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("which", ["sphere", "block", "biharmonic sphere"])
+def test_the_array_stage_has_the_bytes_of_the_series_adapter(which):
+    # the same maps without the stage field bootstrap through the adapter,
+    # which calls m_reg on Series jets
+    fam = (PROBE_FAMILIES["block"] if which == "block" else sphere)()
+    prob = (geometry.assemble_biharmonic(fam, 0.9, -0.4, 1.0)
+            if which.startswith("bi") else
+            geometry.assemble_harmonic(fam, 0.9, 1.0))
+    jet_orders = []
+
+    def m_reg(t, y):
+        jet_orders.append(t.order)
+        return prob.m_reg(t, y)
+
+    maps = singular.SingularIVP(prob.m_sing, m_reg, prob.y0, prob.t_end,
+                                jet_capable=True, meta=prob.meta,
+                                field=prob.field)
+    assert prob.stage is not None and maps.stage is None
+    for K in (10, 20, 30):
+        got = singular.bootstrap_series(prob, K)
+        assert got.tobytes() == singular.bootstrap_series(maps, K).tobytes()
+        assert jet_orders[-K:] == list(range(K))
 
 
 @pytest.mark.parametrize("which", ["sphere", "block", "biharmonic sphere"])
@@ -1028,11 +1052,12 @@ def test_bootstrap_matches_per_entry_composition(which, monkeypatch):
             geometry.assemble_harmonic(fam, 0.9, 1.0))
     got = singular.bootstrap_series(prob, 30)
     monkeypatch.setattr(geometry, "_tpot_series",
-                        lambda f, a_s, order, T=None:
-                        ref_pot_series(f, a_s, order, False))
+                        lambda f, a, order, T=None:
+                        ref_pot_series(f, Series(a), order, False).coeffs)
     monkeypatch.setattr(geometry, "_zpot_series",
-                        lambda f, a_s, order, T=None:
-                        ref_pot_series(f, a_s, order, True))
-    monkeypatch.setattr(geometry, "_tdrift_series", ref_tdrift_series)
+                        lambda f, a, order, T=None:
+                        ref_pot_series(f, Series(a), order, True).coeffs)
+    monkeypatch.setattr(geometry, "_tdrift_series",
+                        lambda f, order: ref_tdrift_series(f, order).coeffs)
     want = singular.bootstrap_series(prob, 30)
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()

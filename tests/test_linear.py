@@ -288,6 +288,20 @@ def test_series_loops_match_an_rk4_oracle(n, seed):
         assert 0.0 < res.est_error <= 1e-10 * (1 + np.abs(want).sum(1).max())
 
 
+def test_a_tight_tol_loop_whose_residual_is_rounding_takes_the_series():
+    # at tol 1e-12 the residual of this n = 8 series, 4.5e-14, is rounding
+    # and lies above (K + 1) 1e-3 tol = 3.1e-14; its rounding term, 5.8e-13,
+    # lets the series through
+    text, A = _random_system(np.random.default_rng(25), 8)
+    sys = linear.LinearRSSystem(text, rho=2.0)
+    sigma, tol = 0.7, 1e-12
+    res = linear.monodromy_at(sys, sigma, tol=tol)
+    assert (res.path, res.declined, res.path_steps) == ("series", None, 0)
+    z0 = math.log(sigma)
+    want = _rk4_transport(A, z0, z0 + 2j * math.pi)
+    assert _off_oracle(res.matrix, want) <= 100 * tol
+
+
 def test_series_transports_match_an_rk4_oracle():
     text, A = _random_system(np.random.default_rng(14), 4)
     sys = linear.LinearRSSystem(text, rho=2.0)
