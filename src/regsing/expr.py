@@ -17,10 +17,15 @@ Evaluation goes through one compiler with three modes: real (``math``),
 complex (``cmath``, principal branches) and Taylor (the ``series``
 recurrences, never repeated symbolic differentiation).  It turns a list of
 trees into one generated Python function that returns every entry in a
-single call.  :class:`ExprArray` holds a matrix or vector of trees and
-compiles each mode on its first use, so a coefficient matrix is compiled
-once, lazily, and then evaluated whole; ``eval_real``, ``eval_complex``
-and ``taylor`` compile a single tree the same way.  :class:`HalfTraces`
+single call.  Taylor mode runs the private row kernels of ``series`` on
+bare coefficient rows and returns rows; a Series is made only where
+:func:`taylor`, :func:`taylor_at_zero` or :meth:`ExprArray.taylor` hands
+one out, and the package's own readers (the analyticity probe,
+``linear``'s Frobenius expansion, ``MetricFamily.pack``) read the rows.
+:class:`ExprArray` holds a matrix or vector of trees and compiles each
+mode on its first use, so a coefficient matrix is compiled once, lazily,
+and then evaluated whole; ``eval_real``, ``eval_complex`` and
+``taylor`` compile a single tree the same way.  :class:`HalfTraces`
 generates one real-mode function of ``(t, rho)`` that also divides and
 sums the values, for the half traces of diagonal matrices.  Values and
 domain errors are those of a node-by-node evaluation in the same order.
@@ -516,10 +521,20 @@ def differentiate(e: Expr) -> Expr:
 # list of trees becomes the source of one Python function that evaluates
 # every tree in a single call.  Each interior node is one assignment to a
 # local, emitted in the order the nodes are evaluated: operands left to
-# right, and for a division the denominator and its zero check before the
-# numerator.  Operand types and operations are the same as a node-by-node
-# evaluation would use, so values are bit-identical and a failing
-# evaluation raises the same error, whatever else shares the function.
+# right, and in real and complex mode, for a division, the denominator and
+# its zero check before the numerator.  Operand types and operations are
+# the same as a node-by-node evaluation would use, so values are
+# bit-identical and a failing evaluation raises the same error, whatever
+# else shares the function.
+#
+# Taylor mode computes on coefficient rows: each local is a float64 (or
+# complex128) array of length ``order + 1``, made by the ``series`` row
+# kernels that the Series operations wrap (``_t_mul`` for ``*``,
+# ``_t_mul(a, _t_recip(b))`` for ``/``, ``_t_exp`` for ``exp``, ...; ``+``,
+# ``-`` and negation are numpy's).  So each row holds the coefficients of
+# the Series a node-by-node evaluation with Series operations gives, and no
+# Series is made inside the function: ``taylor`` and ``ExprArray.taylor``
+# wrap the rows they return.
 #
 # Exponents are constant.  Each one is evaluated in real mode at t = 0 at
 # compile time and the branch it selects is fixed; an exponent whose
@@ -531,11 +546,16 @@ def differentiate(e: Expr) -> Expr:
 
 _GLOBALS = {
     "__builtins__": builtins, "_E": EvalDomainError, "_ExprError": ExprError,
-    "_series": _series, "_array": np.array, "_float": np.float64,
+    "_array": np.array, "_float": np.float64,
     "_complex": np.complex128, "_pow": math.pow, "_cexp": cmath.exp,
     "_clog": cmath.log,
     **{f"_r_{name}": getattr(math, name) for name in FUNCTIONS},
     **{f"_c_{name}": getattr(cmath, name) for name in FUNCTIONS},
+    # Taylor mode: the series row kernels
+    "_t_const": _series._constant,
+    "_t_id": _series._identity, "_t_mul": _series._mul,
+    "_t_recip": _series._reciprocal, "_t_powi": _series._powi,
+    **{f"_t_{name}": getattr(_series, f"_{name}") for name in FUNCTIONS},
 }
 
 # The function each mode compiles to; _compile fills in <cells> (one
@@ -617,9 +637,12 @@ class _Emitter:
                     # fails again inside the call, where errors are reported
                     rhs = f"complex({self.const(value)})"
             else:
-                rhs = f"_series.constant({self.const(value)}, order, t0)"
+                rhs = f"_t_const({self.const(value)}, order)"
                 if type(value) is float:
                     return rhs  # cannot fail, so it is built where it is used
+        elif kind is Mul and mode == "taylor":
+            rhs = (f"_t_mul({self.node(e.left, mode, var)}, "
+                   f"{self.node(e.right, mode, var)})")
         elif kind in _BINOPS:
             rhs = (f"{self.node(e.left, mode, var)} {_BINOPS[kind]} "
                    f"{self.node(e.right, mode, var)}")
@@ -628,8 +651,7 @@ class _Emitter:
                 return var
             if self.identity is None:
                 self.identity = f"v{len(self.lines)}"
-                self.lines.append(
-                    f"{self.identity} = _series.identity(order, t0)")
+                self.lines.append(f"{self.identity} = _t_id(order, t0)")
             return self.identity
         elif kind is Neg:
             rhs = "-" + self.node(e.arg, mode, var)
@@ -638,8 +660,8 @@ class _Emitter:
         elif kind is Call:
             rhs = self.call(e, mode, var)
         elif mode == "taylor":
-            rhs = (f"{self.node(e.left, mode, var)} * _series.reciprocal("
-                   f"{self.node(e.right, mode, var)})")
+            rhs = (f"_t_mul({self.node(e.left, mode, var)}, _t_recip("
+                   f"{self.node(e.right, mode, var)}))")
         else:
             den = self.node(e.right, mode, var)
             self.lines.append(f'if {den} == 0: raise _E("division by zero")')
@@ -655,7 +677,7 @@ class _Emitter:
             raise ExprError(f"unknown function {name!r}")
         x = self.node(e.arg, mode, var)
         if mode == "taylor":
-            return f"_series.{name}({x})"
+            return f"_t_{name}({x})"
         if mode == "complex":
             if name == "log":
                 self.lines.append(f'if {x} == 0: raise _E("log of zero")')
@@ -698,20 +720,22 @@ class _Emitter:
                 "real": (f"{base} ** int({c})", f"_pow({base}, {c})"),
                 "complex": (f"{base} ** int({c})",
                             f"_cexp({c} * _clog({base}))"),
-                "taylor": (f"_series.powi({base}, int({c}))",
-                           f"_series.exp(_series.log({base}) * {c})"),
+                "taylor": (f"_t_powi({base}, int({c}))",
+                           f"_t_exp(_t_log({base}) * {c})"),
             }[mode]
             return f"{integral} if float({c}).is_integer() else {other}"
-        k = self.const(int(c) if integral else c)
+        # Taylor mode scales by float(c), as ``Series ** c`` does
+        k = self.const(int(c) if integral else
+                       float(c) if mode == "taylor" else c)
         if negative and mode != "taylor":
             lines.append(f'if {base} == 0: '
                          f'raise _E("zero raised to a negative power")')
         if integral:
             if mode == "taylor":
-                return f"_series.powi({base}, {k})"
+                return f"_t_powi({base}, {k})"
             return f"{base} ** {k}"
         if mode == "taylor":
-            return f"_series.exp(_series.log({base}) * {k})"
+            return f"_t_exp(_t_log({base}) * {k})"
         if mode == "complex":
             return f"_cexp({k} * _clog({base}))"
         lines.append(f'if {base} < 0: raise _E(f"negative base {{{base}}} '
@@ -747,7 +771,8 @@ def _compile(exprs, mode: str):
 
     ``real`` and ``complex`` functions take ``t`` and return a float64 or
     complex128 array; ``taylor`` functions take ``(t0, order)`` and return
-    a tuple of Series.
+    a tuple of coefficient rows, one float64 (or complex128) array of
+    length ``order + 1`` per tree.
     """
     gen = _Emitter()
     results = [gen.node(e, mode, "t") for e in exprs]
@@ -797,8 +822,10 @@ class ExprArray:
 
     def taylor(self, t0, order: int) -> np.ndarray:
         """Object array of the entries' Series around ``t0``."""
-        out = np.empty(len(self.exprs), dtype=object)
-        out[:] = self._fn("taylor")(t0, order)
+        rows = self._fn("taylor")(t0, order)
+        t0 = float(t0)
+        out = np.empty(len(rows), dtype=object)
+        out[:] = [Series._new(row, t0) for row in rows]
         return out.reshape(self.shape)
 
 
@@ -898,26 +925,45 @@ def taylor(e: Expr, t0: float, order: int) -> Series:
     Computed by propagating series through the tree (one pass, exact
     recurrences), never by repeated symbolic differentiation.
     """
+    return Series._new(_taylor_row(e, t0, order), float(t0))
+
+
+def _taylor_row(e: Expr, t0: float, order: int) -> np.ndarray:
+    """The coefficient row of ``taylor(e, t0, order)``, without the Series
+    (a fresh array the caller may keep)."""
     return _compile([e], "taylor")(t0, order)[0]
+
+
+def _taylor_row_at_zero(e: Expr, order: int, name: str) -> np.ndarray:
+    """The coefficient row of ``taylor_at_zero(e, order, name)``, with its
+    ValidationError."""
+    try:
+        return _taylor_row(e, 0.0, order)
+    except RegsingError as exc:
+        raise ValidationError(f"{name} is not analytic at 0: {exc}") from exc
 
 
 def taylor_at_zero(e: Expr, order: int, name: str) -> Series:
     """``taylor(e, 0, order)`` of the entry ``name``; a failed expansion
     (a pole, a branch point, a domain error at 0) raises ValidationError
     saying that ``name`` is not analytic at 0."""
-    try:
-        return taylor(e, 0.0, order)
-    except RegsingError as exc:
-        raise ValidationError(f"{name} is not analytic at 0: {exc}") from exc
+    return Series._new(_taylor_row_at_zero(e, order, name), 0.0)
 
 
 def probe_at_zero(trees, name: str) -> None:
-    """Order-4 :func:`taylor_at_zero` probe of each entry of the object
-    array ``trees`` (None: an absent block, nothing to probe), naming the
-    entries ``name[i]`` or ``name[i][j]``.
+    """:func:`taylor_at_zero` probe of each entry of the object array
+    ``trees`` (None: an absent block, nothing to probe), naming the entries
+    ``name[i]`` or ``name[i][j]``.
 
-    Entry by entry: one-tree code is shared by entries of the same shape,
-    while compiling the whole block would cost more than the probe itself.
+    The probe expands to order 0.  Every check of the recurrences that
+    raises reads a constant term only (a zero or negative base of
+    ``log``/``sqrt``/``^``, a zero divisor, a pole of ``tan``, a ``math``
+    overflow), and coefficient 0 of each node is the same number at any
+    order, so an entry passes or fails, with the same message, exactly as
+    it would at any order; only a numpy overflow in a higher coefficient,
+    which warns and does not raise, is out of its reach.  Entry by entry: one-tree code is shared by
+    entries of the same shape, while compiling the whole block would cost
+    more than the probe itself.
     """
     for idx, e in ([] if trees is None else np.ndenumerate(trees)):
-        taylor_at_zero(e, 4, name + "".join(f"[{i}]" for i in idx))
+        _taylor_row_at_zero(e, 0, name + "".join(f"[{i}]" for i in idx))

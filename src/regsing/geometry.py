@@ -224,8 +224,8 @@ class MetricFamily:
         for i in range(n):
             for j in range(n):
                 s = (i < self.dim_p) + (j < self.dim_p)
-                c = _expr.taylor_at_zero(self.entries[i, j], M - 1 + s,
-                                         f"entry ({i},{j})").coeffs
+                c = _expr._taylor_row_at_zero(self.entries[i, j], M - 1 + s,
+                                              f"entry ({i},{j})")
                 scale = 1.0 + float(np.abs(c).max())
                 for k in range(s):
                     if abs(c[k]) > _SHIFT_TOL * scale:
@@ -248,8 +248,8 @@ class MetricFamily:
         drift = 0.5 * _trace_series(
             Rinv[:M - 1].transpose(0, 2, 1).reshape(M - 1, n * n), Rdot)
         if self._dalpha is not None:
-            drift = drift + _expr.taylor_at_zero(
-                self._dalpha, order, "alpha'").coeffs * float(self.weight)
+            drift = drift + _expr._taylor_row_at_zero(
+                self._dalpha, order, "alpha'") * float(self.weight)
         tdrift = np.empty(order + 1)
         tdrift[0] = self.dim_p
         tdrift[1:] = drift[:order]

@@ -67,9 +67,11 @@ class LinearRSSystem:
     A : array-like of shape (n, n)
         Entries are Expr trees, expression strings or finite numbers
         (:func:`~regsing.expr.as_expr`, which raises ExprError for anything
-        else).  Every entry must be analytic at ``s = 0``: its Taylor
-        expansion there is probed at construction, and a failure is a
-        ValidationError naming the entry.
+        else).  Every entry must be analytic at ``s = 0``: its order-0
+        Taylor expansion there is probed at construction
+        (:func:`~regsing.expr.probe_at_zero`, which fails exactly where an
+        expansion of any order fails), and a failure is a ValidationError
+        naming the entry.
     h : array-like of shape (n,), optional
         Inhomogeneity, its entries read and probed as those of ``A``;
         omitted means the zero vector.
@@ -252,14 +254,17 @@ def _expand(sys: LinearRSSystem):
     rhs`` with ``J = -(A0 (x) I - I (x) A0^T)`` (row-major ``vec``), so
     the series exists iff no ``h I - J`` is singular, which the resonance
     scan of :func:`regsing.singular.check_admissibility` decides.  The
-    first coefficient that overflows ends the series.
+    first coefficient that overflows ends the series; an entry whose own
+    coefficients overflow (``exp(1e100*t)``) gives inf or nan there
+    without a numpy warning.
     """
     n, order = sys.n, SERIES_ORDER
     if n > SERIES_MAX_DIM:
         return "size"
     A = np.empty((order + 1, n, n))
-    for (i, j), e in np.ndenumerate(sys.A):
-        A[:, i, j] = _expr.taylor(e, 0.0, order).coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (i, j), e in np.ndenumerate(sys.A):
+            A[:, i, j] = _expr._taylor_row(e, 0.0, order)
     A0, eye = A[0].copy(), np.eye(n)     # a view would keep all of A
     J = -(np.kron(A0, eye) - np.kron(eye, A0.T))
     try:

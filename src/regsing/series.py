@@ -11,7 +11,11 @@ series via the standard convolution recurrences, so any function written in
 terms of these primitives can be evaluated in Taylor mode by passing Series
 arguments instead of floats.  All recurrences propagate from the constant
 term, i.e. the expansion is around the argument's own base value, not
-around zero.
+around zero.  Each recurrence is written once, as a private kernel on bare
+coefficient rows (``_mul``, ``_reciprocal``, ``_exp``, ``_sin_cos``,
+``_powi``, ...; see "row kernels" below).  The Series operations and
+elementary functions wrap those kernels, and the expression compiler's
+Taylor mode (:mod:`regsing.expr`) calls them on rows directly.
 
 :func:`eval_truncated` is the one evaluator for truncated power series in
 the package: a Horner sum at an offset from the expansion point, of a
@@ -19,8 +23,9 @@ Series or of coefficient rows, that returns the value.
 
 ``Series(...)`` validates and copies its coefficients.  Results computed
 inside this package (ring operations, ``truncate``/``pad``, ``constant``,
-``identity``, ``compose`` and the elementary-function recurrences) come
-from :meth:`Series._new`, a trusted constructor that only marks its fresh
+``identity``, ``compose``, the elementary functions, and the rows that
+``expr.taylor`` and ``ExprArray.taylor`` return) come from
+:meth:`Series._new`, a trusted constructor that only marks its fresh
 float64 or complex128 array read-only.  Both give the same coefficients
 bit for bit; the trusted one skips the dtype checks and the copy.
 """
@@ -182,9 +187,7 @@ class Series:
         if o is None:
             return NotImplemented
         n = min(len(self.coeffs), len(o.coeffs))
-        # exact Cauchy product, truncated to order n - 1
-        return Series._new(np.convolve(self.coeffs[:n], o.coeffs[:n])[:n],
-                           self.t0)
+        return Series._new(_mul(self.coeffs[:n], o.coeffs[:n]), self.t0)
 
     __rmul__ = __mul__
 
@@ -213,34 +216,17 @@ class Series:
 
 
 def constant(value, order: int, t0: float = 0.0) -> Series:
-    c = np.zeros(order + 1, dtype=np.complex128 if isinstance(
-        value, complex) else np.float64)
-    c[0] = value
-    return Series._new(c, float(t0))
+    return Series._new(_constant(value, order), float(t0))
 
 
 def identity(order: int, t0: float = 0.0) -> Series:
     """The series of ``t`` itself around ``t0``: ``t0 + (t - t0)``."""
-    c = np.zeros(order + 1)
-    c[0] = t0
-    if order >= 1:
-        c[1] = 1.0
-    return Series._new(c, float(t0))
+    return Series._new(_identity(order, t0), float(t0))
 
 
 def reciprocal(a: Series) -> Series:
     """Multiplicative inverse; requires a nonzero constant term."""
-    c0 = a.coeffs[0]
-    if c0 == 0:
-        raise SeriesError("reciprocal of a series with zero constant term")
-    k = a.order
-    out = np.zeros(k + 1, dtype=np.result_type(a.coeffs.dtype, np.float64))
-    out[0] = 1.0 / c0
-    for n in range(1, k + 1):
-        # c0*out[n] + sum_{j=1..n} a[j]*out[n-j] = 0
-        acc = np.dot(a.coeffs[1: n + 1], out[n - 1:: -1][: n])
-        out[n] = -acc / c0
-    return Series._new(out, a.t0)
+    return Series._new(_reciprocal(a.coeffs), a.t0)
 
 
 def compose(outer: Series, inner: Series) -> Series:
@@ -268,7 +254,7 @@ def compose(outer: Series, inner: Series) -> Series:
     term = np.zeros(k + 1, dtype=oc.dtype)
     for j in range(k - 1, -1, -1):
         term[0] = oc[j]
-        acc = np.convolve(acc, u)[: k + 1] + term
+        acc = _mul(acc, u) + term
     return Series._new(acc, inner.t0)
 
 
@@ -290,7 +276,8 @@ def eval_truncated(a, dt):
 # -- elementary functions -------------------------------------------------
 #
 # Each routine accepts a Series or a plain number.  On numbers it defers to
-# math/cmath, which keeps user-supplied maps generic over both call modes.
+# math/cmath, which keeps user-supplied maps generic over both call modes;
+# on a Series it wraps the row kernel below.
 
 def _is_complex(x) -> bool:
     return isinstance(x, complex) or (
@@ -303,23 +290,10 @@ def _lift(fn_real, fn_complex, x):
     return fn_real(x)
 
 
-def _dmul_sum(g: np.ndarray, f: np.ndarray, k: int):
-    """sum_{j=1..k} j * g[j] * f[k-j], the derivative convolution kernel."""
-    j = np.arange(1, k + 1)
-    return np.dot(j * g[1: k + 1], f[k - 1:: -1][: k])
-
-
 def exp(x):
     if not isinstance(x, Series):
         return _lift(math.exp, cmath.exp, x)
-    g = x.coeffs
-    k = x.order
-    e0 = cmath.exp(g[0]) if np.iscomplexobj(g) else math.exp(g[0].real)
-    out = np.zeros(k + 1, dtype=np.result_type(g.dtype, type(e0)))
-    out[0] = e0
-    for n in range(1, k + 1):
-        out[n] = _dmul_sum(g, out, n) / n
-    return Series._new(out, x.t0)
+    return Series._new(_exp(x.coeffs), x.t0)
 
 
 def log(x):
@@ -331,20 +305,7 @@ def log(x):
         if x == 0:
             raise EvalDomainError("log of zero")
         return cmath.log(x)
-    g = x.coeffs
-    if g[0] == 0:
-        raise EvalDomainError("log of series with zero constant term")
-    if not np.iscomplexobj(g) and g[0].real < 0:
-        raise EvalDomainError(f"log of series with negative base {g[0]}")
-    k = x.order
-    l0 = log(complex(g[0])) if np.iscomplexobj(g) else math.log(g[0].real)
-    out = np.zeros(k + 1, dtype=np.result_type(g.dtype, type(l0)))
-    out[0] = l0
-    for n in range(1, k + 1):
-        # n*l[n]*g[0] = n*g[n] - sum_{j=1..n-1} j*l[j]*g[n-j]
-        # (_dmul_sum's j=n term vanishes because out[n] is still zero)
-        out[n] = (n * g[n] - _dmul_sum(out, g, n)) / (n * g[0])
-    return Series._new(out, x.t0)
+    return Series._new(_log(x.coeffs), x.t0)
 
 
 def sqrt(x):
@@ -354,94 +315,208 @@ def sqrt(x):
                 raise EvalDomainError(f"sqrt of negative real {x}")
             return math.sqrt(x)
         return cmath.sqrt(x)
-    g = x.coeffs
-    if g[0] == 0:
-        raise EvalDomainError("sqrt of series with zero constant term")
-    if not np.iscomplexobj(g) and g[0].real < 0:
-        raise EvalDomainError(f"sqrt of series with negative base {g[0]}")
-    k = x.order
-    q0 = sqrt(complex(g[0])) if np.iscomplexobj(g) else math.sqrt(g[0].real)
-    out = np.zeros(k + 1, dtype=np.result_type(g.dtype, type(q0)))
-    out[0] = q0
-    for n in range(1, k + 1):
-        acc = np.dot(out[1: n], out[n - 1: 0: -1]) if n >= 2 else 0.0
-        out[n] = (g[n] - acc) / (2 * q0)
-    return Series._new(out, x.t0)
-
-
-def _sin_cos(x: Series, hyperbolic: bool = False):
-    """``(sin x, cos x)``, or ``(sinh x, cosh x)`` when ``hyperbolic``, by
-    the recurrences of ``s' = c x'`` and ``c' = -s x'`` (``+s x'``)."""
-    g = x.coeffs
-    k = x.order
-    if np.iscomplexobj(g):
-        mod, g0 = cmath, g[0]
-    else:
-        mod, g0 = math, g[0].real
-    s0, c0 = ((mod.sinh(g0), mod.cosh(g0)) if hyperbolic
-              else (mod.sin(g0), mod.cos(g0)))
-    dt = np.result_type(g.dtype, type(s0))
-    s = np.zeros(k + 1, dtype=dt)
-    c = np.zeros(k + 1, dtype=dt)
-    s[0], c[0] = s0, c0
-    for n in range(1, k + 1):
-        s[n] = _dmul_sum(g, c, n) / n
-        d = _dmul_sum(g, s, n)
-        c[n] = (d if hyperbolic else -d) / n
-    return Series._new(s, x.t0), Series._new(c, x.t0)
+    return Series._new(_sqrt(x.coeffs), x.t0)
 
 
 def sin(x):
     if not isinstance(x, Series):
         return _lift(math.sin, cmath.sin, x)
-    return _sin_cos(x)[0]
+    return Series._new(_sin(x.coeffs), x.t0)
 
 
 def cos(x):
     if not isinstance(x, Series):
         return _lift(math.cos, cmath.cos, x)
-    return _sin_cos(x)[1]
+    return Series._new(_cos(x.coeffs), x.t0)
 
 
 def tan(x):
     if not isinstance(x, Series):
         return _lift(math.tan, cmath.tan, x)
-    s, c = _sin_cos(x)
-    if c.coeffs[0] == 0:
-        raise EvalDomainError("tan at a pole of the expansion point")
-    return s * reciprocal(c)
+    return Series._new(_tan(x.coeffs), x.t0)
 
 
 def sinh(x):
     if not isinstance(x, Series):
         return _lift(math.sinh, cmath.sinh, x)
-    return _sin_cos(x, True)[0]
+    return Series._new(_sinh(x.coeffs), x.t0)
 
 
 def cosh(x):
     if not isinstance(x, Series):
         return _lift(math.cosh, cmath.cosh, x)
-    return _sin_cos(x, True)[1]
+    return Series._new(_cosh(x.coeffs), x.t0)
 
 
 def tanh(x):
     if not isinstance(x, Series):
         return _lift(math.tanh, cmath.tanh, x)
-    s, c = _sin_cos(x, True)
-    return s * reciprocal(c)
+    return Series._new(_tanh(x.coeffs), x.t0)
 
 
 def powi(a: Series, n: int) -> Series:
     """Integer power by repeated squaring; negative n via reciprocal."""
+    return Series._new(_powi(a.coeffs, n), a.t0)
+
+
+# -- row kernels ----------------------------------------------------------
+#
+# The Taylor recurrences on bare coefficient rows: 1-d float64 or
+# complex128 arrays, row[k] the coefficient of (t - t0)^k, each operand of
+# a binary kernel as long as the other.  They are the package's one
+# implementation of the recurrences: the Series operations above wrap them,
+# and expression Taylor mode calls them directly and wraps only its
+# results.  A kernel never writes to its operands and returns a fresh row,
+# except ``_powi(a, 1)``, which returns ``a``.  Every recurrence propagates
+# from the constant term, and each check that raises reads that term only,
+# so a kernel fails at order 0 exactly where it fails at any other order
+# (a numpy overflow warning in a higher coefficient aside).
+
+def _constant(value, order: int) -> np.ndarray:
+    c = np.zeros(order + 1, dtype=np.complex128 if isinstance(
+        value, complex) else np.float64)
+    c[0] = value
+    return c
+
+
+def _identity(order: int, t0) -> np.ndarray:
+    c = np.zeros(order + 1)
+    c[0] = t0
+    if order >= 1:
+        c[1] = 1.0
+    return c
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Cauchy product, truncated to the operands' order."""
+    return np.convolve(a, b)[: len(a)]
+
+
+def _reciprocal(a: np.ndarray) -> np.ndarray:
+    c0 = a[0]
+    if c0 == 0:
+        raise SeriesError("reciprocal of a series with zero constant term")
+    k = len(a) - 1
+    out = np.zeros(k + 1, dtype=a.dtype)
+    out[0] = 1.0 / c0
+    for n in range(1, k + 1):
+        # c0*out[n] + sum_{j=1..n} a[j]*out[n-j] = 0
+        acc = np.dot(a[1: n + 1], out[n - 1:: -1])
+        out[n] = -acc / c0
+    return out
+
+
+def _exp(g: np.ndarray) -> np.ndarray:
+    k = len(g) - 1
+    e0 = cmath.exp(g[0]) if g.dtype.kind == "c" else math.exp(g[0].real)
+    out = np.zeros(k + 1, dtype=g.dtype)
+    out[0] = e0
+    if not k:
+        return out
+    jg = np.arange(1, k + 1) * g[1:]        # j * g[j], j = 1..k
+    for n in range(1, k + 1):
+        # out' = g' out: n*out[n] = sum_{j=1..n} j*g[j]*out[n-j]
+        out[n] = np.dot(jg[:n], out[n - 1:: -1]) / n
+    return out
+
+
+def _log(g: np.ndarray) -> np.ndarray:
+    g0 = g[0]
+    if g0 == 0:
+        raise EvalDomainError("log of series with zero constant term")
+    complex_row = g.dtype.kind == "c"
+    if not complex_row and g0.real < 0:
+        raise EvalDomainError(f"log of series with negative base {g0}")
+    k = len(g) - 1
+    out = np.zeros(k + 1, dtype=g.dtype)
+    out[0] = cmath.log(complex(g0)) if complex_row else math.log(g0.real)
+    for n in range(1, k + 1):
+        # n*l[n]*g[0] = n*g[n] - sum_{j=1..n-1} j*l[j]*g[n-j]
+        # (the j = n term vanishes because out[n] is still zero)
+        j = np.arange(1, n + 1)
+        acc = np.dot(j * out[1: n + 1], g[n - 1:: -1])
+        out[n] = (n * g[n] - acc) / (n * g0)
+    return out
+
+
+def _sqrt(g: np.ndarray) -> np.ndarray:
+    g0 = g[0]
+    if g0 == 0:
+        raise EvalDomainError("sqrt of series with zero constant term")
+    complex_row = g.dtype.kind == "c"
+    if not complex_row and g0.real < 0:
+        raise EvalDomainError(f"sqrt of series with negative base {g0}")
+    k = len(g) - 1
+    q0 = cmath.sqrt(complex(g0)) if complex_row else math.sqrt(g0.real)
+    out = np.zeros(k + 1, dtype=g.dtype)
+    out[0] = q0
+    for n in range(1, k + 1):
+        acc = np.dot(out[1: n], out[n - 1: 0: -1]) if n >= 2 else 0.0
+        out[n] = (g[n] - acc) / (2 * q0)
+    return out
+
+
+def _sin_cos(g: np.ndarray, hyperbolic: bool = False):
+    """``(sin g, cos g)``, or ``(sinh g, cosh g)`` when ``hyperbolic``, by
+    the recurrences of ``s' = c g'`` and ``c' = -s g'`` (``+s g'``)."""
+    k = len(g) - 1
+    if g.dtype.kind == "c":
+        mod, g0 = cmath, g[0]
+    else:
+        mod, g0 = math, g[0].real
+    s0, c0 = ((mod.sinh(g0), mod.cosh(g0)) if hyperbolic
+              else (mod.sin(g0), mod.cos(g0)))
+    s = np.zeros(k + 1, dtype=g.dtype)
+    c = np.zeros(k + 1, dtype=g.dtype)
+    s[0], c[0] = s0, c0
+    if not k:
+        return s, c
+    jg = np.arange(1, k + 1) * g[1:]        # j * g[j], j = 1..k
+    for n in range(1, k + 1):
+        s[n] = np.dot(jg[:n], c[n - 1:: -1]) / n
+        d = np.dot(jg[:n], s[n - 1:: -1])
+        c[n] = (d if hyperbolic else -d) / n
+    return s, c
+
+
+def _sin(g: np.ndarray) -> np.ndarray:
+    return _sin_cos(g)[0]
+
+
+def _cos(g: np.ndarray) -> np.ndarray:
+    return _sin_cos(g)[1]
+
+
+def _tan(g: np.ndarray) -> np.ndarray:
+    s, c = _sin_cos(g)
+    if c[0] == 0:
+        raise EvalDomainError("tan at a pole of the expansion point")
+    return _mul(s, _reciprocal(c))
+
+
+def _sinh(g: np.ndarray) -> np.ndarray:
+    return _sin_cos(g, True)[0]
+
+
+def _cosh(g: np.ndarray) -> np.ndarray:
+    return _sin_cos(g, True)[1]
+
+
+def _tanh(g: np.ndarray) -> np.ndarray:
+    s, c = _sin_cos(g, True)
+    return _mul(s, _reciprocal(c))
+
+
+def _powi(a: np.ndarray, n: int) -> np.ndarray:
     if n == 0:
-        return constant(1.0, a.order, a.t0)
+        return _constant(1.0, len(a) - 1)
     if n < 0:
-        return reciprocal(powi(a, -n))
-    base = a
+        return _reciprocal(_powi(a, -n))
     acc = None
-    while n:
+    while True:
         if n & 1:
-            acc = base if acc is None else acc * base
-        base = base * base
+            acc = a if acc is None else _mul(acc, a)
         n >>= 1
-    return acc
+        if not n:
+            return acc
+        a = _mul(a, a)

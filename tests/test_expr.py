@@ -7,6 +7,7 @@ import math
 import pickle
 import random
 import struct
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,8 @@ def _ref_complex(e, z):
 
 
 def _ref_taylor(e, t0, order):
+    # the Series operators and elementary functions, node by node; the
+    # compiled Taylor mode runs the row kernels they wrap
     if isinstance(e, expr.Num):
         return series.constant(e.value, order, t0)
     if isinstance(e, expr.Var):
@@ -302,14 +305,13 @@ def _ref_taylor(e, t0, order):
     if isinstance(e, expr.Mul):
         return _ref_taylor(e.left, t0, order) * _ref_taylor(e.right, t0, order)
     if isinstance(e, expr.Div):
-        return _ref_taylor(e.left, t0, order) * series.reciprocal(
-            _ref_taylor(e.right, t0, order))
+        return _ref_taylor(e.left, t0, order) / _ref_taylor(e.right, t0, order)
     if isinstance(e, expr.Pow):
         base = _ref_taylor(e.base, t0, order)
         c = _ref_real(e.exponent, 0.0)
         if float(c).is_integer():
-            return series.powi(base, int(c))
-        return series.exp(series.log(base) * c)
+            return base ** int(c)
+        return base ** c
     return getattr(series, e.name)(_ref_taylor(e.arg, t0, order))
 
 
@@ -458,6 +460,59 @@ def test_compiled_arrays_match_reference_walker_bit_for_bit():
                 assert _outcome(arr.taylor, t0, order) == _outcome(
                     _ref_array, ref_taylor, trees, (2, 3), t0, order,
                     dtype=object)
+
+
+# Every node kind and function, exponents integral (0, 2, 3), negative
+# integral, non-integral (0.5, -0.5, 3/2, a numpy float, a Fraction) and
+# not folded (1/0, which fails at each call), complex constants, and
+# entries that fail at 0 or past the float range.
+_TAYLOR_CORPUS = [
+    "-t + 2*t - t/(1 + t)",
+    "(1 + t)^2 * (2 - t)^3 + (3 + t)^0",
+    "(1 + t)^-1 - (2 + t)^-2 + t^-1",
+    "(1 + t)^0.5 + (4 + t)^-0.5 + (2 + t)^(3/2) + t^0.5",
+    "t^(1/0)",
+    "sin(t)*cos(t) - tan(t)",
+    "exp(-t^2) + log(2 + t)*sqrt(3 + t)",
+    "sinh(t) + cosh(2*t)/tanh(1 + t)",
+    "1/t", "log(t)", "sqrt(t - 1)", "tan(t)/t", "1/(1 - cos(t))",
+    "log(t)/sqrt(t)",
+    "exp(1000)", "cosh(800) + t", "exp(exp(exp(t)))",
+    "0.3 + -1.2*sin(0.8*t) + 0.7*t^2",
+    expr.Pow(expr.parse("2 + t"), expr.Num(np.float64(0.5))),
+    expr.Pow(expr.parse("3 + t"), expr.Num(Fraction(-1, 2))),
+    expr.Mul(expr.Call("exp", expr.Add(expr.Var(), expr.Num(0.5j))),
+             expr.Call("log", expr.Sub(expr.Var(), expr.Num(2j)))),
+]
+
+
+def test_compiled_taylor_matches_series_operators_at_orders_0_4_40():
+    trees = [expr.as_expr(e) for e in _TAYLOR_CORPUS]
+    seen = set()
+    stack = list(trees)
+    while stack:
+        node = stack.pop()
+        seen.add(type(node).__name__)
+        if isinstance(node, expr.Call):
+            seen.add(node.name)
+        stack += [getattr(node, f.name) for f in dataclasses.fields(node)
+                  if isinstance(getattr(node, f.name), expr.Expr)]
+    assert seen >= {"Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow",
+                    "Call", *expr.FUNCTIONS}
+    outcomes = set()
+    with np.errstate(all="ignore"):
+        for order in (0, 4, 40):
+            for t0 in (0.0, 0.7, -1.3):
+                for e in trees:
+                    got = _outcome(expr.taylor, e, t0, order)
+                    assert got == _outcome(ref_taylor, e, t0, order), \
+                        (expr.render(e), t0, order)
+                    outcomes.add(got[0])
+                arr = expr.ExprArray(np.array(trees, dtype=object))
+                assert _outcome(arr.taylor, t0, order) == _outcome(
+                    _ref_array, ref_taylor, trees, (len(trees),), t0, order,
+                    dtype=object)
+    assert outcomes == {"value", "error"}
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
@@ -710,17 +765,29 @@ def test_taylor_at_zero_names_a_non_analytic_entry():
             expr.taylor_at_zero(expr.parse(text), 4, "g[1]")
 
 
+# Entries with no Taylor expansion at 0: a pole, a branch point, a
+# negative base, a zero divisor, a math overflow.
+NOT_ANALYTIC_AT_0 = ["1/t", "sqrt(t)", "log(t)", "t^0.5", "(t^2)^-0.5",
+                     "1/(t-t)", "tan(t)/t", "1/(1-cos(t))", "log(-1+t)",
+                     "exp(1000)", "cosh(800)+t"]
+
+
 def test_probe_at_zero_names_each_entry_by_its_index():
     expr.probe_at_zero(None, "h")                   # an absent block
     expr.probe_at_zero(expr.as_exprs(np.array(["1", "exp(t)"], dtype=object)),
                        "h")
-    for trees, name in (
-            (np.array(["1", "exp(t)", "1/t"], dtype=object), r"h\[2\]"),
-            (np.array([["0", "t"], ["sqrt(t)", "1"]], dtype=object),
-             r"A\[1\]\[0\]")):
-        with pytest.raises(ValidationError,
-                           match=f"^{name} is not analytic at 0"):
-            expr.probe_at_zero(expr.as_exprs(trees), name[0])
+    for text in NOT_ANALYTIC_AT_0:
+        for trees, name in (
+                (np.array(["1", "exp(t)", text], dtype=object), "h[2]"),
+                (np.array([["0", "t"], [text, "1/t"]], dtype=object),
+                 "A[1][0]")):
+            # the order-0 probe says what an order-4 expansion says
+            with pytest.raises(ValidationError) as want:
+                expr.taylor_at_zero(expr.parse(text), 4, name)
+            assert str(want.value).startswith(f"{name} is not analytic at 0")
+            with pytest.raises(ValidationError) as got:
+                expr.probe_at_zero(expr.as_exprs(trees), name[0])
+            assert str(got.value) == str(want.value), text
 
 
 @pytest.mark.parametrize("diag, alpha, name", [
