@@ -828,6 +828,13 @@ class ExprArray:
         out[:] = [Series._new(row, t0) for row in rows]
         return out.reshape(self.shape)
 
+    def taylor_rows(self, t0, order: int) -> np.ndarray:
+        """The coefficients of :meth:`taylor` without the Series: one fresh
+        array of shape ``shape + (order + 1,)``, each entry's coefficient
+        row contiguous."""
+        rows = self._fn("taylor")(t0, order)
+        return np.array(rows).reshape(*self.shape, order + 1)
+
 
 _HALF_TRACES = """def f(t, rho, <cells>):
     try:

@@ -210,14 +210,23 @@ class MetricFamily:
         ``tdrift``, the ``order + 1`` coefficients of ``t [Tr(R^-1 R')/2
         + weight alpha']`` with the exact constant ``dim_p``, read-only.
         ``R^-1`` comes from one block recursion against ``R(0)``; ``R'``
-        and ``P''`` from ``R`` by coefficient scaling.
+        and ``P''`` from ``R`` by coefficient scaling.  As in
+        :func:`regsing.linear._expand`, an entry whose coefficients
+        overflow (``exp(1e100*t)``) leaves inf or nan in the stacks
+        without a numpy warning.
 
         Raises ValidationError when an entry or ``alpha'`` has no Taylor
         expansion at 0, an entry fails to vanish to the order its block
         position requires, or ``R(0)`` is not positive definite.
         """
-        if order in self._packs:
-            return self._packs[order]
+        pack = self._packs.get(order)
+        if pack is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                pack = self._packs[order] = self._build_pack(order)
+        return pack
+
+    def _build_pack(self, order: int) -> dict:
+        """:meth:`pack` without the cache."""
         n, M = self.n, order + 2
         R = np.empty((M, n, n))
         full = np.zeros((M + 2, n, n))      # P's entries, low terms zeroed
@@ -262,10 +271,8 @@ class MetricFamily:
                 W[2 - s:, i, j] = Rinv[:M - 2 + s, j, i]
         dP = np.stack((full[1:M + 1] * ks[:M],
                        full[2:] * (ks[:M] * ks[1:M + 1])), axis=1)
-        pack = {"dP": dP.reshape(M, 2 * n * n), "W": W.reshape(M, n * n),
+        return {"dP": dP.reshape(M, 2 * n * n), "W": W.reshape(M, n * n),
                 "tdrift": tdrift}
-        self._packs[order] = pack
-        return pack
 
 
 # -- series kernels -----------------------------------------------------------

@@ -22,9 +22,9 @@ and Jacobians are computed exactly in Taylor mode at any order; otherwise
 finite differences are used and :func:`solve` bootstraps at order 4.
 Each bootstrap stage is one float row ``b_h``; a problem may supply the
 function that returns it on coefficient rows (the geometry profile
-problems do), and every other problem, user maps, :class:`AffineSingularMaps`
-and :func:`reduce_hat` among them, gets it from one adapter that calls the
-maps on Series jets.
+problems and :class:`AffineSingularMaps` do), and every other problem,
+user maps and :func:`reduce_hat` among them, gets it from one adapter
+that calls the maps on Series jets.
 
 The module also ships the first-order reduction toolkit for systems
 written as ``0 = dY/dxi + (1/xi) f(xi, Y)``: the continuation limit check,
@@ -165,9 +165,10 @@ class SingularIVP:
     ``stage(part, h)`` with ``part`` the ``(h, k)`` coefficients ``y_0 ..
     y_(h-1)`` returns ``b_h = [t^h] m_sing + [t^(h-1)] m_reg`` along
     their sum, a ``(k,)`` float array, and the maps are not called.  The
-    geometry profile problems supply one; every other problem, user maps
-    among them, goes through the adapter that calls the maps on Series
-    jets (finite-difference stencils for black-box maps).
+    geometry profile problems and :meth:`AffineSingularMaps.problem`
+    supply one; every other problem, user maps among them, goes through
+    the adapter that calls the maps on Series jets (finite-difference
+    stencils for black-box maps).
     """
 
     m_sing: Callable
@@ -623,10 +624,14 @@ class AffineSingularMaps:
     ``C`` and ``c`` are constant; ``S`` and ``g`` have expression entries
     in the time variable: Expr trees, expression strings or finite numbers
     (:func:`~regsing.expr.as_expr`, which raises ExprError for anything
-    else).  Nothing is expanded at construction: an entry with no Taylor
-    expansion at 0 fails in the jet branch of ``m_reg``.  Instances expose
-    ``m_sing`` and ``m_reg`` working on floats and on jets, which makes
-    every problem in this class fully Taylor-capable.
+    else).  Nothing is expanded at construction: ``S`` and ``g`` are
+    expanded at 0 once, as float coefficient rows (:meth:`_coeff_rows`),
+    when the bootstrap or the jet branch of ``m_reg`` first needs them,
+    and an entry with no Taylor expansion at 0 fails there.  Instances
+    expose ``m_sing`` and ``m_reg`` working on floats and on jets, which
+    makes every problem in this class fully Taylor-capable, and
+    :meth:`problem` gives its problem the bootstrap stage :meth:`_stage`,
+    a Cauchy sum on those rows that calls neither map.
     """
 
     def __init__(self, C, c=None, S=None, g=None):
@@ -639,42 +644,72 @@ class AffineSingularMaps:
         self.c = (np.zeros(k) if c is None
                   else np.asarray(c, dtype=float).reshape(k))
 
-        self.S = None
+        self.S = self._S = None
         if S is not None:
             S = np.asarray(S, dtype=object)
             if S.shape != (k, k):
                 raise ValidationError(f"S must have shape ({k},{k})")
             self.S = _expr.as_exprs(S)
             self._S = _expr.ExprArray(self.S)
-        self.g = None
+        self.g = self._g = None
         if g is not None:
             g = np.asarray(g, dtype=object).reshape(-1)
             if g.shape != (k,):
                 raise ValidationError(f"g must have shape ({k},)")
             self.g = _expr.as_exprs(g)
             self._g = _expr.ExprArray(self.g)
-        self._expansion = None      # (order, S jets, g jets); see _jets
+        self._rows = None       # (S rows, g rows, order); see _coeff_rows
 
-    def _jets(self, order: int):
-        """``S`` and ``g`` (None where absent) in Taylor mode at 0.
+    def _coeff_rows(self, order: int):
+        """``S`` and ``g`` (None where absent) in Taylor mode at 0: read-only
+        float arrays of shapes ``(k, k, K + 1)`` and ``(k, K + 1)``, entry
+        by entry, for some ``K >= order``.
 
-        Both are expanded once, at ``max(order, MAX_ORDER)``, and lower
-        orders are truncated from that expansion.  Taylor-mode coefficient
-        ``h`` depends only on coefficients up to ``h`` and comes from the
-        same operations at any order, so the truncation has the bytes of a
-        direct expansion.
+        Both are expanded once, at ``max(order, MAX_ORDER)``, and again
+        only for a higher order.  Taylor-mode coefficient ``h`` depends
+        only on coefficients up to ``h`` and comes from the same operations
+        at any order, so the first ``order + 1`` coefficients have the
+        bytes of a direct expansion at ``order``.  As in
+        :func:`regsing.linear._expand`, an entry whose coefficients
+        overflow (``exp(1e100*t)``) gives inf or nan there without a numpy
+        warning.
         """
-        if self._expansion is None or self._expansion[0] < order:
+        if self._rows is None or self._rows[-1] < order:
             top = max(order, MAX_ORDER)
-            self._expansion = (
-                top,
-                None if self.S is None else self._S.taylor(0.0, top),
-                None if self.g is None else self._g.taylor(0.0, top))
-        top, S, g = self._expansion
-        if top == order:
-            return S, g
-        return (None if S is None else _truncate_jets(S, order),
-                None if g is None else _truncate_jets(g, order))
+            with np.errstate(over="ignore", invalid="ignore"):
+                rows = [None if a is None else a.taylor_rows(0.0, top)
+                        for a in (self._S, self._g)]
+            for r in rows:
+                if r is not None:
+                    r.setflags(write=False)
+            self._rows = (*rows, top)
+        return self._rows[:2]
+
+    def _stage(self, part, h):
+        """The bootstrap stage on coefficient rows: ``b_h = [t^h] m_sing +
+        [t^(h-1)] m_reg`` along the partial sum of ``part``, the rows
+        ``y_0 .. y_(h-1)``.
+
+        ``[t^h] m_sing`` is ``C`` times the zero top row; ``[t^(h-1)]
+        m_reg`` is the Cauchy sum ``sum_(m<h) S_m y_(h-1-m) + g_(h-1)``.
+        Each entry ``S_ij`` contributes ``np.correlate`` of its first ``h``
+        coefficients with ``y_j`` reversed, which numpy computes as it
+        computes ``np.convolve(S_ij, y_j)[h-1]`` in the product the jet
+        branch of ``m_reg`` forms.  The terms are added over ``j`` in order
+        and ``g`` last, the order in which that branch sums them; starting
+        from the 0.0 of ``m_sing`` instead of adding it at the end changes
+        only the sign of a zero, which that 0.0 clears anyway.  So ``b_h``
+        has the bytes of the maps on Series jets.
+        """
+        S, g = self._coeff_rows(h - 1)
+        b = self.C @ np.zeros(self.k)
+        if S is not None:
+            rev = part[::-1].T.copy()       # y_(h-1) .. y_0, entry by entry
+            for j in range(self.k):
+                b += [np.correlate(Si[j, :h], rev[j])[0] for Si in S]
+        if g is not None:
+            b += g[:, h - 1]
+        return b
 
     def m_sing(self, y):
         return self.C @ np.asarray(y) + self.c
@@ -683,12 +718,12 @@ class AffineSingularMaps:
         y = np.asarray(y)
         if isinstance(t, Series):
             order = _time_jet_order(t)
-            S, g = self._jets(order)
+            if self.S is None and self.g is None:
+                return _const_jets(np.zeros(self.k), order)
+            S, g = (None if r is None else _row_jets(r, order)
+                    for r in self._coeff_rows(order))
             Sv = 0.0 if S is None else S @ y
-            gv = 0.0 if g is None else g
-            out = Sv + gv if self.S is not None or self.g is not None \
-                else _const_jets(np.zeros(self.k), order)
-            return out
+            return Sv + (0.0 if g is None else g)
         out = np.zeros(self.k)
         if self.S is not None:
             out = out + self._S.eval_real(t) @ y
@@ -698,13 +733,17 @@ class AffineSingularMaps:
 
     def problem(self, y0, t_end: float, meta=None) -> SingularIVP:
         return SingularIVP(self.m_sing, self.m_reg, y0, t_end,
-                           jet_capable=True, meta=meta or {})
+                           jet_capable=True, meta=meta or {},
+                           stage=self._stage)
 
 
-def _truncate_jets(jets: np.ndarray, order: int) -> np.ndarray:
-    out = np.empty(jets.size, dtype=object)
-    out[:] = [s.truncate(order) for s in jets.flat]
-    return out.reshape(jets.shape)
+def _row_jets(rows: np.ndarray, order: int) -> np.ndarray:
+    """Object array of Series over the first ``order + 1`` coefficients of
+    each row of the read-only ``rows`` (views, not copies)."""
+    flat = rows.reshape(-1, rows.shape[-1])
+    out = np.empty(len(flat), dtype=object)
+    out[:] = [Series._new(r[:order + 1], 0.0) for r in flat]
+    return out.reshape(rows.shape[:-1])
 
 
 # -- first-order reduction toolkit ------------------------------------------

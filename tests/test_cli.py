@@ -504,18 +504,25 @@ def test_bad_numbers_are_config_errors(tmp_path, capsys, no_solve, command,
     assert "config error" in capsys.readouterr().err
 
 
+OVERFLOWING_A = {"A": [["0.5", "exp(1e100*t)"], ["0", "1.5"]], "rho": 1.0}
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, where", [
-    ("monodromy", {"sigma": 0.5}),
-    ("fundamental", {"z0": [-1.0, 0.0], "z1": [-1.0, 3.0]}),
+    ("monodromy", {**OVERFLOWING_A, "sigma": 0.5}),
+    ("fundamental", {**OVERFLOWING_A, "z0": [-1.0, 0.0], "z1": [-1.0, 3.0]}),
+    ("solve-harmonic", {"metric": {"diagonal": ["t^2*exp(1e100*t)", "1"],
+                                   "dim_p": 1}, "v": 0.8, "t_end": 1.0}),
+    ("solve-singular", {"C": [[-1.0]], "c": [1.0], "g": ["exp(1e100*t)"],
+                        "y0": [1.0], "t_end": 1.0}),
 ])
 def test_an_overflowing_entry_fails_numerically_under_warnings_as_errors(
         tmp_path, capsys, command, where):
-    # with RuntimeWarnings as errors (the CLI tour's setting), the order-40
-    # expansion of exp(1e100*t) used to stop the command with an overflow
+    # with RuntimeWarnings as errors (the CLI tour's setting), the series
+    # expansion of exp(1e100*t) (linear._expand, MetricFamily.pack, the
+    # affine coefficient rows) used to stop the command with an overflow
     # traceback (exit 1); without that setting it exits 4
-    path = write_cfg(tmp_path, "o.json", {
-        "A": [["0.5", "exp(1e100*t)"], ["0", "1.5"]], "rho": 1.0, **where})
+    path = write_cfg(tmp_path, "o.json", where)
     assert cli.run([command, "--config", path, "--quiet"]) == 4
     assert "numerical failure" in capsys.readouterr().err
 

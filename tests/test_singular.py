@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from regsing import cli, geometry, rk, series, singular
-from regsing.errors import (AdmissibilityError, NumericalError,
-                            ValidationError)
+from regsing.errors import (AdmissibilityError, EvalDomainError,
+                            NumericalError, ValidationError)
 from regsing.series import Series
 
 
@@ -858,23 +858,98 @@ def test_affine_jets_are_truncations_of_one_expansion():
                  dtype=object)
 
     def check(order):
-        S, g = aff._jets(order)
-        for got, want in ((S, aff._S.taylor(0.0, order)),
-                          (g, aff._g.taylor(0.0, order))):
-            assert got.shape == want.shape
-            for a, b in zip(got.flat, want.flat):
-                assert a.coeffs.dtype == b.coeffs.dtype
-                assert a.coeffs.tobytes() == b.coeffs.tobytes()
+        # the one row cache: its first order + 1 coefficients are a direct
+        # expansion at order, and the jet branch of m_reg reads them
+        rows = aff._coeff_rows(order)
+        for got, want in zip(rows, (aff._S.taylor(0.0, order),
+                                    aff._g.taylor(0.0, order))):
+            assert got.shape[:-1] == want.shape and got.shape[-1] > order
+            for a, b in zip(got.reshape(-1, got.shape[-1]), want.flat):
+                assert a.dtype == b.coeffs.dtype
+                assert a[:order + 1].tobytes() == b.coeffs.tobytes()
         out = aff.m_reg(series.identity(order), y)
         want = aff._S.taylor(0.0, order) @ y + aff._g.taylor(0.0, order)
         for a, b in zip(out, want):
             assert a.coeffs.tobytes() == b.coeffs.tobytes()
+        return rows
 
-    for order in range(singular.MAX_ORDER + 1):
-        check(order)
-    check(singular.MAX_ORDER + 5)      # expands again, higher
+    first = check(0)
+    for order in range(1, singular.MAX_ORDER + 1):
+        assert all(a is b for a, b in zip(check(order), first))
+    higher = check(singular.MAX_ORDER + 5)      # expands again, higher
+    assert higher[0].shape[-1] == singular.MAX_ORDER + 6
     for order in (0, 1, 7, singular.MAX_ORDER, singular.MAX_ORDER + 5):
-        check(order)
+        assert all(a is b for a, b in zip(check(order), higher))
+
+
+_STAGE_TERMS = ("{a}*sin({w}*t)", "{a}*t^2", "{a}*cos({w}*t) - {a}",
+                "{a}*exp({w}*t)")
+
+
+def _stage_entries(rng, n):
+    # the four term kinds of the jet_bootstrap workload, in turn
+    return [_STAGE_TERMS[i % 4].format(a=rng.uniform(-1.0, 1.0),
+                                       w=rng.uniform(0.5, 2.0))
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("blocks", ["S and g", "S only", "g only", "neither"])
+def test_the_affine_row_stage_has_the_bytes_of_the_series_adapter(k, blocks):
+    rng = np.random.default_rng(35 + k)
+    C = np.triu(rng.uniform(-1.0, 1.0, (k, k)), 1) - np.diag(
+        rng.uniform(0.3, 2.5, k))
+    y0 = rng.uniform(-1.0, 1.0, k)
+    y0[0] = 0.0                 # zero products, signed zeros among them
+    S = np.array(_stage_entries(rng, k * k), dtype=object).reshape(k, k)
+    g = _stage_entries(rng, k)
+    aff = singular.AffineSingularMaps(
+        C, c=-C @ y0, S=S if "S" in blocks else None,
+        g=g if "g" in blocks else None)
+    prob = aff.problem(y0, 1.0)
+    calls = {"jet": 0}
+
+    def m_reg(t, y):
+        calls["jet"] += isinstance(t, Series)
+        return aff.m_reg(t, y)
+
+    # the same maps without the stage field bootstrap through the adapter,
+    # which calls m_reg on Series jets
+    maps = singular.SingularIVP(aff.m_sing, m_reg, y0, 1.0,
+                                jet_capable=True)
+    assert prob.stage is not None and maps.stage is None
+    for K in range(1, singular.MAX_ORDER + 1):
+        got = singular.bootstrap_series(prob, K)
+        want = singular.bootstrap_series(maps, K)
+        assert got.tobytes() == want.tobytes(), K
+    assert calls["jet"] == sum(range(1, singular.MAX_ORDER + 1))
+
+
+@pytest.mark.parametrize("where", ["S", "g"])
+@pytest.mark.parametrize("text,message", [
+    ("log(t)", "log of series with zero constant term"),
+    ("sqrt(t - 1)", "sqrt of series with negative base -1.0"),
+    ("t^(1/0)", "division by zero"),
+])
+def test_a_non_analytic_affine_entry_fails_at_the_bootstrap(where, text,
+                                                            message):
+    # nothing is expanded when the problem is built; the bootstrap's first
+    # stage expands S and g and raises what the entry's expansion raises
+    S = [["0.5*t", "0"], ["1", "0.5*t"]]
+    g = ["1", "sin(t)"]
+    (S[1] if where == "S" else g)[1] = text
+    p = singular.AffineSingularMaps(-np.eye(2), S=S, g=g).problem(
+        np.zeros(2), 1.0)
+    for run in (lambda: singular.bootstrap_series(p, 10),
+                lambda: singular.solve(p)):
+        with pytest.raises(EvalDomainError) as ei:
+            run()
+        assert str(ei.value) == message
+    # S is expanded before g, so a bad S entry is the one reported
+    both = singular.AffineSingularMaps(
+        -np.eye(1), S=[["log(t)"]], g=["sqrt(t - 1)"]).problem([0.0], 1.0)
+    with pytest.raises(EvalDomainError, match="log of series"):
+        singular.bootstrap_series(both, 10)
 
 
 def test_affine_jet_map_rejects_non_identity_time_jets():
