@@ -470,7 +470,7 @@ def _check_metric(cfg, args) -> int:
         try:
             _geo.check_structure(fam)
             structure_ok = True
-        except (StructureError, ValidationError):
+        except (StructureError, ValidationError, NumericalError):
             structure_ok = False
     out = {
         "kind": "metric", **vars(rep),

@@ -967,10 +967,11 @@ def probe_at_zero(trees, name: str) -> None:
     ``log``/``sqrt``/``^``, a zero divisor, a pole of ``tan``, a ``math``
     overflow), and coefficient 0 of each node is the same number at any
     order, so an entry passes or fails, with the same message, exactly as
-    it would at any order; only a numpy overflow in a higher coefficient,
-    which warns and does not raise, is out of its reach.  Entry by entry: one-tree code is shared by
-    entries of the same shape, while compiling the whole block would cost
-    more than the probe itself.
+    it would at any order.  Only a numpy overflow in a higher coefficient
+    is out of its reach, since it warns and does not raise.  The probe
+    runs entry by entry: one-tree code is shared by entries of the same
+    shape, while compiling the whole block would cost more than the probe
+    itself.
     """
     for idx, e in ([] if trees is None else np.ndenumerate(trees)):
         _taylor_row_at_zero(e, 0, name + "".join(f"[{i}]" for i in idx))

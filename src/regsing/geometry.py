@@ -402,11 +402,20 @@ def check_structure(fam: MetricFamily):
     of the tension linearization, ``b dc1/da``, then vanishes too.  Only a
     passing probe is remembered, so a family that fails raises on every
     call.
+
+    Raises NumericalError when the probe's series are not finite, as where
+    an entry's coefficients overflow (``t^2*(1+1e300*t)``): the probe
+    runs without numpy warnings, and no solve goes on to the bootstrap.
     """
     if fam._structure_ok:
         return
-    for a0, u0 in ((0.83, 0.41), (-0.37, 0.9), (1.61, -0.23)):
-        _w_series(fam, [_const(a0, 8), _const(u0, 8)], 8)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a0, u0 in ((0.83, 0.41), (-0.37, 0.9), (1.61, -0.23)):
+            w = _w_series(fam, [_const(a0, 8), _const(u0, 8)], 8)
+            if not np.isfinite(w[0]).all():
+                raise NumericalError(
+                    "the metric's series at the origin are not finite "
+                    "(an entry's Taylor coefficients overflow)")
     fam._structure_ok = True
 
 

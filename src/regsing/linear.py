@@ -29,6 +29,10 @@ always integrate.
 
 Conjugacy invariants are characteristic polynomial coefficients; the
 library never asserts conjugacy itself, it only reports the invariants.
+A series loop ``P(sigma) G P(sigma)^-1`` is conjugate to ``G = exp(-2 pi
+i A0)``, so on that path they are ``G``'s, built once per system beside
+``G``; an integrated loop and the ``sigma = 0`` generator report those of
+their own matrix.
 """
 
 from __future__ import annotations
@@ -134,7 +138,10 @@ class MonodromyResult:
     the summed local error estimates) and ``"generator"`` at ``sigma = 0``,
     where the matrix is ``exp(-2 pi i A(0))`` and the series is not
     consulted, so that a resonant ``A(0)`` reads no differently there;
-    ``declined`` is None, or why the series was declined.
+    ``declined`` is None, or why the series was declined.  ``charpoly`` is
+    :func:`conjugacy_invariants` of ``matrix``, except on the ``series``
+    path, where it is that of ``exp(-2 pi i A0)``, to which the matrix is
+    conjugate, built once per system.
     """
 
     sigma: float
@@ -144,6 +151,17 @@ class MonodromyResult:
     est_error: float
     path: str
     declined: str | None
+
+
+def _norm_inf(M: np.ndarray) -> float:
+    """``numpy.linalg.norm(M, inf)`` of a square matrix, bit for bit: the
+    reduction it runs, without its dispatch."""
+    return float(np.maximum.reduce(np.add.reduce(np.abs(M), axis=1)))
+
+
+def _norm_1(M: np.ndarray) -> float:
+    """``numpy.linalg.norm(M, 1)`` of a square matrix, as :func:`_norm_inf`."""
+    return float(np.maximum.reduce(np.add.reduce(np.abs(M), axis=0)))
 
 
 def matrix_exponential(M: np.ndarray) -> np.ndarray:
@@ -157,7 +175,7 @@ def matrix_exponential(M: np.ndarray) -> np.ndarray:
         raise ValidationError(f"matrix_exponential needs a square matrix, "
                               f"got shape {M.shape}")
     n = M.shape[0]
-    nrm = np.linalg.norm(M, 1)
+    nrm = _norm_1(M)
     if not np.isfinite(nrm):
         raise NumericalError("matrix exponential of non-finite matrix")
     s = max(0, int(math.ceil(math.log2(nrm / 0.5)))) if nrm > 0.5 else 0
@@ -167,7 +185,7 @@ def matrix_exponential(M: np.ndarray) -> np.ndarray:
     for k in range(1, 60):
         term = term @ B / k
         X = X + term
-        if np.linalg.norm(term, 1) <= 1e-18 * np.linalg.norm(X, 1):
+        if _norm_1(term) <= 1e-18 * _norm_1(X):
             break
     for _ in range(s):
         X = X @ X
@@ -231,7 +249,7 @@ def conjugacy_invariants(M) -> np.ndarray:
 class _Frobenius:
     """The series ``P(s) = sum_h P_h s^h`` of ``Y(s) = P(s) s^(-A0)``."""
 
-    __slots__ = ("A0", "P", "norms", "loop")
+    __slots__ = ("A0", "P", "norms", "loop", "charpoly")
 
     def __init__(self, A0: np.ndarray, P: np.ndarray):
         self.A0 = A0                    # A(0), real
@@ -241,6 +259,9 @@ class _Frobenius:
         # exp(-2 pi i A0), which every loop reads: as dear as a whole
         # warm n = 2 loop, so it is built once per system
         self.loop = monodromy_generator(A0)
+        # a series loop P G P^-1 is conjugate to G = exp(-2 pi i A0), so
+        # its invariants are G's, also built once per system
+        self.charpoly = conjugacy_invariants(self.loop)
 
 
 def _expand(sys: LinearRSSystem):
@@ -309,18 +330,20 @@ def _frobenius_at(sys: LinearRSSystem, fr: _Frobenius, s: complex,
         terms = fr.norms * abs(s) ** np.arange(len(fr.P))
         if not terms[-2:].sum() <= target:
             return "tail"
-        above = np.flatnonzero(terms > target)
+        above = np.nonzero(terms > target)[0]
         K = int(above[-1]) + 1 if above.size else 0
         hs = np.arange(K + 1)
         powers = s ** hs
-        Q, sQ1 = np.tensordot(np.stack([powers, powers * hs]),
-                              fr.P[:K + 1], axes=1)
+        # tensordot's own product, without its dispatch
+        n = len(fr.A0)
+        Q, sQ1 = np.dot(np.array([powers, powers * hs]),
+                        fr.P[:K + 1].reshape(K + 1, n * n)).reshape(2, n, n)
         A = sys.A_at(s)
-        res = float(np.linalg.norm(sQ1 + A @ Q - Q @ fr.A0, np.inf))
+        res = _norm_inf(sQ1 + A @ Q - Q @ fr.A0)
         allowed = (K + 1) * target
         if not res <= allowed:
             # only a miss pays for the rounding term
-            norm_A = np.abs(A).sum(1).max() + np.abs(fr.A0).sum(1).max()
+            norm_A = _norm_inf(A) + _norm_inf(fr.A0)
             allowed += 4.0 * _EPS * float((hs + norm_A) @ terms[:K + 1])
     if not res <= allowed:
         return "residual"
@@ -362,13 +385,9 @@ def _series_transport(sys: LinearRSSystem, z0: complex, z1: complex,
             matrix_exponential(-dz * fr.A0)
         EP0inv = E @ P0inv
         U = P1 @ EP0inv
-
-        def norm(M):
-            return float(np.linalg.norm(M, np.inf))
-
-        n0inv, nU = norm(P0inv), norm(U)
-        bound = (e1 * norm(EP0inv) + nU * e0 * n0inv
-                 + _EPS * norm(P1) * norm(E) * n0inv)
+        n0inv, nU = _norm_inf(P0inv), _norm_inf(U)
+        bound = (e1 * _norm_inf(EP0inv) + nU * e0 * n0inv
+                 + _EPS * _norm_inf(P1) * _norm_inf(E) * n0inv)
     if not bound <= tol * (1.0 + nU):
         return "conditioning"
     return U, bound
@@ -411,10 +430,9 @@ def _transport(sys: LinearRSSystem, z0, z1, tol: float, Y0=None
                 f"path point {z!r} leaves the half-plane Re z < log(rho) "
                 f"= {bound!r}")
     source = Y0 is not None
-    if not source:
-        Y0 = np.eye(sys.n, dtype=complex)
     if z1 == z0:
-        return Transport(Y0.copy(), 0, 0.0, "empty", None)
+        Y = Y0.copy() if source else np.eye(sys.n, dtype=complex)
+        return Transport(Y, 0, 0.0, "empty", None)
     declined = None
     if not source:
         if not 0.0 < tol < math.inf:
@@ -424,6 +442,7 @@ def _transport(sys: LinearRSSystem, z0, z1, tol: float, Y0=None
         if not isinstance(got, str):
             return Transport(got[0], 0, got[1], "series", None)
         declined = got
+        Y0 = np.eye(sys.n, dtype=complex)
     dz = z1 - z0
 
     def rhs(s, y):
@@ -480,8 +499,10 @@ def monodromy_at(sys: LinearRSSystem, sigma: float, tol: float = 1e-10
     else:
         z0 = math.log(sigma)
         t = _transport(sys, z0, z0 + 2j * math.pi, tol)
-    return MonodromyResult(sigma, t.Y, conjugacy_invariants(t.Y), t.steps,
-                           t.est_error, t.path, t.declined)
+    charpoly = (sys._frobenius.charpoly.copy() if t.path == "series"
+                else conjugacy_invariants(t.Y))
+    return MonodromyResult(sigma, t.Y, charpoly, t.steps, t.est_error,
+                           t.path, t.declined)
 
 
 def solve_inhomogeneous(sys: LinearRSSystem, z0, z1, Y0, tol: float = 1e-10

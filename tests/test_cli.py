@@ -339,6 +339,19 @@ def test_check_metric_bad_pole_exits_2(tmp_path, capsys):
     assert rep["pole_ok"] is False
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_metric_whose_series_overflow_fails_its_structure(tmp_path,
+                                                                 capsys):
+    # the structure probe of the overflowed series passed, its residues nan
+    # against inf, and warned on the way
+    cfg = write_cfg(tmp_path, "c.json", {"metric": {
+        "diagonal": ["t^2*(1+1e300*t)", "1"], "dim_p": 1}})
+    assert cli.run(["check", "--config", cfg]) == 2
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["series_available"] is True
+    assert rep["structure_ok"] is False
+
+
 def test_check_singular_resonance_exits_2(tmp_path, capsys):
     # Jacobian 1 at the pole: stage h = 1 is not solvable
     cfg = write_cfg(tmp_path, "w.json",
@@ -515,12 +528,19 @@ OVERFLOWING_A = {"A": [["0.5", "exp(1e100*t)"], ["0", "1.5"]], "rho": 1.0}
                                    "dim_p": 1}, "v": 0.8, "t_end": 1.0}),
     ("solve-singular", {"C": [[-1.0]], "c": [1.0], "g": ["exp(1e100*t)"],
                         "y0": [1.0], "t_end": 1.0}),
+    # entries whose expansions leave inf in the pack, which the structure
+    # probe multiplies
+    ("solve-harmonic", {"metric": {"diagonal": ["t^2*(1+1e300*t)", "1"],
+                                   "dim_p": 1}, "v": 0.8, "t_end": 1.0}),
+    ("solve-harmonic", {"metric": {"diagonal": ["t^2", "exp(1e100*t)"],
+                                   "dim_p": 1}, "v": 0.8, "t_end": 1.0}),
 ])
 def test_an_overflowing_entry_fails_numerically_under_warnings_as_errors(
         tmp_path, capsys, command, where):
     # with RuntimeWarnings as errors (the CLI tour's setting), the series
     # expansion of exp(1e100*t) (linear._expand, MetricFamily.pack, the
-    # affine coefficient rows) used to stop the command with an overflow
+    # affine coefficient rows) and geometry.check_structure's probe of the
+    # overflowed stacks used to stop the command with an overflow
     # traceback (exit 1); without that setting it exits 4
     path = write_cfg(tmp_path, "o.json", where)
     assert cli.run([command, "--config", path, "--quiet"]) == 4

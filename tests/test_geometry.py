@@ -162,6 +162,19 @@ def test_structure_failure_raises_on_every_assembly():
     assert not bad._structure_ok
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("diag", [["t^2*(1+1e300*t)", "1"],
+                                  ["t^2", "exp(1e100*t)"]])
+def test_structure_probe_of_overflowed_series_is_a_numerical_error(diag):
+    # the pack holds inf there; the probe multiplied it with a numpy
+    # warning, and its nan residues passed the cancellation test
+    fam = geometry.MetricFamily.from_diagonal(diag, dim_p=1)
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="not finite"):
+            geometry.check_structure(fam)
+    assert not fam._structure_ok
+
+
 def test_structure_probe_catches_family_tuned_to_two_probe_values():
     # the residue coefficient c1 is a quadratic in a(0); this family zeroes
     # it at a(0) = 0.83 and -0.37, and the third probe value catches it

@@ -122,9 +122,12 @@ def test_monodromy_closed_form(lam, sigma):
 
 
 def test_charpoly_constant_in_sigma():
+    # the invariants of the matrices themselves: a series loop reports its
+    # system's cached charpoly, which cannot move with sigma
     sys = linear.LinearRSSystem(
         [["0.3 + 0.2*t", "t^2"], ["0.1*t", "-0.4 + 0.05*t"]], rho=2.0)
-    polys = [sys_mono(sys, s).charpoly for s in (0.2, 0.5, 0.9)]
+    polys = [linear.conjugacy_invariants(sys_mono(sys, s).matrix)
+             for s in (0.2, 0.5, 0.9)]
     for p in polys[1:]:
         np.testing.assert_allclose(p, polys[0], atol=1e-8)
 
@@ -428,6 +431,53 @@ def test_a_system_above_the_size_cap_integrates():
     z0 = math.log(0.5)
     assert _off_oracle(res.matrix, _rk4_transport(A, z0, z0 + 2j * math.pi)) \
         <= 1e-9
+
+
+def _charpoly_off(res):
+    want = linear.conjugacy_invariants(res.matrix)
+    return np.abs(res.charpoly - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("n, seed", [(2, 11), (4, 12), (8, 13)])
+def test_a_series_loop_reports_the_charpoly_of_its_generator(n, seed):
+    text, _ = _random_system(np.random.default_rng(seed), n)
+    sys = linear.LinearRSSystem(text, rho=2.0)
+    for sigma in (0.5, 0.9):
+        res = linear.monodromy_at(sys, sigma)
+        assert res.path == "series"
+        assert _charpoly_off(res) <= 1e-9
+    # planted fault: the invariants of exp(+2 pi i A0) in the cache
+    sys._frobenius.charpoly = linear.conjugacy_invariants(
+        linear.matrix_exponential(2j * math.pi * sys._frobenius.A0))
+    res = linear.monodromy_at(sys, 0.5)
+    assert res.path == "series"
+    assert _charpoly_off(res) > 1e-9
+
+
+def test_an_integrated_loop_reports_the_charpoly_of_its_matrix():
+    sys = linear.LinearRSSystem([[0.2, "0.7*t"], [0.0, 1.2]], rho=2.0)
+    res = linear.monodromy_at(sys, 0.6)
+    assert (res.path, res.declined) == ("integrated", "resonant at h = 1")
+    want = linear.conjugacy_invariants(res.matrix)
+    assert res.charpoly.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_the_norm_helpers_are_numpys_norms_bit_for_bit(dtype):
+    # the series and exponential checks compare these norms with <=, so a
+    # nan must come out as numpy's does too
+    rng = np.random.default_rng(2718)
+    for n in range(1, 9):
+        for planted in (None, np.inf, -np.inf, np.nan):
+            M = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+            if dtype is complex:
+                M = M + 1j * rng.standard_normal((n, n))
+            if planted is not None:
+                M[rng.integers(n), rng.integers(n)] = planted
+            for mine, order in ((linear._norm_inf, np.inf),
+                                (linear._norm_1, 1)):
+                got, want = mine(M), np.linalg.norm(M, order)
+                assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_a_corrupted_series_coefficient_is_declined_on_its_residual():
