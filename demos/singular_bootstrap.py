@@ -61,7 +61,8 @@ def main():
               f"{abs(dY + (Y * Y + t) / t):.1e}")
 
     print("\n== the same hat reduction from a black-box f ==")
-    # float arithmetic only: the bootstrap reads difference stencils of m_reg
+    # float arithmetic only: each bootstrap stage reads one difference
+    # stencil of f along the series
     opaque = lambda xi, y: np.array([float(y[0]) ** 2 + float(xi)])
     bb_hat = singular.reduce_hat(opaque, [0.0], t_end=0.5)
     bb = singular.solve(bb_hat, tol=1e-11)

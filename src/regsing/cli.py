@@ -563,7 +563,8 @@ def run(argv=None) -> int:
     except (StructureError, ValidationError) as exc:
         print(f"rejected: {exc}", file=sys.stderr)
         return EXIT_REJECTED
-    except (NumericalError, EvalDomainError, SeriesError) as exc:
+    except (NumericalError, EvalDomainError, SeriesError,
+            RuntimeWarning) as exc:     # a numpy warning raised as an error
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except RegsingError as exc:

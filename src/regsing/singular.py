@@ -5,7 +5,10 @@ t_end`` with ``y(0) = y0``.  A solution through the pole exists uniquely
 once two admissibility conditions hold: the singular part must vanish at
 the initial value, ``M_sing(y0) = 0``, and ``h I - J`` must be invertible
 for every positive integer ``h``, where ``J`` is the Jacobian of
-``M_sing`` at ``y0``.
+``M_sing`` at ``y0``.  ``J`` belongs to the problem:
+:attr:`SingularIVP.jacobian` takes it once from ``y0`` and ``m_sing``,
+which stay fixed once the problem is built, and the admissibility check,
+the bootstrap and the handoff all read it.
 
 Solving proceeds in two phases.  A series bootstrap turns the ODE into a
 triangular linear recursion for Taylor coefficients ``y_h`` at 0; from a
@@ -147,8 +150,10 @@ class SingularIVP:
 
     ``jet_capable=None`` probes the maps with Series arguments once and
     caches the answer; when the probe fails, ``jet_probe_error`` keeps the
-    repr of the error that made it fail.  ``meta`` is free-form (the
-    geometry layer stores its reduction data there).
+    repr of the error that made it fail.  :attr:`jacobian`, ``J``, is taken
+    once too: both assume ``y0`` and ``m_sing`` stay fixed once the problem
+    is built.  ``meta`` is free-form (the geometry layer stores its
+    reduction data there).
 
     The maps serve the pole: the admissibility check, the Jacobian and the
     bootstrap.  ``field``, when given, is the whole right-hand side as one
@@ -181,6 +186,15 @@ class SingularIVP:
     stage: Callable | None = None
     k: int = dataclasses.field(init=False)
     jet_probe_error: str | None = dataclasses.field(default=None, init=False)
+    _jac: np.ndarray | None = dataclasses.field(default=None, init=False)
+
+    @property
+    def jacobian(self) -> np.ndarray:
+        """``J``, read-only: :func:`_jacobian` on first read, then kept."""
+        if self._jac is None:
+            self._jac = _jacobian(self.m_sing, self.y0, self.jet_capable)
+            self._jac.setflags(write=False)
+        return self._jac
 
     def __post_init__(self):
         self.y0 = np.asarray(self.y0, dtype=float).reshape(-1)
@@ -305,7 +319,7 @@ def check_admissibility(p: SingularIVP, order: int = DEFAULT_ORDER
         raise ValidationError(f"order must be >= 1, got {order}")
     resid = np.asarray(p.m_sing(p.y0), dtype=float).reshape(-1)
     residual_norm = float(np.linalg.norm(resid, np.inf))
-    J = _jacobian(p.m_sing, p.y0, p.jet_capable)
+    J = p.jacobian
     if not np.isfinite(J).all():
         raise NumericalError("Jacobian of m_sing at y0 is not finite")
     offending = _resonance_scan(J)
@@ -323,6 +337,7 @@ def _fd_taylor_coeff(phi, order: int) -> np.ndarray:
         2: ([-1, 0, 1], [1.0, -2.0, 1.0]),
         3: ([-2, -1, 1, 2], [-0.5, 1.0, -1.0, 0.5]),
         4: ([-2, -1, 0, 1, 2], [1.0, -4.0, 6.0, -4.0, 1.0]),
+        5: ([-3, -2, -1, 1, 2, 3], [-0.5, 2.0, -2.5, 2.5, -2.0, 0.5]),
     }
     offs, w = stencils[order]
     h = (np.finfo(float).eps) ** (1.0 / (order + 2))
@@ -349,8 +364,7 @@ def bootstrap_series(p: SingularIVP, order: int = DEFAULT_ORDER
     if not p.jet_capable and order > BLACKBOX_MAX_ORDER:
         raise ValidationError(
             f"black-box maps support bootstrap order <= {BLACKBOX_MAX_ORDER}")
-    coeffs = _bootstrap_stages(
-        p, _jacobian(p.m_sing, p.y0, p.jet_capable), p.y0[None, :], order)
+    coeffs = _bootstrap_stages(p, p.y0[None, :], order)
     tail = float(np.linalg.norm(coeffs[order], np.inf))
     if tail > 0 and tail ** (1.0 / order) > 1.0 / T_FLOOR:
         warnings.warn(
@@ -360,10 +374,10 @@ def bootstrap_series(p: SingularIVP, order: int = DEFAULT_ORDER
     return coeffs
 
 
-def _bootstrap_stages(p: SingularIVP, J: np.ndarray, coeffs: np.ndarray,
+def _bootstrap_stages(p: SingularIVP, coeffs: np.ndarray,
                       order: int) -> np.ndarray:
     """The series ``coeffs`` grown to ``order`` by the stages ``h =
-    len(coeffs) .. order``; ``J`` is the Jacobian of ``m_sing`` at ``y0``.
+    len(coeffs) .. order``.
 
     Stage ``h`` solves ``(h I - J) y_h = b_h`` for the ``b_h`` that the
     problem's ``stage`` returns, or, without one, :func:`_map_stage`.  It
@@ -373,17 +387,15 @@ def _bootstrap_stages(p: SingularIVP, J: np.ndarray, coeffs: np.ndarray,
     start = len(coeffs)
     coeffs = np.concatenate([coeffs, np.zeros((order + 1 - start, p.k))])
     stage = _map_stage(p) if p.stage is None else p.stage
-    eye = np.eye(p.k)
+    eye, J = np.eye(p.k), p.jacobian
     for h in range(start, order + 1):
         b = stage(coeffs[:h], h)
-        A = h * eye - J
         try:
-            yh = np.linalg.solve(A, b)
+            coeffs[h] = np.linalg.solve(h * eye - J, b)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 f"singular linear solve at bootstrap stage h={h}: {exc}"
             ) from exc
-        coeffs[h] = yh
     return coeffs
 
 
@@ -420,21 +432,20 @@ def _tail_handoff(coeffs: np.ndarray, tol: float, cap: float) -> float:
     return cap if top == 0.0 else min(cap, (tol / top) ** (1.0 / order))
 
 
-def choose_handoff(p: SingularIVP, coeffs: np.ndarray, J: np.ndarray,
-                   tol: float):
+def choose_handoff(p: SingularIVP, coeffs: np.ndarray, tol: float):
     """The checked handoff from the series ``coeffs`` of ``p``: ``(t0,
     y(t0), coeffs, handoff_residual, handoff_tries)``.
 
     The tail estimate ``|y_K| t0^K = tol`` (max norm), capped at ``t_end /
     2``, gives the candidate.  Where it stops short of the cap, a
-    Taylor-capable series grows (``J`` is the Jacobian of ``m_sing`` at
-    ``y0``) to ``K = round(-ln tol)`` within ``DEFAULT_ORDER .. MAX_ORDER``,
-    and on to ``MAX_ORDER`` while the tail allows no handoff above
-    ``T_FLOOR``; the grown series is returned.  Since ``y_K`` alone can miss
-    the tail (an odd solution has ``y_K = 0`` at even ``K``), the candidate
-    shrinks by 0.8 until the series residual ``r = y' - rhs`` meets ``t0
-    |r| <= (K + 1) tol (1 + |y|)``; ``handoff_residual`` is the last ``|r|``
-    and ``handoff_tries`` the number of checks.
+    Taylor-capable series grows to ``K = round(-ln tol)`` within
+    ``DEFAULT_ORDER .. MAX_ORDER``, and on to ``MAX_ORDER`` while the tail
+    allows no handoff above ``T_FLOOR``; the grown series is returned.
+    Since ``y_K`` alone can miss the tail (an odd solution has ``y_K = 0``
+    at even ``K``), the candidate shrinks by 0.8 until the series residual
+    ``r = y' - rhs`` meets ``t0 |r| <= (K + 1) tol (1 + |y|)``;
+    ``handoff_residual`` is the last ``|r|`` and ``handoff_tries`` the
+    number of checks.
 
     Raises ValidationError for a ``tol`` that is not finite and positive or
     a series of order below 1 or width other than ``p.k``, and
@@ -454,7 +465,7 @@ def choose_handoff(p: SingularIVP, coeffs: np.ndarray, J: np.ndarray,
         k_tol = min(MAX_ORDER, max(DEFAULT_ORDER, round(-math.log(tol))))
         for order in (k_tol, MAX_ORDER):
             if order >= len(coeffs):
-                coeffs = _bootstrap_stages(p, J, coeffs, order)
+                coeffs = _bootstrap_stages(p, coeffs, order)
                 t0 = _tail_handoff(coeffs, tol, cap)
             if t0 >= T_FLOOR:
                 break
@@ -606,7 +617,7 @@ def solve(p: SingularIVP, *, tol: float = 1e-10) -> Trajectory:
             f"{report.residual_norm:.3e}, offending indices "
             f"{report.offending_h}", report)
     t0, y_t0, coeffs, r, tries = choose_handoff(
-        p, bootstrap_series(p, report.order), report.jacobian, tol)
+        p, bootstrap_series(p, report.order), tol)
     traj = integrate(p, t0, y_t0, tol)
     traj.coeffs = coeffs
     traj.diagnostics.update(admissibility=report, handoff=t0,
@@ -815,9 +826,6 @@ def normalize(f: Callable, Y0) -> Callable:
     return shifted
 
 
-_HAT_SWITCH = 1e-2
-
-
 def reduce_hat(f: Callable, Y0, t_end: float = 1.0) -> SingularIVP:
     """Reduce ``0 = Y' + f(xi, Y)/xi`` to the hat variable problem.
 
@@ -831,15 +839,13 @@ def reduce_hat(f: Callable, Y0, t_end: float = 1.0) -> SingularIVP:
 
     The problem's float ``field`` is the whole right-hand side in one
     piece, ``-fhat(xi, w)/xi = -(w + f(xi, Y0 + xi w)/xi)/xi`` for every
-    ``xi > 0``, so the integrator never reads the split below.  Unlike the
-    split's ``m_reg``, it takes no difference of two nearly equal values
-    near the pole.
+    ``xi > 0``, so the integrator never reads the split below, and it
+    takes no difference of two nearly equal values near the pole.
 
-    On a time jet ``m_reg`` is the series of ``psi(s) = f(s, Y0 + s w)``
-    shifted down by two orders.  On floats only the black-box bootstrap
-    reads it: ``m_reg(xi, w) = -(fhat(xi, w) - fhat(0, w))/xi`` in this
-    direct form from ``|xi| >= 1e-2`` on, and below, where the direct form
-    cancels, from central-difference stencils of ``psi`` of orders 2 to 4.
+    ``m_reg`` takes time jets only: it is the series of ``psi(s) = f(s, Y0
+    + s w)`` shifted down by two orders.  A black-box ``f`` gets its own
+    bootstrap stage instead, ``b_h = -[s^(h+1)] psi`` along the partial
+    sum ``w(s)``: one central-difference stencil of ``f`` per stage.
     """
     Y0 = np.asarray(Y0, dtype=float).reshape(-1)
     k = Y0.size
@@ -850,37 +856,28 @@ def reduce_hat(f: Callable, Y0, t_end: float = 1.0) -> SingularIVP:
         return -(a0 + B @ np.asarray(y))
 
     def m_reg(t, y):
-        if isinstance(t, Series):
-            # fhat = w + psi/s with psi(s) = f(s, Y0 + s w(s)), expanded one
-            # order above the request: the shift below eats one order, and
-            # the padded top y-coefficient cancels against the affine part
-            # exactly because B = I + A0.
-            n = _time_jet_order(t) + 1
-            w = _const_jets(np.asarray(y, dtype=object).reshape(-1), n)
-            sj = _series.identity(n + 1)
-            warg = np.array([Y0[i] + sj * w[i].pad(n + 1) for i in range(k)],
-                            dtype=object)
-            psi = np.asarray(f(sj, warg), dtype=object).reshape(-1)
-            aff = a0 + B @ w
-            out = []
-            for i in range(k):
-                fhat = w[i] + Series._new(_as_jet(psi[i], n + 1).coeffs[1:],
-                                          0.0)
-                out.append(-Series._new((fhat - aff[i]).coeffs[1:], 0.0))
-            return np.array(out, dtype=object)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        if abs(t) >= _HAT_SWITCH:
-            val = np.asarray(f(t, Y0 + t * y), dtype=float).reshape(-1)
-            return -((y + val / t) - (a0 + B @ y)) / t
-        # near 0: m_reg(t, y) = -(psi_2 + psi_3 t + psi_4 t^2 + ...) where
-        # psi(s) = f(s, Y0 + s y); moderate-step stencils avoid the 1/t^2
-        # cancellation of the direct form
+        # fhat = w + psi/s with psi(s) = f(s, Y0 + s w(s)), expanded one
+        # order above the request: the shift below eats one order, and the
+        # padded top y-coefficient cancels against the affine part exactly
+        # because B = I + A0.
+        n = _time_jet_order(t) + 1
+        w = _const_jets(np.asarray(y, dtype=object).reshape(-1), n)
+        sj = _series.identity(n + 1)
+        warg = np.array([Y0[i] + sj * w[i].pad(n + 1) for i in range(k)],
+                        dtype=object)
+        psi = np.asarray(f(sj, warg), dtype=object).reshape(-1)
+        aff = a0 + B @ w
+        out = []
+        for i in range(k):
+            fhat = w[i] + Series._new(_as_jet(psi[i], n + 1).coeffs[1:], 0.0)
+            out.append(-Series._new((fhat - aff[i]).coeffs[1:], 0.0))
+        return np.array(out, dtype=object)
 
-        def phi(s, _y=y):
-            return np.asarray(f(s, Y0 + s * _y), dtype=float).reshape(-1)
-
-        return -_series.eval_truncated(
-            [_fd_taylor_coeff(phi, m) for m in (2, 3, 4)], t)
+    def stage(part, h):
+        # t w' = -w - psi/t puts y_h's own term A0 y_h of [s^(h+1)] psi on
+        # the left, so b_h is the rest of that coefficient
+        return -_fd_taylor_coeff(
+            lambda s: f(s, Y0 + s * _series.eval_truncated(part, s)), h + 1)
 
     def field(t, y):
         y = np.asarray(y, dtype=float).reshape(-1)
@@ -889,7 +886,8 @@ def reduce_hat(f: Callable, Y0, t_end: float = 1.0) -> SingularIVP:
 
     meta = {"kind": "hat_reduction", "a0": a0, "A0": A0, "Y0": Y0}
     prob = SingularIVP(m_sing, m_reg, y_hat0, t_end,
-                       jet_capable=jet_capable, meta=meta, field=field)
+                       jet_capable=jet_capable, meta=meta, field=field,
+                       stage=None if jet_capable else stage)
     prob.jet_probe_error = probe_error
     return prob
 

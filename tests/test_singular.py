@@ -188,6 +188,7 @@ def test_a_jacobian_that_is_not_finite_is_a_numerical_error():
         [0.0], 1.0)
     with pytest.raises(NumericalError, match="not finite"):
         singular.check_admissibility(p)
+    # the problem keeps its J, and every check reads it again
     with pytest.raises(NumericalError, match="not finite"):
         singular.solve(p)
 
@@ -244,14 +245,13 @@ def _blackbox(m_reg, y0=0.0, t_end=4.0):
 
 
 def test_choose_handoff_cases():
-    zero = np.zeros((1, 1))
     # |y_10| = 1 and tol = 1e-10 puts the switch exactly at 0.1; y = t^10
     # solves y' = 10 t^9
     coeffs = np.zeros((11, 1))
     coeffs[10, 0] = 1.0
     assert singular._tail_handoff(coeffs, 1e-10, 2.0) == pytest.approx(0.1)
     p = _blackbox(lambda t, y: y * 0.0 + 10.0 * t ** 9)
-    t0, y, got, r, tries = singular.choose_handoff(p, coeffs, zero, 1e-10)
+    t0, y, got, r, tries = singular.choose_handoff(p, coeffs, 1e-10)
     assert t0 == pytest.approx(0.1) and tries == 1
     assert y[0] == pytest.approx(0.1 ** 10)
     assert got.tobytes() == coeffs.tobytes()
@@ -260,7 +260,7 @@ def test_choose_handoff_cases():
     # y' = 2 y^2: t0 = (tol / 2^10)^(1/10), value is partial sum
     geo = (2.0 ** np.arange(11))[:, None]
     p = _blackbox(lambda t, y: 2.0 * y * y, y0=1.0)
-    t0, y, _, r, tries = singular.choose_handoff(p, geo, zero, 1e-10)
+    t0, y, _, r, tries = singular.choose_handoff(p, geo, 1e-10)
     assert t0 == pytest.approx((1e-10 / 2 ** 10) ** 0.1) and tries == 1
     part = sum((2 * t0) ** h for h in range(11))
     assert y[0] == pytest.approx(part, rel=1e-14)
@@ -272,7 +272,7 @@ def test_choose_handoff_cases():
     p = singular.SingularIVP(lambda y: y * 0.0, lambda t, y: y * 0.0, [5.0],
                              0.1)
     assert p.jet_capable
-    t0, y, got, r, tries = singular.choose_handoff(p, flat, zero, 1e-10)
+    t0, y, got, r, tries = singular.choose_handoff(p, flat, 1e-10)
     assert t0 == pytest.approx(0.05)
     assert y[0] == pytest.approx(5.0)
     assert got.shape == (11, 1) and r == 0.0 and tries == 1
@@ -281,17 +281,15 @@ def test_choose_handoff_cases():
     bad = np.zeros((2, 1))
     bad[1, 0] = 1e20
     with pytest.raises(NumericalError, match="order-1 series tail"):
-        singular.choose_handoff(_blackbox(lambda t, y: y * 0.0), bad, zero,
-                                1e-12)
+        singular.choose_handoff(_blackbox(lambda t, y: y * 0.0), bad, 1e-12)
 
 
 def test_choose_handoff_checks_the_state_it_hands_off():
     # planted fault: y_10 = 0, so the tail estimate alone hands off at the
     # cap 0.5 with a state error of 0.144
     p, tol = _parity_fault(), 1e-10
-    J = singular.check_admissibility(p).jacobian
     t0, y, coeffs, r, tries = singular.choose_handoff(
-        p, singular.bootstrap_series(p, 10), J, tol)
+        p, singular.bootstrap_series(p, 10), tol)
     exact = math.sinh(10.0 * t0) / 10.0
     assert abs(y[0] - exact) <= tol * (1.0 + abs(exact))
     assert tries > 1 and t0 < 0.1
@@ -304,9 +302,8 @@ def test_choose_handoff_rejects_a_series_of_the_wrong_shape(shape):
     p = _ROWS["sphere"]()                  # k = 2
     coeffs = np.zeros(shape)
     coeffs[0] = 0.35
-    J = singular.check_admissibility(p).jacobian
     with pytest.raises(ValidationError, match="series"):
-        singular.choose_handoff(p, coeffs, J, 1e-10)
+        singular.choose_handoff(p, coeffs, 1e-10)
 
 
 def test_solve_calls_each_primitive_once_through_the_module(monkeypatch):
@@ -680,10 +677,9 @@ def test_a_continued_series_has_the_bytes_of_a_direct_bootstrap(make):
     # stage h reads only rows below h, so growing the order-10 series that
     # solve bootstraps first costs no second bootstrap
     p = make()
-    J = singular.check_admissibility(p).jacobian
     base = singular.bootstrap_series(p, 10)
     for order in (20, singular.MAX_ORDER):
-        got = singular._bootstrap_stages(p, J, base, order)
+        got = singular._bootstrap_stages(p, base, order)
         assert got.tobytes() == singular.bootstrap_series(p, order).tobytes()
         assert got[:11].tobytes() == base.tobytes()
 
@@ -706,6 +702,42 @@ def test_solve_continues_the_series_only_where_its_tail_stops_the_handoff():
     assert d["series_order"] == 10 and d["handoff"] == 0.5
 
 
+def test_a_problem_takes_its_jacobian_once():
+    # the sphere at 1e-12 grows its series to 28 in choose_handoff, and
+    # its profile stage calls no map: k jet calls of m_sing (wrapped after
+    # the problem is built, as the tracer wraps it) are the one Jacobian
+    # that admissibility, the bootstrap and the growth all read
+    p = _ROWS["sphere"]()
+    m_sing, calls = p.m_sing, []
+
+    def counted(y):
+        calls.append(np.asarray(y).dtype == object)
+        return m_sing(y)
+
+    p.m_sing = counted
+    traj = singular.solve(p, tol=1e-12)
+    assert traj.diagnostics["series_order"] == 28
+    assert sum(calls) == p.k
+    rep = singular.check_admissibility(p)
+    singular.bootstrap_series(p, 10)
+    assert sum(calls) == p.k
+    assert rep.jacobian is p.jacobian
+    assert rep.jacobian is traj.diagnostics["admissibility"].jacobian
+
+
+def test_the_jacobian_is_read_only():
+    p = _ROWS["affine"]()
+    rep = singular.check_admissibility(p)
+    with pytest.raises(ValueError, match="read-only"):
+        rep.jacobian[0, 0] = 5.0
+    with pytest.raises(AttributeError):
+        p.jacobian = np.zeros((2, 2))
+    with pytest.raises(TypeError):
+        singular.SingularIVP(p.m_sing, p.m_reg, p.y0, p.t_end,
+                             jacobian=np.zeros((2, 2)))
+    np.testing.assert_array_equal(p.jacobian, [[0.0, 1.0], [0.0, -3.0]])
+
+
 def test_solve_continues_to_max_order_where_the_tol_order_stops_short():
     # a solution of size 5e6 at t = 1: the absolute tail estimate at order
     # round(-ln 1e-8) = 18 allows no handoff above T_FLOOR, order 30 does,
@@ -713,11 +745,10 @@ def test_solve_continues_to_max_order_where_the_tol_order_stops_short():
     p = singular.AffineSingularMaps([[-1.0]], g=["1e14/(1 + 2e7*t)"]).problem(
         [0.0], 1.0)
     tol = 1e-8
-    J = singular.check_admissibility(p).jacobian
     base = singular.bootstrap_series(p, 18)
     assert singular._tail_handoff(base, tol, 0.5) < singular.T_FLOOR
     # so the handoff rule grows a series handed to it at order 18 to 30
-    _, _, grown, _, _ = singular.choose_handoff(p, base, J, tol)
+    _, _, grown, _, _ = singular.choose_handoff(p, base, tol)
     assert len(grown) == singular.MAX_ORDER + 1
     traj = singular.solve(p, tol=tol)
     d = traj.diagnostics
@@ -738,10 +769,8 @@ def test_a_tail_too_steep_at_every_order_names_tol_and_t_end():
     assert "tol = 1.0e-10" in msg and "t_end = 1.0" in msg
     assert "series order" not in msg        # solve takes no order
     # the handoff rule raises it, whoever calls it
-    J = singular.check_admissibility(p).jacobian
     with pytest.raises(NumericalError, match=r"order-30 series tail") as ei:
-        singular.choose_handoff(p, singular.bootstrap_series(p, 10), J,
-                                1e-10)
+        singular.choose_handoff(p, singular.bootstrap_series(p, 10), 1e-10)
     msg = str(ei.value)
     assert "tol = 1.0e-10" in msg and "t_end = 1.0" in msg
 
@@ -757,9 +786,8 @@ def test_a_series_that_holds_the_ode_nowhere_names_tol_and_t_end():
     msg = str(ei.value)
     assert "tol = 1.0e-10" in msg and "t_end = 2.0" in msg
     # the handoff rule raises it, whoever calls it
-    J = singular.check_admissibility(p).jacobian
     with pytest.raises(NumericalError, match="holds the ODE") as ei:
-        singular.choose_handoff(p, singular.bootstrap_series(p), J, 1e-10)
+        singular.choose_handoff(p, singular.bootstrap_series(p), 1e-10)
     msg = str(ei.value)
     assert "tol = 1.0e-10" in msg and "t_end = 2.0" in msg
 
@@ -802,9 +830,8 @@ def test_solve_rejects_a_tolerance_that_is_not_finite_and_positive(tol):
         singular.solve(p, tol=tol)
     assert calls["n"] <= 20         # the jet probe and the bootstrap
     coeffs = singular.bootstrap_series(p)
-    J = singular.check_admissibility(p).jacobian
     with pytest.raises(ValidationError, match="tol"):
-        singular.choose_handoff(p, coeffs, J, tol)
+        singular.choose_handoff(p, coeffs, tol)
 
 
 def test_an_infinite_t_end_is_rejected():
@@ -1037,8 +1064,8 @@ def test_reduce_hat_riccati_blackbox():
     assert p.y0[0] == pytest.approx(-1.0, abs=1e-8)
     coeffs = singular.bootstrap_series(p, order=4)
     want = [-1.0, -0.5, -1.0 / 3.0, -11.0 / 48.0, -19.0 / 120.0]
-    # top coefficient comes from a depth-4 difference stencil; accuracy
-    # degrades to ~1e-4 there
+    # top coefficient comes from an order-5 difference stencil of f;
+    # accuracy degrades to ~1.5e-5 there
     np.testing.assert_allclose(coeffs[:, 0], want, atol=1e-4)
 
     # both reductions describe the same vector field away from the pole
@@ -1076,7 +1103,7 @@ def test_reduce_hat_near_pole_jet_remainder():
 
     p = singular.reduce_hat(f, [0.0])
     assert p.jet_capable
-    for t in (9e-3, 1e-3, 1e-5):        # below the switch to the direct form
+    for t in (9e-3, 1e-3, 1e-5):        # where a direct form would cancel
         for y in (0.0, 0.7, -1.3):
             want = -t / 6 + t ** 3 / 120 - t ** 5 / 5040 + t * y * y
             jet = p.m_reg(series.identity(11), np.array([y]))[0]
@@ -1106,8 +1133,8 @@ def sine_hat_field(t, w):
 
 @pytest.mark.parametrize("which", ["blackbox", "jets"])
 def test_hat_rhs_is_the_closed_form_on_both_sides_of_the_switch(which):
-    # the field is -(w + f(xi, xi w)/xi)/xi at every xi; m_sing/t + m_reg
-    # reads m_reg's black-box stencils below 1e-2, 6e-12 off at 1e-3
+    # the field is -(w + f(xi, xi w)/xi)/xi at every xi, on both sides of
+    # the reference's own switch to its series at 1e-2
     blackbox, jets = sine_hat_maps()
     f = blackbox if which == "blackbox" else jets
     p = singular.reduce_hat(f, [0.0])
@@ -1116,6 +1143,34 @@ def test_hat_rhs_is_the_closed_form_on_both_sides_of_the_switch(which):
         for w in (0.0, 0.7, -1.3):
             assert p.rhs(t, np.array([w]))[0] == \
                 pytest.approx(sine_hat_field(t, w), rel=1e-14), (t, w)
+
+
+def test_blackbox_hat_bootstrap_takes_one_stencil_per_stage():
+    # f = 2Y - 2 + sin(xi) e^xi + xi Y^2 at Y0 = 1: one order-5 stencil of
+    # f puts y_4 within 3.2e-6 of the jets' -0.0555; a difference of a
+    # float m_reg that is itself built from stencils misses it by 0.43
+    def blackbox(xi, y):
+        x, v = float(xi), float(y[0])
+        return np.array([2.0 * v - 2.0 + math.sin(x) * math.exp(x)
+                         + x * v * v])
+
+    def jets(xi, y):
+        return 2.0 * y - 2.0 + series.sin(xi) * series.exp(xi) + xi * y * y
+
+    bb = singular.reduce_hat(blackbox, [1.0])
+    assert not bb.jet_capable
+    want = singular.bootstrap_series(singular.reduce_hat(jets, [1.0]), 4)
+    np.testing.assert_allclose(singular.bootstrap_series(bb, 4), want,
+                               rtol=0, atol=1e-5)
+
+
+@pytest.mark.parametrize("which", ["blackbox", "jets"])
+def test_hat_m_reg_takes_time_jets_only(which):
+    blackbox, jets = sine_hat_maps()
+    p = singular.reduce_hat(blackbox if which == "blackbox" else jets, [0.0])
+    for t in (1e-3, 0.5):
+        with pytest.raises(ValidationError, match="time jet"):
+            p.m_reg(t, np.array([0.7]))
 
 
 def test_blackbox_hat_solve_agrees_with_the_jet_capable_one():
