@@ -16,15 +16,14 @@ with ``drift = Tr(P^-1 P')/2`` and ``V(t, rho) = Tr(P(t)^-1 dP/dt|_rho)/2``;
 the optional conformal exponent ``alpha`` models an extra warped factor of
 dimension ``weight``.  Biharmonic profiles couple this to the linearized
 (Jacobi) equation for the tension ``F`` through the second radial
-derivative of ``P``; that path is restricted to diagonal families.  From
-``t_switch`` on, the traces of a diagonal family are the closed form
+derivative of ``P``; that path is restricted to diagonal families.  At
+every ``t > 0`` the traces of a diagonal family are the closed form
 ``sum_i X_ii / P_ii``, one generated function of ``(t, rho)`` per family
 (:class:`~regsing.expr.HalfTraces`), and a block family solves ``P(t) S =
-[P'(rho) | P'(t)]`` once; below ``t_switch`` they come from pole-peeled
-series.  ``MetricFamily.t_switch`` is the only switch between the two
-branches, for the assembled maps and the public trace functions alike.  A
-residual sample evaluates the traces once and reads ``r''`` (and ``F''``)
-from the computed trajectory, so it measures that trajectory's defect.
+[P'(rho) | P'(t)]`` once, for the assembled maps and the public trace
+functions alike.  A residual sample evaluates the traces once and reads
+``r''`` (and ``F''``) from the computed trajectory, so it measures that
+trajectory's defect.
 
 The series come from :meth:`MetricFamily.pack`, which holds float
 coefficient stacks: ``P'`` and ``P''`` of the entries and the series of
@@ -43,10 +42,12 @@ bootstrap is exact: the problem's ``stage`` answers each stage from the
 coefficient rows through the kernels, with no Series, and ``m_reg`` on
 time jets (which it takes only) wraps the same kernels for any other
 caller.  The integrator reads the problem's float ``field``, the whole
-right-hand side in plain floats: the regular rows (one trace read from
-``t_switch`` on, the peeled series summed below) with ``0.0/t`` and
-``(-(p+2) u)/t`` added in the order numpy adds the split form, so the
-integrator reads the split form's bytes without its array work.
+right-hand side in plain floats: the regular rows from one trace read,
+with ``0.0/t`` and ``(-(p+2) u)/t`` added in the order numpy adds the
+split form, so the integrator reads the split form's bytes without its
+array work.  The field reads no series: a Taylor series in ``t`` at a
+frozen state converges only within the metric's radius, which shrinks
+like ``1/|a|`` along a steep profile.
 Metrics whose odd low-order data does not cancel the order-one residue (for
 example ``alpha'(0) != 0``) have no analytic reduction; their series paths
 raise StructureError.
@@ -67,8 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as _expr
-from . import series as _series
-from .series import Series
+from .series import Series, _constant, _identity, _mul
 from .errors import NumericalError, StructureError, ValidationError
 from .singular import (SingularIVP, _as_jet, _time_jet_order,
                        solve as _solve_singular)
@@ -85,7 +85,6 @@ __all__ = [
 MAX_METRIC_DIM = 16
 _SHIFT_TOL = 1e-9
 _STRUCT_TOL = 5e-7
-_FLOAT_SERIES_ORDER = 12
 _differentiate = np.frompyfunc(_expr.differentiate, 1, 1)   # entrywise
 
 
@@ -106,16 +105,10 @@ class MetricFamily:
     t_validate : float
         Right end of the interval used by :func:`validate_metric`.
 
-    The class attribute ``t_switch`` (``1e-2``) is the only branch switch:
-    the traces take the direct branch from ``t_switch`` on and the series
-    branch below; a test picks a branch by setting it on an instance.
-
     Construction is lenient: pole structure is only enforced when a series
     path is actually used, so families that fail validation can still be
     probed pointwise.
     """
-
-    t_switch = 1e-2
 
     def __init__(self, entries, dim_p: int, alpha=None, weight: int = 1,
                  t_validate: float = 1.0):
@@ -279,19 +272,8 @@ class MetricFamily:
 #
 # Every series here is a float coefficient array, entry ``k`` the
 # coefficient of ``t^k``; the kernels take and return such arrays, and only
-# the profile problems' ``m_reg`` wraps them as Series.
-
-def _const(value: float, order: int) -> np.ndarray:
-    """The constant ``value`` as ``order + 1`` coefficients."""
-    c = np.zeros(order + 1)
-    c[0] = value
-    return c
-
-
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The product of two series of one length, truncated to it."""
-    return np.convolve(a, b)[:len(a)]
-
+# the profile problems' ``m_reg`` wraps them as Series.  Constants and
+# products are the row kernels of :mod:`regsing.series`.
 
 def _powers(a: np.ndarray, order: int) -> np.ndarray:
     """Table of the powers of ``u = t a(t)``: row ``j`` holds the ``M =
@@ -362,8 +344,11 @@ def _zpot_series(fam: MetricFamily, a: np.ndarray, order: int,
 
 
 def _peel2(w: np.ndarray, where: str) -> np.ndarray:
-    """Divide by ``t^2`` after checking the two dropped coefficients vanish."""
-    scale = 1.0 + float(np.abs(w).max())
+    """Divide by ``t^2`` after checking the two dropped coefficients vanish
+    against the low-order coefficients, up to the first one kept: the
+    higher ones grow like powers of the metric's inverse radius and would
+    hide any residue."""
+    scale = 1.0 + float(np.abs(w[:3]).max())
     if abs(w[0]) > _STRUCT_TOL * scale or abs(w[1]) > _STRUCT_TOL * scale:
         raise StructureError(
             f"{where}: nonzero residue at the pole "
@@ -379,14 +364,13 @@ def _w_series(fam: MetricFamily, s, order: int) -> list:
     linearization along ``a`` (diagonal families only).  Both rows share
     one power table."""
     p = float(fam.dim_p)
-    t_s = _const(0.0, order)
-    t_s[1] = 1.0
+    t_s = _identity(order, 0.0)
     T = _powers(s[0], order)
-    d = _tdrift_series(fam, order) - _const(p, order)
+    d = _tdrift_series(fam, order) - _constant(p, order)
     w = [_peel2((_tpot_series(fam, s[0], order, T) - p * s[0])
                 - _mul(d, s[0] + _mul(t_s, s[1])), "harmonic reduction")]
     if len(s) == 4:
-        z = _zpot_series(fam, s[0], order, T) - _const(p, order)
+        z = _zpot_series(fam, s[0], order, T) - _constant(p, order)
         w.append(_peel2(_mul(z, s[2]) - _mul(d, s[2] + _mul(t_s, s[3])),
                         "tension linearization"))
     return w
@@ -411,7 +395,7 @@ def check_structure(fam: MetricFamily):
         return
     with np.errstate(over="ignore", invalid="ignore"):
         for a0, u0 in ((0.83, 0.41), (-0.37, 0.9), (1.61, -0.23)):
-            w = _w_series(fam, [_const(a0, 8), _const(u0, 8)], 8)
+            w = _w_series(fam, [_constant(a0, 8), _constant(u0, 8)], 8)
             if not np.isfinite(w[0]).all():
                 raise NumericalError(
                     "the metric's series at the origin are not finite "
@@ -447,9 +431,8 @@ def _direct_traces(fam: MetricFamily, t: float, rho: float, second: bool):
 
 def _traces(fam: MetricFamily, t: float, rho: float, second: bool):
     """``(drift + weight alpha', V, V2)`` at a finite ``t > 0`` and radius
-    ``rho``, ``V2`` None unless ``second`` (diagonal families only): one
-    :func:`_direct_traces` call from ``t_switch`` on, one order-12
-    pole-peeled series evaluation below."""
+    ``rho``, ``V2`` None unless ``second`` (diagonal families only), from
+    one :func:`_direct_traces` call."""
     if not 0.0 < t < math.inf:
         raise ValidationError(
             f"trace quantities need a finite t > 0, got t = {t}")
@@ -457,23 +440,13 @@ def _traces(fam: MetricFamily, t: float, rho: float, second: bool):
         raise ValidationError(
             "second radial derivative reduction supports diagonal "
             "families only")
-    if t >= fam.t_switch:
-        V, drift, V2 = _direct_traces(fam, t, rho, second)
-        return drift + fam.weight * fam.alpha_dot_at(t), V, V2
-    K = _FLOAT_SERIES_ORDER
-    a = _const(rho / t, K)
-    T = _powers(a, K)
-    D, V = (float(_series.eval_truncated(s, t)) / t
-            for s in (_tdrift_series(fam, K), _tpot_series(fam, a, K, T)))
-    V2 = (float(_series.eval_truncated(_zpot_series(fam, a, K, T), t))
-          / (t * t) if second else None)
-    return D, V, V2
+    V, drift, V2 = _direct_traces(fam, t, rho, second)
+    return drift + fam.weight * fam.alpha_dot_at(t), V, V2
 
 
 def trace_drift(fam: MetricFamily, t: float) -> float:
-    """``Tr(P^-1 P')/2 + weight alpha'`` at ``t > 0``: from ``t_switch`` on
-    the closed form ``sum_i P'_ii / P_ii`` (diagonal) or one linear solve
-    (block), the pole-peeled series below."""
+    """``Tr(P^-1 P')/2 + weight alpha'`` at ``t > 0``: the closed form
+    ``sum_i P'_ii / P_ii`` (diagonal) or one linear solve (block)."""
     return _traces(fam, t, t, False)[0]
 
 
@@ -541,13 +514,11 @@ def _profile_sing(p: int):
 def _profile_field(fam: MetricFamily):
     """The whole float field ``m_sing(y)/t + m_reg(t, y)`` of both profile
     problems in plain floats.  The regular rows come from one
-    :func:`_traces` read at ``rho = t a`` from ``t_switch`` on and from the
-    pole-peeled series of the reduction summed at ``t`` below; the tension
-    ``F = t b`` forces the profile row.  Each ``(x, u)`` pair then gets
-    ``0.0/t`` and ``(-(p+2) u)/t`` added as numpy adds the split form's
-    arrays, so the bytes are those of the split sum on both sides of
-    ``t_switch``."""
-    p, K = fam.dim_p, _FLOAT_SERIES_ORDER
+    :func:`_traces` read at ``rho = t a``; the tension ``F = t b`` forces
+    the profile row.  Each ``(x, u)`` pair then gets ``0.0/t`` and
+    ``(-(p+2) u)/t`` added as numpy adds the split form's arrays, so the
+    bytes are those of the split sum."""
+    p = fam.dim_p
     s = -(p + 2.0)
 
     def field(t, y):
@@ -555,21 +526,13 @@ def _profile_field(fam: MetricFamily):
         y = np.asarray(y, dtype=float).tolist()
         coupled = len(y) == 4
         a, u = y[0], y[1]
-        if t >= fam.t_switch:
-            D, V, V2 = _traces(fam, t, t * a, coupled)
-            d = D - p / t
-            out = [u, (V - p * a / t - d * (a + t * u)) / t]
-            if coupled:
-                b, ub = y[2:]
-                out += [ub,
-                        ((V2 - p / (t * t)) * t * b - d * (b + t * ub)) / t]
-        else:
-            w = _w_series(fam, [_const(v, K) for v in y], K)
-            out = [u, float(_series.eval_truncated(w[0], t))]
-            if coupled:
-                out += [y[3], float(_series.eval_truncated(w[1], t))]
+        D, V, V2 = _traces(fam, t, t * a, coupled)
+        d = D - p / t
+        out = [u, (V - p * a / t - d * (a + t * u)) / t]
         if coupled:
-            out[1] += y[2]
+            b, ub = y[2:]
+            out[1] += b
+            out += [ub, ((V2 - p / (t * t)) * t * b - d * (b + t * ub)) / t]
         for i in range(0, len(y), 2):
             out[i] = 0.0 / t + out[i]
             out[i + 1] = s * y[i + 1] / t + out[i + 1]

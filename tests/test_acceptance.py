@@ -225,27 +225,6 @@ def test_residual_checkers_on_all_accepted_runs(
     print("acceptance 12 PASS independent residuals everywhere")
 
 
-def test_series_and_direct_paths_agree():
-    rng = np.random.default_rng(7)
-    a, d = (float(x) for x in 1.0 + rng.uniform(0.0, 1.0, 2))
-    c = float(rng.uniform(-0.4, 0.4))
-    b = [float(x) for x in rng.uniform(0.1, 0.5, 2)]
-    block = geometry.MetricFamily.from_entries(
-        [[f"t^2*({a!r} + {b[0]!r}*t^2)", f"{c!r}*t^2"],
-         [f"{c!r}*t^2", f"{d!r} + {b[1]!r}*t^2"]], dim_p=1)
-    for fam in (sphere_metric(), block):
-        for t in np.geomspace(8e-3, 5e-2, 7):
-            t = float(t)
-            for fn, args in ((geometry.trace_drift, (t,)),
-                             (geometry.trace_potential, (t, 0.4 * t))):
-                fam.t_switch = 0.0          # direct branch at every t > 0
-                direct = fn(fam, *args)
-                fam.t_switch = math.inf     # series branch at every t
-                series = fn(fam, *args)
-                assert series == pytest.approx(direct, rel=1e-9, abs=1e-12)
-    print("acceptance 13 PASS two-path overlap agreement")
-
-
 def random_expr(rng, depth):
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.5:

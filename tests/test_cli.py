@@ -352,6 +352,28 @@ def test_check_metric_whose_series_overflow_fails_its_structure(tmp_path,
     assert rep["structure_ok"] is False
 
 
+def test_check_rejects_odd_data_behind_large_series_coefficients(tmp_path,
+                                                                 capsys):
+    # c1 = -211.6 read against the probe's largest coefficient, 2.1e23,
+    # and passed; solve-harmonic then failed in the bootstrap
+    cfg = write_cfg(tmp_path, "c.json", {"metric": {
+        "diagonal": ["t^2*(1+1000*t)", "1"], "dim_p": 1}})
+    cli.run(["check", "--config", cfg])
+    assert json.loads(capsys.readouterr().out)["structure_ok"] is False
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_steep_sphere_demo_solves_under_warnings_as_errors(tmp_path):
+    # v = 300 hands off near the pole; the field read there stopped the
+    # integrator at t = 0.01 with a step size underflow (exit 4)
+    out = tmp_path / "s.csv"
+    assert cli.run(["solve-harmonic", "--config",
+                    str(CONFIGS / "steep_sphere.json"), "--out", str(out),
+                    "--quiet"]) == 0
+    header, data = read_csv(out)
+    assert len(data) == 33 and data[-1][0] == 1.5
+
+
 def test_check_singular_resonance_exits_2(tmp_path, capsys):
     # Jacobian 1 at the pole: stage h = 1 is not solvable
     cfg = write_cfg(tmp_path, "w.json",
@@ -805,7 +827,7 @@ def test_every_single_solve_prints_the_same_note(tmp_path, capsys):
                             err), (command, err)
 
 
-def test_t_switch_is_a_class_attribute_not_a_metric_key(tmp_path, capsys):
+def test_t_switch_is_not_a_metric_key(tmp_path, capsys):
     path = write_cfg(tmp_path, "c.json",
                      {"metric": {**SPHERE, "t_switch": 0.05}})
     assert cli.run(["check", "--config", path]) == 3
